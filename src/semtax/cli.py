@@ -15,8 +15,17 @@ import sys
 from . import evaluate as ev
 from .corpus import load_corpus
 from .errors import ConfigError, DataError
-from .classics import llda_predict, nb_predict, winnow_predict
-from .classics import LLDAModel, NBModel, WinnowModel
+from .classics import (
+    LLDAModel,
+    NBModel,
+    WinnowModel,
+    llda_predict,
+    llda_train,
+    nb_predict,
+    nb_train,
+    winnow_predict,
+    winnow_train,
+)
 from .models import load_model, save_model
 from .semcat import SemCatConfig, categorize, ranked_categories
 from .semcla import (
@@ -29,6 +38,7 @@ from .semcla import (
 )
 from .taxonomy import load_taxonomy
 from .textpipe import (
+    PhraseIndex,
     build_background,
     load_background,
     load_lemmas,
@@ -108,11 +118,12 @@ def cmd_categorize(args):
     docs = load_corpus(_require_path(args.corpus, "corpus"))
     stats = _load_background_or_build(args, docs)
     config = _semcat_config(args)
+    index = PhraseIndex.from_taxonomy(tax)
     out = _out_stream(args.out)
     _echo_config(args)
     for d in docs:
         try:
-            cats = categorize(d.text, tax, stats, config)
+            cats = categorize(d.text, tax, stats, config, index)
         except DataError:
             out.write("%s\t%s\t-\n" % (d.id, config.disambig))
             continue
@@ -123,6 +134,28 @@ def cmd_categorize(args):
     if out is not sys.stdout:
         out.close()
     return 0
+
+
+def _feature_bags(args, docs):
+    """(document, feature bag) for each document, the bag None when the
+    document has no features.  train and classify both build their bags
+    here, so a model is applied with the preprocessing it was trained
+    with.  Without --taxonomy, `--features terms` is the tf-idf term
+    vector with no phrase matching."""
+    tax = None
+    if args.taxonomy or args.features != "terms":
+        tax = load_taxonomy(_require_path(args.taxonomy, "taxonomy"))
+    stats = _load_background_or_build(args, docs)
+    config = _semcat_config(args)
+    index = PhraseIndex.from_taxonomy(tax) if tax is not None else PhraseIndex(())
+    out = []
+    for d in docs:
+        try:
+            bag = ev.extract_features(d.text, args.features, tax, stats, config, index)
+        except DataError:
+            bag = None
+        out.append((d, bag))
+    return out
 
 
 def cmd_train(args):
@@ -138,47 +171,15 @@ def cmd_train(args):
         )
         model = semcla_train(((d.label, d.text) for d in docs), tax, stats, config)
     else:
-        bags = []
-        tax = stats = None
-        if args.features != "terms" or args.taxonomy:
-            tax = load_taxonomy(_require_path(args.taxonomy, "taxonomy"))
-        if tax is not None:
-            stats = _load_background_or_build(args, docs)
-            config = _semcat_config(args)
-            from .textpipe import PhraseIndex
-
-            index = PhraseIndex.from_taxonomy(tax)
-            for d in docs:
-                try:
-                    bags.append(
-                        (d.label,
-                         ev.extract_features(d.text, args.features, tax, stats, config, index))
-                    )
-                except DataError:
-                    continue
-        else:
-            stats = _load_background_or_build(args, docs)
-            for d in docs:
-                toks = preprocess(d.text, stats=stats)
-                bag = {}
-                for t in toks:
-                    bag[t] = bag.get(t, 0) + 1
-                if bag:
-                    bags.append((d.label, bag))
+        bags = [(d.label, bag) for d, bag in _feature_bags(args, docs) if bag is not None]
         if args.model == "bayes":
-            from .classics import nb_train
-
             model = nb_train(bags)
         elif args.model == "winnow":
-            from .classics import winnow_train
-
             model = winnow_train(
                 bags, theta=args.theta, alpha=args.winnow_alpha,
                 beta=args.winnow_beta, epochs=args.epochs,
             )
         else:
-            from .classics import llda_train
-
             if args.seed is None:
                 raise ConfigError("--seed is mandatory for llda")
             labeled = [([lab], ev.bag_to_tokens(bag)) for lab, bag in bags]
@@ -186,6 +187,15 @@ def cmd_train(args):
     save_model(model, args.out)
     _echo_config(args)
     return 0
+
+
+def _write_ranking(out, doc_id, ranking):
+    if ranking is None:
+        out.write("%s\tunclassified\n" % doc_id)
+    else:
+        out.write(
+            "%s\t%s\n" % (doc_id, " ".join("%s:%.6f" % (l, s) for l, s in ranking))
+        )
 
 
 def cmd_classify(args):
@@ -197,43 +207,21 @@ def cmd_classify(args):
         tax = load_taxonomy(_require_path(args.taxonomy, "taxonomy"))
         stats = _load_background_or_build(args, docs)
         config = _semcat_config(args)
+        index = PhraseIndex.from_taxonomy(tax)
         for d in docs:
             try:
-                ranking = semcla_classify(d.text, model, tax, stats, config)
+                ranking = semcla_classify(d.text, model, tax, stats, config, index)
             except DataError:
-                out.write("%s\tunclassified\n" % d.id)
-                continue
-            out.write(
-                "%s\t%s\n"
-                % (d.id, " ".join("%s:%.6f" % (l, s) for l, s in ranking))
-            )
+                ranking = None
+            _write_ranking(out, d.id, ranking)
     else:
-        tax = stats = None
-        if args.taxonomy:
-            tax = load_taxonomy(_require_path(args.taxonomy, "taxonomy"))
-            stats = _load_background_or_build(args, docs)
         predict = {
             NBModel: nb_predict,
             WinnowModel: winnow_predict,
             LLDAModel: llda_predict,
         }[type(model)]
-        config = _semcat_config(args)
-        for d in docs:
-            try:
-                if tax is not None:
-                    bag = ev.extract_features(d.text, args.features, tax, stats, config)
-                else:
-                    bag = {}
-                    for t in preprocess(d.text):
-                        bag[t] = bag.get(t, 0) + 1
-            except DataError:
-                out.write("%s\tunclassified\n" % d.id)
-                continue
-            ranking = predict(model, bag)
-            out.write(
-                "%s\t%s\n"
-                % (d.id, " ".join("%s:%.6f" % (l, s) for l, s in ranking))
-            )
+        for d, bag in _feature_bags(args, docs):
+            _write_ranking(out, d.id, None if bag is None else predict(model, bag))
     if out is not sys.stdout:
         out.close()
     return 0

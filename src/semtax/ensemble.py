@@ -5,7 +5,7 @@ aggregation and the SemCom heterogeneous committee.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from .errors import DataError, TrainingError
@@ -18,17 +18,6 @@ class Vote(NamedTuple):
     label: str
     weight: float = 1.0
     rank: int = 1
-
-
-@dataclass
-class CommitteeConfig:
-    member_specs: list = field(default_factory=list)  # (kind, count) pairs
-    level: str = "2"  # "1", "2" or "inf"
-    sample_size: int = 200
-    seed: int = 0
-    aggregation: str = "single_vote"
-    semcat_weights: tuple = (14.0, 10.0, 6.0)
-    llda_weight: float | None = None
 
 
 def derive_seed(master_seed: int, index: int) -> int:
@@ -113,25 +102,27 @@ def aggregate(votes: list[Vote], mode: str = "single_vote", seed: int = 0) -> st
 
 @dataclass
 class BaggingEnsemble:
-    """Trained members; each member is (kind, predict_fn) where predict_fn
-    maps a document to a ranked (label, score) list."""
+    """Trained members; each member is a predict function that maps a
+    document to a ranked (label, score) list."""
 
     members: list
     master_seed: int
     member_seeds: list
 
     def member_rankings(self, doc) -> list[list[tuple[str, float]]]:
-        return [predict(doc) for _, predict in self.members]
+        return [predict(doc) for predict in self.members]
 
     def predict(self, doc, mode: str = "single_vote", rank_depth: int = 3) -> str:
+        """single_vote and weighted: each member votes for its top label;
+        rank: Borda over each member's top `rank_depth` labels.  Ties are
+        broken with the master seed."""
         votes = []
         for ranking in self.member_rankings(doc):
             if mode == "rank":
                 for i, (lab, _) in enumerate(ranking[:rank_depth], 1):
                     votes.append(Vote(lab, 1.0, i))
             else:
-                lab, score = ranking[0]
-                votes.append(Vote(lab, _normalized_top_score(ranking), 1))
+                votes.append(Vote(ranking[0][0], _normalized_top_score(ranking), 1))
         return aggregate(votes, mode, seed=self.master_seed)
 
 
@@ -146,25 +137,23 @@ def _normalized_top_score(ranking) -> float:
 
 
 def build_bagging_ensemble(
-    trainer: Callable,
-    count: int,
+    trainers: list[Callable],
     sampler: Callable[[int], object],
     master_seed: int = 0,
 ) -> BaggingEnsemble:
-    """Train `count` members on independently drawn samples.  `sampler`
-    maps a member seed to training material; `trainer` maps (sample, seed)
-    to a predict function.  Member seeds derive from the master seed by
-    index."""
-    if count < 1:
+    """Train one member per trainer, each on an independently drawn
+    sample.  `sampler` maps a member seed to training material; a trainer
+    maps (sample, seed) to a predict function.  Member i's seed is
+    derive_seed(master_seed, i)."""
+    if not trainers:
         raise DataError("ensemble needs at least one member")
     members = []
     seeds = []
-    for i in range(count):
+    for i, trainer in enumerate(trainers):
         seed = derive_seed(master_seed, i)
         seeds.append(seed)
         try:
-            sample = sampler(seed)
-            members.append(("member", trainer(sample, seed)))
+            members.append(trainer(sampler(seed), seed))
         except DataError as exc:
             raise TrainingError("member %d failed: %s" % (i, exc)) from exc
     return BaggingEnsemble(members=members, master_seed=master_seed, member_seeds=seeds)

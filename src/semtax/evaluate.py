@@ -4,6 +4,7 @@ and the seeded experiment runner.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field, asdict
@@ -21,17 +22,14 @@ from .classics import (
 )
 from .corpus import Document
 from .ensemble import (
-    Vote,
-    aggregate,
     build_bagging_ensemble,
-    derive_seed,
     draw_training_sample,
     project_category_to_label,
     semcom_predict,
 )
 from .errors import ConfigError, DataError, DegenerateInputError, EmptyVectorError
 from .semcat import SemCatConfig, assign_concepts, categorize_vector, ranked_categories, term_vector
-from .semcla import SemClaConfig, extend_vector, semcla_score, semcla_train
+from .semcla import SemClaConfig, extend_vector, semcla_fit, semcla_score
 from .taxonomy import Taxonomy, sim_lin
 from .textpipe import BackgroundStats, PhraseIndex
 
@@ -114,9 +112,17 @@ def extract_features(
 ) -> dict[str, float]:
     """terms: the tf-idf term vector; categories: SemCat category weights;
     concepts: disambiguated concept ids weighted by share."""
+    v = term_vector(text, tax, stats, config, phrase_index)
+    return vector_features(v, mode, tax, config)
+
+
+def vector_features(
+    v: dict[str, float], mode: str, tax: Taxonomy, config: SemCatConfig
+) -> dict[str, float]:
+    """The `mode` feature bag of a document's term vector `v` (see
+    extract_features)."""
     if mode not in FEATURE_MODES:
         raise ConfigError("unknown feature mode %r" % mode)
-    v = term_vector(text, tax, stats, config, phrase_index)
     if mode == "terms":
         return v
     if mode == "categories":
@@ -206,36 +212,12 @@ class _Predictor:
         self.ctx = ctx
         self._build()
 
-    def _feature_bag(self, doc: Document):
-        key = (doc.id, self.spec.features)
-        cache = self.ctx.feature_cache
-        if key not in cache:
-            try:
-                cache[key] = extract_features(
-                    doc.text,
-                    self.spec.features,
-                    self.ctx.cfg.taxonomy,
-                    self.ctx.cfg.background,
-                    self.ctx.cfg.semcat,
-                    self.ctx.phrase_index,
-                )
-            except EmptyVectorError:
-                cache[key] = None
-        return cache[key]
-
-    def _labeled_bags(self, docs):
-        out = []
-        for d in docs:
-            bag = self._feature_bag(d)
-            if bag is not None:
-                out.append((d.label, bag))
-        if not out:
-            raise DataError("no usable training documents for %s" % self.spec.name)
-        return out
-
     def _train_classical(self, kind, docs, seed):
         params = self.spec.params
-        bags = self._labeled_bags(docs)
+        features = self.spec.features
+        bags = [(d.label, bag) for d in docs if (bag := self.ctx.bag(d, features)) is not None]
+        if not bags:
+            raise DataError("no usable training documents for %s" % self.spec.name)
         if kind == "bayes":
             model = nb_train(bags)
             return lambda bag: nb_predict(model, bag)
@@ -270,12 +252,10 @@ class _Predictor:
                 mode=self.spec.params.get("mode", "average"),
                 semcat=cfg.semcat,
             )
-            self._semcla = semcla_train(
-                ((d.label, d.text) for d in cfg.train_docs),
+            self._semcla = semcla_fit(
+                ((d.label, self.ctx.categorized(d)) for d in cfg.train_docs),
                 cfg.taxonomy,
-                cfg.background,
                 sc,
-                self.ctx.phrase_index,
             )
         elif kind == "semcat":
             pass  # unsupervised; nothing to train
@@ -292,19 +272,18 @@ class _Predictor:
         size = params.get("sample_size", 200)
         docs_by_id = {d.id: d for d in cfg.train_docs}
 
-        self._ensemble_members = []
-        index = 0
-        for kind, count in members:
-            for _ in range(count):
-                seed = derive_seed(cfg.seed, index)
-                index += 1
-                sample = draw_training_sample(
-                    cfg.taxonomy, cfg.label_categories, cfg.train_docs, level, size, seed
-                )
-                docs = [docs_by_id[i] for ids in sample.values() for i in ids]
-                self._ensemble_members.append(
-                    (kind, self._train_classical(kind, docs, seed))
-                )
+        def sampler(seed):
+            sample = draw_training_sample(
+                cfg.taxonomy, cfg.label_categories, cfg.train_docs, level, size, seed
+            )
+            return [docs_by_id[i] for ids in sample.values() for i in ids]
+
+        trainers = [
+            functools.partial(self._train_classical, kind)
+            for kind, count in members
+            for _ in range(count)
+        ]
+        self._ensemble = build_bagging_ensemble(trainers, sampler, cfg.seed)
 
     def predict(self, doc: Document):
         kind = self.spec.kind
@@ -321,21 +300,13 @@ class _Predictor:
                 return None
             ext = extend_vector(cats, cfg.taxonomy, self._semcla.alpha).weights
             return semcla_score(ext, self._semcla)[0][0]
+        bag = self.ctx.bag(doc, self.spec.features)
+        if bag is None:
+            return None
         if kind in ("bayes", "winnow", "llda"):
-            bag = self._feature_bag(doc)
-            if bag is None:
-                return None
             return self._rank(bag)[0][0]
-        # ensembles
-        rankings = []
-        for _, rank_fn in self._ensemble_members:
-            bag = self._feature_bag(doc)
-            if bag is None:
-                return None
-            rankings.append(rank_fn(bag))
         if kind == "ensemble":
-            votes = [Vote(r[0][0], 1.0, 1) for r in rankings]
-            return aggregate(votes, self.spec.params.get("aggregation", "single_vote"), cfg.seed)
+            return self._ensemble.predict(bag, self.spec.params.get("aggregation", "single_vote"))
         # semcom: weighted committee with SemCat injection
         weights = tuple(self.spec.params.get("semcat_weights", (14.0, 10.0, 6.0)))
         cats = self.ctx.categorized(doc)
@@ -346,7 +317,9 @@ class _Predictor:
                 lab = project_category_to_label(cfg.taxonomy, category, cfg.label_categories)
                 if lab is not None:
                     label_map[category] = lab
-        return semcom_predict(rankings, semcat_ranking, weights, label_map, cfg.seed).winner
+        return semcom_predict(
+            self._ensemble.member_rankings(bag), semcat_ranking, weights, label_map, cfg.seed
+        ).winner
 
     def can_handle(self, doc: Document) -> bool:
         kind = self.spec.kind
@@ -354,29 +327,48 @@ class _Predictor:
             if self.ctx.categorized(doc) is None:
                 return False
         if kind in ("bayes", "winnow", "llda", "ensemble", "semcom"):
-            if self._feature_bag(doc) is None:
+            if self.ctx.bag(doc, self.spec.features) is None:
                 return False
         return True
 
 
 class _Context:
+    """Per-experiment document analysis: each document's term vector is
+    computed once, and every feature bag is derived from it."""
+
     def __init__(self, cfg: ExperimentConfig):
         self.cfg = cfg
         self.phrase_index = PhraseIndex.from_taxonomy(cfg.taxonomy)
-        self.feature_cache: dict = {}
-        self._cat_cache: dict = {}
+        self._vectors: dict = {}
+        self._bags: dict = {}
 
-    def categorized(self, doc: Document):
-        if doc.id not in self._cat_cache:
+    def _term_vector(self, doc: Document):
+        if doc.id not in self._vectors:
             try:
-                v = term_vector(
+                self._vectors[doc.id] = term_vector(
                     doc.text, self.cfg.taxonomy, self.cfg.background,
                     self.cfg.semcat, self.phrase_index,
                 )
-                self._cat_cache[doc.id] = categorize_vector(v, self.cfg.taxonomy, self.cfg.semcat)
             except EmptyVectorError:
-                self._cat_cache[doc.id] = None
-        return self._cat_cache[doc.id]
+                self._vectors[doc.id] = None
+        return self._vectors[doc.id]
+
+    def bag(self, doc: Document, mode: str):
+        """The document's `mode` feature bag, None when it has none."""
+        key = (doc.id, mode)
+        if key not in self._bags:
+            v = self._term_vector(doc)
+            try:
+                self._bags[key] = (
+                    None if v is None
+                    else vector_features(v, mode, self.cfg.taxonomy, self.cfg.semcat)
+                )
+            except EmptyVectorError:
+                self._bags[key] = None
+        return self._bags[key]
+
+    def categorized(self, doc: Document):
+        return self.bag(doc, "categories")
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:

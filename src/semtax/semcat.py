@@ -202,8 +202,7 @@ def top_n_categories(v: dict[str, float], n: int) -> list[tuple[str, float]]:
     """The n highest-weight categories, ties broken by category id."""
     if n < 1:
         raise DataError("n must be >= 1")
-    ranked = sorted(v.items(), key=lambda kv: (-kv[1], kv[0]))
-    return ranked[:n]
+    return ranked_categories(v)[:n]
 
 
 def ranked_categories(v: dict[str, float]) -> list[tuple[str, float]]:

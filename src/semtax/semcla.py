@@ -92,17 +92,31 @@ def semcla_train(
     config: SemClaConfig | None = None,
     phrase_index: PhraseIndex | None = None,
 ) -> SemClaModel:
-    """docs: iterable of (label, text).  Documents that fail categorization
-    are skipped with a warning; a class with no categorizable document is a
-    training error."""
+    """docs: iterable of (label, text).  Categorizes each text and trains
+    with semcla_fit."""
     config = config or SemClaConfig()
     index = phrase_index if phrase_index is not None else PhraseIndex.from_taxonomy(tax)
-    classes: dict[str, list[dict[str, float]]] = {}
+    pairs = []
     for label, text in docs:
-        classes.setdefault(label, [])
         try:
             cats = categorize(text, tax, stats, config.semcat, index)
         except EmptyVectorError:
+            cats = None
+        pairs.append((label, cats))
+    return semcla_fit(pairs, tax, config)
+
+
+def semcla_fit(
+    pairs, tax: Taxonomy, config: SemClaConfig | None = None
+) -> SemClaModel:
+    """pairs: iterable of (label, category vector), where None marks a
+    document that failed categorization: it is skipped with a warning.  A
+    class with no categorized document is a training error."""
+    config = config or SemClaConfig()
+    classes: dict[str, list[dict[str, float]]] = {}
+    for label, cats in pairs:
+        classes.setdefault(label, [])
+        if cats is None:
             log.warning("skipping uncategorizable training document in class %s", label)
             continue
         classes[label].append(extend_vector(cats, tax, config.alpha).weights)
@@ -204,33 +218,3 @@ def calibrate_alpha(
             best_sep = sep
             best_alpha = alpha
     return best_alpha
-
-
-# -- persistence ---------------------------------------------------------
-
-
-def save_semcla_model(model: SemClaModel, path):
-    import json
-
-    payload = {
-        "type": "semcla",
-        "alpha": model.alpha,
-        "mode": model.mode,
-        "classes": {lab: vs for lab, vs in sorted(model.classes.items())},
-        "centroids": model.centroids,
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True)
-
-
-def load_semcla_model(path) -> SemClaModel:
-    import json
-
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    return SemClaModel(
-        classes=payload["classes"],
-        alpha=payload["alpha"],
-        mode=payload["mode"],
-        centroids=payload.get("centroids"),
-    )

@@ -143,6 +143,10 @@ class Taxonomy:
 
         for k in self.category_labels:
             anc(k)
+        # the recursive closure refers to itself and to this taxonomy;
+        # dropping it lets reference counting free a discarded taxonomy
+        # without waiting for the cyclic collector
+        del anc
         for k, a in memo.items():
             if self.root not in a:
                 raise TaxonomyError("category %s does not reach root" % k)
@@ -165,7 +169,9 @@ class Taxonomy:
             memo[k] = frozenset(acc)
             return memo[k]
 
-        return {k: len(below(k)) for k in self.category_labels}
+        counts = {k: len(below(k)) for k in self.category_labels}
+        del below  # as in _compute_ancestors
+        return counts
 
     # -- queries ---------------------------------------------------------
 

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+import semtax.cli
 from semtax.cli import main
+from semtax.textpipe import PhraseIndex
 from conftest import TOY_TAXONOMY
 
 
@@ -88,6 +90,53 @@ def test_train_and_classify_roundtrip(workdir, capsys):
     assert lines[0].split("\t")[0] == "d1"
     top = lines[0].split("\t")[1].split(" ")[0]
     assert top.startswith("x:")
+
+
+@pytest.mark.parametrize("taxonomy, features", [
+    (False, "terms"), (True, "terms"), (True, "categories"),
+])
+def test_classify_scores_the_bags_train_fitted(workdir, monkeypatch, capsys, taxonomy, features):
+    flags = ["--features", features]
+    if taxonomy:
+        flags += ["--taxonomy", str(workdir / "tax.tsv")]
+    fitted, scored = [], []
+    real_train, real_predict = semtax.cli.nb_train, semtax.cli.nb_predict
+
+    def train(bags):
+        fitted.extend(bag for _, bag in bags)
+        return real_train(bags)
+
+    def predict(model, bag):
+        scored.append(bag)
+        return real_predict(model, bag)
+
+    monkeypatch.setattr(semtax.cli, "nb_train", train)
+    monkeypatch.setattr(semtax.cli, "nb_predict", predict)
+    model = workdir / "nb.json"
+    corpus = ["--corpus", str(workdir / "corpus.jsonl")]
+    assert main(["train", "--model", "bayes", "--out", str(model)] + corpus + flags) == 0
+    assert main(["classify", "--model", str(model)] + corpus + flags) == 0
+    assert len(fitted) == 4
+    assert scored == fitted
+
+
+def test_categorize_builds_one_phrase_index(workdir, monkeypatch, capsys):
+    builds = []
+    build = PhraseIndex.from_taxonomy.__func__
+
+    def counting(cls, tax):
+        builds.append(tax)
+        return build(cls, tax)
+
+    monkeypatch.setattr(PhraseIndex, "from_taxonomy", classmethod(counting))
+    rc = main([
+        "categorize",
+        "--taxonomy", str(workdir / "tax.tsv"),
+        "--corpus", str(workdir / "corpus.jsonl"),
+    ])
+    assert rc == 0
+    assert len(capsys.readouterr().out.strip().splitlines()) == 4
+    assert len(builds) == 1
 
 
 def test_train_semcla_and_classify(workdir, capsys):

@@ -131,22 +131,33 @@ class TestBagging:
 
     def test_single_member_degenerate(self, toy_tax):
         docs = docs_with(["A", "A1", "B", "B1"])
-        ens = build_bagging_ensemble(self.trainer, 1, self.sampler_factory(toy_tax, docs), 0)
+        ens = build_bagging_ensemble([self.trainer], self.sampler_factory(toy_tax, docs), 0)
         assert ens.predict("anything") == self.trainer(
             self.sampler_factory(toy_tax, docs)(derive_seed(0, 0)), 0
         )("anything")[0][0]
 
     def test_member_count(self, toy_tax):
         docs = docs_with(["A", "A1", "B", "B1"])
-        ens = build_bagging_ensemble(self.trainer, 50, self.sampler_factory(toy_tax, docs), 0)
+        ens = build_bagging_ensemble([self.trainer] * 50, self.sampler_factory(toy_tax, docs), 0)
         assert len(ens.members) == 50
 
     def test_same_master_seed_reproduces(self, toy_tax):
         docs = docs_with(["A", "A1", "B", "B1"] * 3)
-        e1 = build_bagging_ensemble(self.trainer, 5, self.sampler_factory(toy_tax, docs), 42)
-        e2 = build_bagging_ensemble(self.trainer, 5, self.sampler_factory(toy_tax, docs), 42)
+        e1 = build_bagging_ensemble([self.trainer] * 5, self.sampler_factory(toy_tax, docs), 42)
+        e2 = build_bagging_ensemble([self.trainer] * 5, self.sampler_factory(toy_tax, docs), 42)
         assert e1.member_seeds == e2.member_seeds
         assert e1.predict("doc") == e2.predict("doc")
+
+    def test_rank_is_borda_over_top_three(self):
+        def fixed(order):
+            ranking = [(lab, float(len(order) - i)) for i, lab in enumerate(order)]
+            return lambda sample, seed: lambda doc: ranking
+
+        trainers = [fixed("ACB"), fixed("ACB"), fixed("CBA"), fixed("BCA")]
+        ens = build_bagging_ensemble(trainers, lambda seed: None, 0)
+        # top votes A=2, B=1, C=1; Borda A=3+3+1+1, B=1+1+2+3, C=2+2+3+2
+        assert ens.predict("doc", "single_vote") == "A"
+        assert ens.predict("doc", "rank") == "C"
 
     def test_member_permutation_invariance(self):
         # permuting equal-weight members cannot change the tally

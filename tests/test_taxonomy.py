@@ -1,6 +1,8 @@
+import gc
 import io
 import math
 import random
+import weakref
 
 import pytest
 
@@ -23,6 +25,7 @@ from semtax.taxonomy import (
     sim_pirro_seco,
 )
 
+from conftest import TOY_TAXONOMY
 from oracles import brute_ic, brute_msca, brute_sim_page, links
 
 
@@ -59,6 +62,16 @@ class TestLoad:
 
     def test_labels_case_folded(self, toy_tax):
         assert "black hole" in toy_tax.concepts["c3"].labels
+
+    def test_dropped_taxonomy_freed_without_cyclic_collector(self):
+        gc.disable()
+        try:
+            tax = parse_taxonomy(io.StringIO(TOY_TAXONOMY))
+            ref = weakref.ref(tax)
+            del tax
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 class TestConceptCount:
