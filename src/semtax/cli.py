@@ -64,6 +64,9 @@ def _out_stream(path):
 
 
 def _semcat_config(args) -> SemCatConfig:
+    top_terms = getattr(args, "top_terms", 10)
+    if top_terms < 1:
+        raise ConfigError("--top-terms must be at least 1, got %d" % top_terms)
     stopwords = (
         load_stopwords(_require_path(args.stopwords, "stopwords"))
         if getattr(args, "stopwords", None)
@@ -76,7 +79,7 @@ def _semcat_config(args) -> SemCatConfig:
     )
     measure = {"lin": "lin", "pirro": "pirro_seco"}[getattr(args, "measure", "lin")]
     return SemCatConfig(
-        top_terms=getattr(args, "top_terms", 10),
+        top_terms=top_terms,
         disambig=getattr(args, "disambig", "nearest"),
         measure=measure,
         exact_match=not getattr(args, "fuzzy_match", False),
@@ -114,10 +117,10 @@ def cmd_build_index(args):
 
 
 def cmd_categorize(args):
+    config = _semcat_config(args)
     tax = load_taxonomy(_require_path(args.taxonomy, "taxonomy"))
     docs = load_corpus(_require_path(args.corpus, "corpus"))
     stats = _load_background_or_build(args, docs)
-    config = _semcat_config(args)
     index = PhraseIndex.from_taxonomy(tax)
     out = _out_stream(args.out)
     _echo_config(args)
@@ -136,7 +139,7 @@ def cmd_categorize(args):
     return 0
 
 
-def _feature_bags(args, docs):
+def _feature_bags(args, docs, config):
     """(document, feature bag) for each document, the bag None when the
     document has no features.  train and classify both build their bags
     here, so a model is applied with the preprocessing it was trained
@@ -146,7 +149,6 @@ def _feature_bags(args, docs):
     if args.taxonomy or args.features != "terms":
         tax = load_taxonomy(_require_path(args.taxonomy, "taxonomy"))
     stats = _load_background_or_build(args, docs)
-    config = _semcat_config(args)
     index = PhraseIndex.from_taxonomy(tax) if tax is not None else PhraseIndex(())
     out = []
     for d in docs:
@@ -159,6 +161,7 @@ def _feature_bags(args, docs):
 
 
 def cmd_train(args):
+    semcat = _semcat_config(args)
     docs = load_corpus(_require_path(args.corpus, "corpus"))
     for d in docs:
         if d.label is None:
@@ -166,12 +169,10 @@ def cmd_train(args):
     if args.model == "semcla":
         tax = load_taxonomy(_require_path(args.taxonomy, "taxonomy"))
         stats = _load_background_or_build(args, docs)
-        config = SemClaConfig(
-            alpha=args.alpha, mode=args.mode, semcat=_semcat_config(args)
-        )
+        config = SemClaConfig(alpha=args.alpha, mode=args.mode, semcat=semcat)
         model = semcla_train(((d.label, d.text) for d in docs), tax, stats, config)
     else:
-        bags = [(d.label, bag) for d, bag in _feature_bags(args, docs) if bag is not None]
+        bags = [(d.label, bag) for d, bag in _feature_bags(args, docs, semcat) if bag is not None]
         if args.model == "bayes":
             model = nb_train(bags)
         elif args.model == "winnow":
@@ -199,6 +200,7 @@ def _write_ranking(out, doc_id, ranking):
 
 
 def cmd_classify(args):
+    config = _semcat_config(args)
     model = load_model(_require_path(args.model, "model"))
     docs = load_corpus(_require_path(args.corpus, "corpus"))
     out = _out_stream(args.out)
@@ -206,7 +208,6 @@ def cmd_classify(args):
     if isinstance(model, SemClaModel):
         tax = load_taxonomy(_require_path(args.taxonomy, "taxonomy"))
         stats = _load_background_or_build(args, docs)
-        config = _semcat_config(args)
         index = PhraseIndex.from_taxonomy(tax)
         for d in docs:
             try:
@@ -220,7 +221,7 @@ def cmd_classify(args):
             WinnowModel: winnow_predict,
             LLDAModel: llda_predict,
         }[type(model)]
-        for d, bag in _feature_bags(args, docs):
+        for d, bag in _feature_bags(args, docs, config):
             _write_ranking(out, d.id, None if bag is None else predict(model, bag))
     if out is not sys.stdout:
         out.close()
@@ -281,6 +282,7 @@ def cmd_evaluate(args):
 
 
 def cmd_calibrate_alpha(args):
+    config = _semcat_config(args)
     tax = load_taxonomy(_require_path(args.taxonomy, "taxonomy"))
     docs = load_corpus(_require_path(args.corpus, "corpus"))
     groups = {}
@@ -294,7 +296,7 @@ def cmd_calibrate_alpha(args):
         if args.grid
         else DEFAULT_ALPHA_GRID
     )
-    alpha = calibrate_alpha(groups, tax, stats, grid, _semcat_config(args))
+    alpha = calibrate_alpha(groups, tax, stats, grid, config)
     _echo_config(args)
     print("alpha=%g" % alpha)
     return 0

@@ -4,13 +4,20 @@ IC-based similarity measures.
 The taxonomy is a rooted DAG of categories (edges point child -> parent).
 Concepts attach to one or more categories and carry surface-string labels
 used for matching document terms.  Everything is immutable after load.
+
+Construction is iterative, so a taxonomy of any depth loads: one Kahn
+order over the child -> parent edges finds cycles and builds every table.
+Ancestor sets are bitsets whose bits rank categories by IC, ties by id, so
+the most specific common abstraction (msca) of two categories, the common
+ancestor of largest IC with ties broken by smallest id, is the category at
+the highest set bit of the AND of their ancestor bitsets.
 """
 
 from __future__ import annotations
 
 import math
 import unicodedata
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import (
     CycleError,
@@ -43,8 +50,8 @@ class Concept:
 
 
 class Taxonomy:
-    """Validated category DAG.  Derived tables (ancestors, concept counts,
-    IC, label indexes) are computed once in the constructor."""
+    """Validated category DAG.  Derived tables (concept counts, IC,
+    ancestor bitsets, label indexes) are computed once in the constructor."""
 
     def __init__(
         self,
@@ -55,18 +62,29 @@ class Taxonomy:
         self.category_labels = dict(category_labels)
         self.parents = {k: frozenset(parents.get(k, ())) for k in category_labels}
         self.concepts = dict(concepts)
-        self._validate()
+        self._check_categories()
         self.children: dict[str, set[str]] = {k: set() for k in self.category_labels}
         for child, ps in self.parents.items():
             for p in ps:
                 self.children[p].add(child)
-        self._ancestors = self._compute_ancestors()
-        self._concept_counts = self._compute_concept_counts()
+        order = self._children_first()
+        self._check_concepts()
+        counts = self._concept_counts = self._count_concepts(order)
         self.total_concepts = len(self.concepts)
         self._ic = {
             k: 1.0 - math.log(1 + s) / math.log(1 + self.total_concepts)
-            for k, s in self._concept_counts.items()
+            for k, s in counts.items()
         }
+        # bit i of an ancestor set is _by_bit[i]: bits run in (IC ascending,
+        # id descending) order, so the highest one has the largest IC
+        self._by_bit = sorted(counts, key=lambda k: (counts[k], k), reverse=True)
+        bit = {k: i for i, k in enumerate(self._by_bit)}
+        self._anc: dict[str, int] = {}
+        for k in reversed(order):
+            a = 1 << bit[k]
+            for p in self.parents[k]:
+                a |= self._anc[p]
+            self._anc[k] = a
         # label -> sorted concept ids; exact index plus a diacritic-folded one
         self.label_index: dict[str, list[str]] = {}
         self.folded_label_index: dict[str, list[str]] = {}
@@ -77,7 +95,7 @@ class Taxonomy:
 
     # -- validation ------------------------------------------------------
 
-    def _validate(self):
+    def _check_categories(self):
         roots = [k for k, ps in self.parents.items() if not ps]
         if len(roots) == 0:
             raise MultipleRootsError("no root category (every category has parents)")
@@ -92,7 +110,10 @@ class Taxonomy:
                     raise DanglingLinkError(
                         "category %s has unknown parent %s" % (child, p)
                     )
-        self._check_acyclic()
+
+    def _check_concepts(self):
+        if not self.concepts:
+            raise TaxonomyError("taxonomy has no concepts")
         for cid, concept in self.concepts.items():
             if not concept.labels:
                 raise EmptyLabelError("concept %s has no labels" % cid)
@@ -104,73 +125,57 @@ class Taxonomy:
                         "concept %s links to missing category %s" % (cid, k)
                     )
 
-    def _check_acyclic(self):
-        # iterative DFS over child->parent edges; 0 unvisited, 1 on stack, 2 done
-        state = {k: 0 for k in self.category_labels}
-        for start in self.category_labels:
-            if state[start]:
-                continue
-            stack = [(start, iter(sorted(self.parents[start])))]
-            state[start] = 1
-            while stack:
-                node, it = stack[-1]
-                advanced = False
-                for p in it:
-                    if state[p] == 1:
-                        raise CycleError("cycle detected through category %s" % p)
-                    if state[p] == 0:
-                        state[p] = 1
-                        stack.append((p, iter(sorted(self.parents[p]))))
-                        advanced = True
-                        break
-                if not advanced:
-                    state[node] = 2
-                    stack.pop()
-
     # -- derived tables --------------------------------------------------
 
-    def _compute_ancestors(self) -> dict[str, frozenset[str]]:
-        memo: dict[str, frozenset[str]] = {}
-
-        def anc(k: str) -> frozenset[str]:
-            if k in memo:
-                return memo[k]
-            acc = {k}
+    def _children_first(self) -> list[str]:
+        """Kahn's order over child -> parent edges: every category after
+        all of its children.  With one root and no cycle, every category
+        reaches the root."""
+        pending = {k: len(cs) for k, cs in self.children.items()}
+        ready = [k for k, n in pending.items() if n == 0]
+        order = []
+        while ready:
+            k = ready.pop()
+            order.append(k)
             for p in self.parents[k]:
-                acc |= anc(p)
-            memo[k] = frozenset(acc)
-            return memo[k]
+                pending[p] -= 1
+                if pending[p] == 0:
+                    ready.append(p)
+        if len(order) < len(pending):
+            # a category left over still waits on a child left over, so
+            # walking down such children comes back to a category on a cycle
+            k = min(k for k, n in pending.items() if n)
+            seen = set()
+            while k not in seen:
+                seen.add(k)
+                k = min(c for c in self.children[k] if pending[c])
+            raise CycleError("cycle detected through category %s" % k)
+        return order
 
-        for k in self.category_labels:
-            anc(k)
-        # the recursive closure refers to itself and to this taxonomy;
-        # dropping it lets reference counting free a discarded taxonomy
-        # without waiting for the cyclic collector
-        del anc
-        for k, a in memo.items():
-            if self.root not in a:
-                raise TaxonomyError("category %s does not reach root" % k)
-        return memo
-
-    def _compute_concept_counts(self) -> dict[str, int]:
-        # concepts attached to a category or any descendant, each counted once
-        direct: dict[str, set[str]] = {k: set() for k in self.category_labels}
+    def _count_concepts(self, order: list[str]) -> dict[str, int]:
+        """Concepts attached to each category or any descendant, each
+        counted once.  A bitset over concepts is pushed from every category
+        to its parents in children-first order and dropped once the
+        category is counted.  The concepts a category is the first to
+        claim take the next consecutive bits."""
+        own: dict[str, list[str]] = {k: [] for k in self.category_labels}
         for cid, concept in self.concepts.items():
             for k in concept.categories:
-                direct[k].add(cid)
-        memo: dict[str, frozenset[str]] = {}
-
-        def below(k: str) -> frozenset[str]:
-            if k in memo:
-                return memo[k]
-            acc = set(direct[k])
-            for c in self.children[k]:
-                acc |= below(c)
-            memo[k] = frozenset(acc)
-            return memo[k]
-
-        counts = {k: len(below(k)) for k in self.category_labels}
-        del below  # as in _compute_ancestors
+                own[k].append(cid)
+        number: dict[str, int] = {}
+        inbox: dict[str, int] = {}
+        counts = {}
+        for k in order:
+            below = inbox.pop(k, 0)
+            start = len(number)
+            for cid in own[k]:
+                i = number.setdefault(cid, len(number))
+                if i < start:
+                    below |= 1 << i
+            below |= ((1 << (len(number) - start)) - 1) << start
+            counts[k] = below.bit_count()
+            for p in self.parents[k]:
+                inbox[p] = inbox.get(p, 0) | below
         return counts
 
     # -- queries ---------------------------------------------------------
@@ -184,8 +189,10 @@ class Taxonomy:
             raise UnknownConceptError("unknown concept %s" % p)
 
     def ancestors(self, k: str) -> frozenset[str]:
+        """Categories reachable upward from k, including k."""
         self._require_category(k)
-        return self._ancestors[k]
+        bits = bin(self._anc[k])[:1:-1]  # character i is bit i
+        return frozenset(self._by_bit[i] for i, b in enumerate(bits) if b == "1")
 
     def descendants(self, k: str) -> set[str]:
         """Categories reachable downward from k, including k."""
@@ -215,24 +222,13 @@ def information_content(tax: Taxonomy, k: str) -> float:
 def msca(tax: Taxonomy, k1: str, k2: str) -> str:
     """Most specific common abstraction: the common ancestor with maximal
     IC.  A category counts as its own ancestor; ties broken by smallest
-    category id."""
-    common = tax.ancestors(k1) & tax.ancestors(k2)
-    return max(common, key=lambda k: (tax._ic[k], _NegStr(k)))
-
-
-class _NegStr:
-    """Orders strings in reverse so that max() picks the smallest id."""
-
-    __slots__ = ("s",)
-
-    def __init__(self, s):
-        self.s = s
-
-    def __lt__(self, other):
-        return self.s > other.s
-
-    def __eq__(self, other):
-        return self.s == other.s
+    category id.  It is the category at the highest set bit of the AND of
+    the two ancestor bitsets."""
+    try:
+        common = tax._anc[k1] & tax._anc[k2]
+    except KeyError as exc:
+        raise UnknownCategoryError("unknown category %s" % exc.args[0]) from None
+    return tax._by_bit[common.bit_length() - 1]
 
 
 def sim_lin(tax: Taxonomy, k1: str, k2: str) -> float:

@@ -22,6 +22,21 @@ P\tc7\tB\tgolf
 """
 
 
+def chain_label(i: int) -> str:
+    """A word of letters only for the number i: 4999 -> "wejjj"."""
+    return "w" + "".join(chr(ord("a") + int(d)) for d in str(i))
+
+
+def chain_taxonomy(depth: int) -> str:
+    """Taxonomy text of one chain c0 <- c1 <- ... <- c<depth-1>, with one
+    concept p<i> labeled chain_label(i) on each category c<i>."""
+    lines = []
+    for i in range(depth):
+        lines.append("C\tc%d\tlevel %d\t%s" % (i, i, "c%d" % (i - 1) if i else ""))
+        lines.append("P\tp%d\tc%d\t%s" % (i, i, chain_label(i)))
+    return "\n".join(lines) + "\n"
+
+
 @pytest.fixture(scope="session")
 def toy_tax():
     return parse_taxonomy(io.StringIO(TOY_TAXONOMY))

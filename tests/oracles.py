@@ -39,6 +39,18 @@ def brute_msca(parents, concept_cats, k1, k2):
     return sorted(common, key=lambda k: (-brute_ic(parents, concept_cats, k), k))[0]
 
 
+def brute_sim(parents, concept_cats, measure, k1, k2):
+    """Lin ("lin") or Pirro-Seco ("pirro_seco") similarity of two
+    categories from brute_ic and brute_msca."""
+    ic = lambda k: brute_ic(parents, concept_cats, k)
+    shared, ic1, ic2 = ic(brute_msca(parents, concept_cats, k1, k2)), ic(k1), ic(k2)
+    if measure == "lin":
+        if ic1 + ic2 == 0.0:
+            return 1.0 if k1 == k2 else 0.0
+        return 2.0 * shared / (ic1 + ic2)
+    return (3.0 * shared - ic1 - ic2 + 2.0) / 3.0
+
+
 def brute_sim_page(parents, concept_cats, sim_fn, p1, p2):
     best = None
     for k1 in concept_cats[p1]:

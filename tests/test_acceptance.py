@@ -28,7 +28,13 @@ from semtax.synth import (
     random_taxonomy,
     random_term_vector,
 )
-from semtax.taxonomy import information_content, msca, sim_lin, sim_pirro_seco
+from semtax.taxonomy import (
+    concept_count,
+    information_content,
+    msca,
+    sim_lin,
+    sim_pirro_seco,
+)
 
 from oracles import brute_msca, links
 
@@ -46,7 +52,7 @@ def test_criterion_1_taxonomy_properties():
         for k in tax.category_labels:
             ic = information_content(tax, k)
             assert 0.0 <= ic <= 1.0
-            s = tax._concept_counts[k]
+            s = concept_count(tax, k)
             base2 = 1 - math.log2(1 + s) / math.log2(1 + n)
             assert abs(ic - base2) <= 1e-12
             for p in tax.parents[k]:

@@ -5,7 +5,7 @@ import pytest
 import semtax.cli
 from semtax.cli import main
 from semtax.textpipe import PhraseIndex
-from conftest import TOY_TAXONOMY
+from conftest import TOY_TAXONOMY, chain_label, chain_taxonomy
 
 
 @pytest.fixture
@@ -70,6 +70,59 @@ def test_bad_corpus_exits_2(workdir, tmp_path, capsys):
     ])
     assert rc == 2
     assert "error: data:" in capsys.readouterr().err
+
+
+def test_categorize_deep_chain(tmp_path, capsys):
+    depth = 5000
+    (tmp_path / "chain.tsv").write_text(chain_taxonomy(depth), encoding="utf-8")
+    # every term in two of the four documents, inside the default df cutoffs
+    pairs = [(4999, 4000), (4999, 2500), (4000, 10), (2500, 10)]
+    with open(tmp_path / "corpus.jsonl", "w", encoding="utf-8") as fh:
+        for i, (a, b) in enumerate(pairs):
+            text = "%s %s" % (chain_label(a), chain_label(b))
+            fh.write(json.dumps({"id": "d%d" % i, "text": text}) + "\n")
+    rc = main([
+        "categorize",
+        "--taxonomy", str(tmp_path / "chain.tsv"),
+        "--corpus", str(tmp_path / "corpus.jsonl"),
+    ])
+    assert rc == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert len(lines) == 4
+    assert lines[0] == "d0\tnearest\tc4000:0.500000 c4999:0.500000"
+    assert not any(line.endswith("\t-") for line in lines)
+
+
+def test_cyclic_taxonomy_exits_2(workdir, capsys):
+    (workdir / "cyclic.tsv").write_text(
+        "C\tR\tRoot\t\nC\tA\tA\tR,A1\nC\tA1\tA1\tA\nP\tc1\tA\tx\n", encoding="utf-8"
+    )
+    rc = main([
+        "categorize",
+        "--taxonomy", str(workdir / "cyclic.tsv"),
+        "--corpus", str(workdir / "corpus.jsonl"),
+    ])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: data: cycle detected through category A")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", [
+    ["categorize"],
+    ["train", "--model", "bayes"],
+    ["classify", "--model", "nb.json"],
+])
+def test_top_terms_below_one_exits_1(workdir, capsys, command):
+    rc = main(command + [
+        "--taxonomy", str(workdir / "tax.tsv"),
+        "--corpus", str(workdir / "corpus.jsonl"),
+        "--top-terms", "0",
+    ])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: config: --top-terms must be at least 1, got 0\n"
 
 
 def test_train_and_classify_roundtrip(workdir, capsys):

@@ -2,20 +2,26 @@ import gc
 import io
 import math
 import random
+import re
+import sys
 import weakref
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from semtax.errors import (
     CycleError,
     DanglingLinkError,
     DuplicateIdError,
     MultipleRootsError,
+    TaxonomyError,
     UnknownCategoryError,
     UnknownConceptError,
 )
 from semtax.synth import random_taxonomy
 from semtax.taxonomy import (
+    Concept,
+    Taxonomy,
     concept_count,
     information_content,
     msca,
@@ -25,8 +31,16 @@ from semtax.taxonomy import (
     sim_pirro_seco,
 )
 
-from conftest import TOY_TAXONOMY
-from oracles import brute_ic, brute_msca, brute_sim_page, links
+from conftest import TOY_TAXONOMY, chain_taxonomy
+from oracles import (
+    brute_ancestors,
+    brute_concept_set,
+    brute_ic,
+    brute_msca,
+    brute_sim,
+    brute_sim_page,
+    links,
+)
 
 
 def ic(s, n):
@@ -43,6 +57,42 @@ class TestLoad:
         text = "C\tR\tRoot\t\nC\tA\tA\tR,A1\nC\tA1\tA1\tA\nP\tc1\tA\tx\n"
         with pytest.raises(CycleError):
             parse_taxonomy(io.StringIO(text))
+
+    def test_cycle_error_names_a_category_on_the_cycle(self):
+        # R and S lie above the cycle X <-> Y and T below it; the search
+        # for a named category starts at the smallest id left over, R
+        text = "C\tR\tRoot\t\nC\tS\tS\tR\nC\tX\tX\tS,Y\nC\tY\tY\tX\nC\tT\tT\tY\n"
+        with pytest.raises(CycleError) as exc:
+            parse_taxonomy(io.StringIO(text + "P\tc1\tT\tx\n"))
+        named = re.fullmatch(r"cycle detected through category (\S+)", str(exc.value))
+        assert named and named.group(1) in {"X", "Y"}
+
+    def test_self_loop_is_a_cycle(self):
+        text = "C\tR\tRoot\t\nC\tA\tA\tR,A\nP\tc1\tA\tx\n"
+        with pytest.raises(CycleError, match="through category A$"):
+            parse_taxonomy(io.StringIO(text))
+
+    def test_no_concepts(self):
+        text = "C\tR\tRoot\t\nC\tA\tA\tR\n"
+        with pytest.raises(TaxonomyError, match="no concepts"):
+            parse_taxonomy(io.StringIO(text))
+
+    def test_deep_chain_loads_at_default_recursion_limit(self):
+        depth = 5000
+        assert depth > sys.getrecursionlimit()
+        tax = parse_taxonomy(io.StringIO(chain_taxonomy(depth)))
+        leaf, root = "c%d" % (depth - 1), "c0"
+        assert tax.root == root
+        assert len(tax.ancestors(leaf)) == depth
+        assert concept_count(tax, root) == depth
+        assert concept_count(tax, leaf) == 1
+        assert information_content(tax, root) == 0.0
+        assert information_content(tax, leaf) == ic(1, depth)
+        assert information_content(tax, "c1") == ic(depth - 1, depth)
+        assert msca(tax, leaf, "c%d" % (depth - 2)) == "c%d" % (depth - 2)
+        assert msca(tax, leaf, leaf) == leaf
+        assert msca(tax, root, leaf) == root
+        assert msca(tax, "c1", leaf) == "c1"
 
     def test_dangling_concept_link(self):
         text = "C\tR\tRoot\t\nP\tc1\tZ\tx\n"
@@ -122,6 +172,10 @@ class TestMsca:
     def test_self(self, toy_tax):
         assert msca(toy_tax, "B1", "B1") == "B1"
 
+    def test_unknown_category(self, toy_tax):
+        with pytest.raises(UnknownCategoryError, match="nope"):
+            msca(toy_tax, "A1", "nope")
+
     def test_matches_brute_force(self, toy_tax):
         parents, concept_cats = links(toy_tax)
         cats = sorted(toy_tax.category_labels)
@@ -189,6 +243,46 @@ class TestSimPage:
                 assert sim_page(toy_tax, p1, p2) == pytest.approx(
                     brute_sim_page(parents, concept_cats, sim, p1, p2)
                 )
+
+
+@st.composite
+def small_taxonomies(draw):
+    """Random DAGs with several parents per category and few concepts, so
+    that many categories are concept-free (IC 1.0) and msca ties are common.
+    Ids are shuffled against depth, so the id tie-break is exercised."""
+    n = draw(st.integers(2, 10))
+    ids = draw(st.permutations(["k%d" % i for i in range(n)]))
+    parents = {ids[0]: frozenset()}
+    for i in range(1, n):
+        ps = draw(st.lists(st.integers(0, i - 1), min_size=1, max_size=3, unique=True))
+        parents[ids[i]] = frozenset(ids[j] for j in ps)
+    concepts = {}
+    for j in range(draw(st.integers(1, 5))):
+        cats = draw(st.lists(st.sampled_from(ids), min_size=1, max_size=3, unique=True))
+        pid = "p%d" % j
+        concepts[pid] = Concept(pid, frozenset({"w%d" % j}), frozenset(cats))
+    return Taxonomy({k: k for k in ids}, parents, concepts)
+
+
+class TestMatchesOracles:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(small_taxonomies())
+    def test_tables_and_measures(self, tax):
+        parents, concept_cats = links(tax)
+        cats = sorted(tax.category_labels)
+        for k in cats:
+            assert tax.ancestors(k) == brute_ancestors(parents, k)
+            assert concept_count(tax, k) == len(brute_concept_set(parents, concept_cats, k))
+            assert information_content(tax, k) == brute_ic(parents, concept_cats, k)
+            for k2 in cats:
+                assert msca(tax, k, k2) == brute_msca(parents, concept_cats, k, k2)
+        for measure in ("lin", "pirro_seco"):
+            sim = lambda k1, k2: brute_sim(parents, concept_cats, measure, k1, k2)
+            for p1 in concept_cats:
+                for p2 in concept_cats:
+                    assert sim_page(tax, p1, p2, measure) == brute_sim_page(
+                        parents, concept_cats, sim, p1, p2
+                    )
 
 
 class TestRandomDagProperties:
