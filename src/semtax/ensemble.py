@@ -113,27 +113,18 @@ class BaggingEnsemble:
         return [predict(doc) for predict in self.members]
 
     def predict(self, doc, mode: str = "single_vote", rank_depth: int = 3) -> str:
-        """single_vote and weighted: each member votes for its top label;
-        rank: Borda over each member's top `rank_depth` labels.  Ties are
-        broken with the master seed."""
-        votes = []
-        for ranking in self.member_rankings(doc):
-            if mode == "rank":
-                for i, (lab, _) in enumerate(ranking[:rank_depth], 1):
-                    votes.append(Vote(lab, 1.0, i))
-            else:
-                votes.append(Vote(ranking[0][0], _normalized_top_score(ranking), 1))
+        """single_vote and weighted: each member casts one weight-1 vote
+        for its top label, so weighted counts top labels exactly as
+        single_vote does until member weights are defined; rank: Borda
+        over each member's top `rank_depth` labels.  Ties are broken with
+        the master seed."""
+        depth = rank_depth if mode == "rank" else 1
+        votes = [
+            Vote(lab, 1.0, i)
+            for ranking in self.member_rankings(doc)
+            for i, (lab, _) in enumerate(ranking[:depth], 1)
+        ]
         return aggregate(votes, mode, seed=self.master_seed)
-
-
-def _normalized_top_score(ranking) -> float:
-    """Weighted-mode member weight: top score normalized into [0, 1]
-    against the member's own score range (degenerate ranges give 1)."""
-    scores = [s for _, s in ranking]
-    lo, hi = min(scores), max(scores)
-    if hi == lo:
-        return 1.0
-    return (scores[0] - lo) / (hi - lo)
 
 
 def build_bagging_ensemble(

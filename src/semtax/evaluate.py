@@ -298,7 +298,7 @@ class _Predictor:
             cats = self.ctx.categorized(doc)
             if cats is None:
                 return None
-            ext = extend_vector(cats, cfg.taxonomy, self._semcla.alpha).weights
+            ext = extend_vector(cats, cfg.taxonomy, self._semcla.alpha)
             return semcla_score(ext, self._semcla)[0][0]
         bag = self.ctx.bag(doc, self.spec.features)
         if bag is None:

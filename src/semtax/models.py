@@ -7,7 +7,7 @@ import json
 
 from .classics import LLDAModel, NBModel, WinnowModel
 from .errors import DataError
-from .semcla import SemClaModel
+from .semcla import SemClaModel, class_vector
 
 
 def save_model(model, path):
@@ -46,9 +46,7 @@ def save_model(model, path):
         payload = {
             "type": "semcla",
             "alpha": model.alpha,
-            "mode": model.mode,
             "classes": model.classes,
-            "centroids": model.centroids,
         }
     else:
         raise DataError("cannot persist model of type %s" % type(model).__name__)
@@ -57,9 +55,21 @@ def save_model(model, path):
 
 
 def load_model(path):
+    """The model saved at path; DataError when the file is not a JSON
+    object of a known type with every field that type needs."""
     with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    kind = payload.get("type")
+        try:
+            payload = json.load(fh)
+        except ValueError as exc:
+            raise DataError("model file %s is not JSON: %s" % (path, exc)) from None
+    try:
+        return _model_from_payload(payload, path)
+    except KeyError as exc:
+        raise DataError("model file %s lacks field %s" % (path, exc)) from None
+
+
+def _model_from_payload(payload, path):
+    kind = payload.get("type") if isinstance(payload, dict) else None
     if kind == "bayes":
         return NBModel(
             priors=payload["priors"],
@@ -89,10 +99,10 @@ def load_model(path):
             vocabulary=frozenset(payload["vocabulary"]),
         )
     if kind == "semcla":
-        return SemClaModel(
-            classes=payload["classes"],
-            alpha=payload["alpha"],
-            mode=payload["mode"],
-            centroids=payload.get("centroids"),
-        )
+        classes = payload["classes"]
+        if "mode" in payload:
+            # older files keep every extended vector, and scored any mode but centroid as average
+            mode = "centroid" if payload["mode"] == "centroid" else "average"
+            classes = {lab: class_vector(vs, mode) for lab, vs in classes.items()}
+        return SemClaModel(classes=classes, alpha=payload["alpha"])
     raise DataError("unknown model type %r in %s" % (kind, path))

@@ -47,7 +47,6 @@ class SemCatConfig:
     max_df_ratio: float = 0.5
     stopwords: frozenset = frozenset()
     lemmas: dict = field(default_factory=dict)
-    top_categories: int | None = None
 
 
 def map_terms_to_concepts(
@@ -162,10 +161,7 @@ def categorize_vector(
 ) -> dict[str, float]:
     """TermVector -> CategoryVector (unsorted dict; use top_n_categories
     for the ranking)."""
-    cats = project_to_categories(assign_concepts(v, tax, config), tax)
-    if config.top_categories is not None:
-        return dict(top_n_categories(cats, config.top_categories))
-    return cats
+    return project_to_categories(assign_concepts(v, tax, config), tax)
 
 
 def term_vector(

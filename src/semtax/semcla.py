@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.stats import rankdata
 
-from .errors import CalibrationError, EmptyVectorError, TrainingError
+from .errors import CalibrationError, ConfigError, EmptyVectorError, TrainingError
 from .semcat import SemCatConfig, categorize
 from .taxonomy import Taxonomy
 from .textpipe import BackgroundStats, PhraseIndex
@@ -23,15 +23,9 @@ DEFAULT_ALPHA = 0.33
 DEFAULT_ALPHA_GRID = tuple(round(0.05 * i, 2) for i in range(11))  # 0.0 .. 0.5
 
 
-@dataclass
-class ExtendedCategoryVector:
-    weights: dict[str, float]
-    alpha: float
-
-
 def extend_vector(
     v: dict[str, float], tax: Taxonomy, alpha: float = DEFAULT_ALPHA
-) -> ExtendedCategoryVector:
+) -> dict[str, float]:
     """For each entry (k, w) every direct super-category of k receives an
     extra w*alpha split equally among k's direct parents.  One level only;
     original entries are kept and summed with incoming parent mass."""
@@ -43,7 +37,16 @@ def extend_vector(
         share = w * alpha / len(parents)
         for p in parents:
             out[p] = out.get(p, 0.0) + share
-    return ExtendedCategoryVector(weights=out, alpha=alpha)
+    return out
+
+
+def _norm(v: dict[str, float]) -> float:
+    return math.sqrt(sum(w * w for w in v.values()))
+
+
+def _unit(v: dict[str, float]) -> dict[str, float]:
+    n = _norm(v)
+    return {k: w / n for k, w in v.items()} if n else {}
 
 
 def cosine(v1: dict[str, float], v2: dict[str, float]) -> float:
@@ -54,8 +57,7 @@ def cosine(v1: dict[str, float], v2: dict[str, float]) -> float:
         w2 = v2.get(k)
         if w2 is not None:
             dot += w * w2
-    n1 = math.sqrt(sum(w * w for w in v1.values()))
-    n2 = math.sqrt(sum(w * w for w in v2.values()))
+    n1, n2 = _norm(v1), _norm(v2)
     if n1 == 0.0 or n2 == 0.0:
         return 0.0
     return dot / (n1 * n2)
@@ -64,16 +66,14 @@ def cosine(v1: dict[str, float], v2: dict[str, float]) -> float:
 @dataclass
 class SemClaConfig:
     alpha: float = DEFAULT_ALPHA
-    mode: str = "average"  # or "centroid"
+    mode: str = "average"  # or "centroid"; used at fit time only
     semcat: SemCatConfig = field(default_factory=SemCatConfig)
 
 
 @dataclass
 class SemClaModel:
-    classes: dict[str, list[dict[str, float]]]  # label -> extended vectors
+    classes: dict[str, dict[str, float]]  # label -> class vector (class_vector)
     alpha: float
-    mode: str
-    centroids: dict[str, dict[str, float]] | None = None
 
 
 def _mean_vector(vectors: list[dict[str, float]]) -> dict[str, float]:
@@ -83,6 +83,17 @@ def _mean_vector(vectors: list[dict[str, float]]) -> dict[str, float]:
             acc[k] = acc.get(k, 0.0) + w
     n = len(vectors)
     return {k: w / n for k, w in acc.items()}
+
+
+def class_vector(vectors: list[dict[str, float]], mode: str) -> dict[str, float]:
+    """One class's extended training vectors reduced to the vector that
+    semcla_score uses: the mean of their unit vectors (average: the score
+    is the mean cosine) or their unit mean (centroid)."""
+    if mode == "average":
+        return _mean_vector([_unit(v) for v in vectors])
+    if mode == "centroid":
+        return _unit(_mean_vector(vectors))
+    raise ConfigError("unknown SemCla mode %r (average or centroid)" % (mode,))
 
 
 def semcla_train(
@@ -113,36 +124,32 @@ def semcla_fit(
     document that failed categorization: it is skipped with a warning.  A
     class with no categorized document is a training error."""
     config = config or SemClaConfig()
-    classes: dict[str, list[dict[str, float]]] = {}
+    vectors: dict[str, list[dict[str, float]]] = {}
     for label, cats in pairs:
-        classes.setdefault(label, [])
+        vectors.setdefault(label, [])
         if cats is None:
             log.warning("skipping uncategorizable training document in class %s", label)
             continue
-        classes[label].append(extend_vector(cats, tax, config.alpha).weights)
-    for label, vectors in classes.items():
-        if not vectors:
+        vectors[label].append(extend_vector(cats, tax, config.alpha))
+    for label, vs in vectors.items():
+        if not vs:
             raise TrainingError("class %s has no categorizable documents" % label)
-    centroids = None
-    if config.mode == "centroid":
-        centroids = {lab: _mean_vector(vs) for lab, vs in classes.items()}
     return SemClaModel(
-        classes=classes, alpha=config.alpha, mode=config.mode, centroids=centroids
+        classes={lab: class_vector(vs, config.mode) for lab, vs in vectors.items()},
+        alpha=config.alpha,
     )
 
 
 def semcla_score(doc_vector: dict[str, float], model: SemClaModel) -> list[tuple[str, float]]:
-    """Rank class labels against an already-extended document vector."""
-    scores = []
-    for label in sorted(model.classes):
-        if model.mode == "centroid":
-            s = cosine(doc_vector, model.centroids[label])
-        else:
-            vs = model.classes[label]
-            s = sum(cosine(doc_vector, v) for v in vs) / len(vs)
-        scores.append((label, s))
-    scores.sort(key=lambda ls: (-ls[1], ls[0]))
-    return scores
+    """Score each class d/|d| . c, d the extended document vector and c
+    the class vector; rank by the score rounded to 9 decimals, ties by
+    label, so that scores equal in exact arithmetic tie."""
+    d = _unit(doc_vector)
+    scores = [
+        (label, sum((w * c.get(k, 0.0) for k, w in d.items()), 0.0))
+        for label, c in model.classes.items()
+    ]
+    return sorted(scores, key=lambda ls: (-round(ls[1], 9), ls[0]))
 
 
 def semcla_classify(
@@ -153,11 +160,10 @@ def semcla_classify(
     semcat_config: SemCatConfig | None = None,
     phrase_index: PhraseIndex | None = None,
 ) -> list[tuple[str, float]]:
-    """average mode: score(class) = mean cosine to every training vector
-    of the class; centroid mode: cosine to the class centroid.  Ranked
-    descending, ties by label order.  Categorization failures propagate."""
+    """Categorize and extend the text, then rank the classes with
+    semcla_score.  Categorization failures propagate."""
     cats = categorize(text, tax, stats, semcat_config or SemCatConfig(), phrase_index)
-    doc_vector = extend_vector(cats, tax, model.alpha).weights
+    doc_vector = extend_vector(cats, tax, model.alpha)
     return semcla_score(doc_vector, model)
 
 
@@ -169,22 +175,19 @@ def rank_separation(
     """Mean rank of different-group pairs minus mean rank of same-group
     pairs, where rank 1 is the most similar pair.  Ties in similarity get
     tie-averaged (fractional) ranks, so identical groups separate by
-    exactly 0."""
-    extended = [
-        (group, extend_vector(v, tax, alpha).weights) for group, v in base_vectors
-    ]
-    sims = []
-    same = []
-    for i in range(len(extended)):
-        for j in range(i + 1, len(extended)):
-            sims.append(cosine(extended[i][1], extended[j][1]))
-            same.append(extended[i][0] == extended[j][0])
-    if not any(same) or all(same):
+    exactly 0.  Similarities are the cosines of the extended vectors
+    rounded to 9 decimals, so that pairs equal in exact arithmetic tie."""
+    groups = np.array([group for group, _ in base_vectors], dtype=object)
+    i, j = np.triu_indices(len(groups), k=1)
+    same = groups[i] == groups[j]
+    if not same.any() or same.all():
         raise CalibrationError("need at least one same-group and one different-group pair")
-    ranks = rankdata([-s for s in sims], method="average")
-    same_ranks = [r for r, s in zip(ranks, same) if s]
-    diff_ranks = [r for r, s in zip(ranks, same) if not s]
-    return float(np.mean(diff_ranks) - np.mean(same_ranks))
+    unit = [_unit(extend_vector(v, tax, alpha)) for _, v in base_vectors]
+    keys = sorted({k for u in unit for k in u})
+    rows = np.array([[u.get(k, 0.0) for k in keys] for u in unit])
+    sims = np.round(rows @ rows.T, 9)[i, j]
+    ranks = rankdata(-sims, method="average")
+    return float(np.mean(ranks[~same]) - np.mean(ranks[same]))
 
 
 def calibrate_alpha(
@@ -210,11 +213,6 @@ def calibrate_alpha(
             raise CalibrationError("group %s has fewer than two documents" % label)
         for text in docs:
             base.append((label, categorize(text, tax, stats, config, index)))
-    best_alpha = None
-    best_sep = None
-    for alpha in sorted(grid):
-        sep = rank_separation(base, tax, alpha)
-        if best_sep is None or sep > best_sep + 1e-12:
-            best_sep = sep
-            best_alpha = alpha
-    return best_alpha
+    # rank_separation rounds its similarities, so equal separations are
+    # bit-identical and max, which keeps the first maximum, picks the smaller alpha
+    return max(sorted(grid), key=lambda alpha: rank_separation(base, tax, alpha))

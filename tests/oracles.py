@@ -1,10 +1,14 @@
 """Brute-force oracles, independent of the library's cached tables.
 
 These work from the raw parent map and concept->category links only and
-recompute everything by naive enumeration.
+recompute everything by naive enumeration.  The SemCla oracles score
+against every training vector and compare every pair by its own cosine.
 """
 
 import math
+
+import numpy as np
+from scipy.stats import rankdata
 
 
 def brute_ancestors(parents, k):
@@ -64,3 +68,53 @@ def brute_sim_page(parents, concept_cats, sim_fn, p1, p2):
 def links(tax):
     """(parents, concept->categories) raw views of a Taxonomy."""
     return tax.parents, {c.id: set(c.categories) for c in tax.concepts.values()}
+
+
+def brute_extend(parents, v, alpha):
+    """v plus, for each entry (k, w), w*alpha split equally among k's
+    direct parents."""
+    out = dict(v)
+    for k, w in v.items():
+        for p in parents[k]:
+            out[p] = out.get(p, 0.0) + w * alpha / len(parents[k])
+    return out
+
+
+def brute_cosine(v1, v2):
+    dot = sum(w * v2.get(k, 0.0) for k, w in v1.items())
+    n1 = math.sqrt(sum(w * w for w in v1.values()))
+    n2 = math.sqrt(sum(w * w for w in v2.values()))
+    return dot / (n1 * n2) if n1 and n2 else 0.0
+
+
+def brute_semcla_ranking(doc, classes, mode):
+    """SemCla scoring from every training vector: classes maps a label to
+    its extended vectors; average scores the mean cosine of doc to them,
+    centroid the cosine to their mean.  Sorted by the score rounded to 9
+    decimals, descending, ties by label."""
+    scores = []
+    for label, vs in classes.items():
+        if mode == "average":
+            s = sum(brute_cosine(doc, v) for v in vs) / len(vs)
+        else:
+            keys = {k for v in vs for k in v}
+            mean = {k: sum(v.get(k, 0.0) for v in vs) / len(vs) for k in keys}
+            s = brute_cosine(doc, mean)
+        scores.append((label, s))
+    return sorted(scores, key=lambda ls: (-round(ls[1], 9), ls[0]))
+
+
+def brute_rank_separation(parents, base_vectors, alpha):
+    """Mean rank of different-group pairs minus mean rank of same-group
+    pairs, from the cosine of every pair of extended vectors rounded to 9
+    decimals (rank 1 the most similar, ties tie-averaged)."""
+    extended = [(g, brute_extend(parents, v, alpha)) for g, v in base_vectors]
+    sims, same = [], []
+    for i in range(len(extended)):
+        for j in range(i + 1, len(extended)):
+            sims.append(round(brute_cosine(extended[i][1], extended[j][1]), 9))
+            same.append(extended[i][0] == extended[j][0])
+    ranks = rankdata([-s for s in sims], method="average")
+    same_ranks = [r for r, s in zip(ranks, same) if s]
+    diff_ranks = [r for r, s in zip(ranks, same) if not s]
+    return float(np.mean(diff_ranks) - np.mean(same_ranks))

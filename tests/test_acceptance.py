@@ -121,7 +121,7 @@ def test_criterion_3_conservation():
             ext = extend_vector(base, tax, alpha)
             root_mass = sum(w for k, w in base.items() if not tax.parents[k])
             expected_added = alpha * (sum(base.values()) - root_mass)
-            assert abs(sum(ext.weights.values()) - sum(base.values()) - expected_added) <= 1e-9
+            assert abs(sum(ext.values()) - sum(base.values()) - expected_added) <= 1e-9
     assert checked >= 1000
     _ok(3, "weight conservation over %d random document/method checks" % checked)
 

@@ -1,4 +1,5 @@
 import json
+import pathlib
 
 import pytest
 
@@ -6,6 +7,8 @@ import semtax.cli
 from semtax.cli import main
 from semtax.textpipe import PhraseIndex
 from conftest import TOY_TAXONOMY, chain_label, chain_taxonomy
+
+DATA = pathlib.Path(__file__).parent / "data"
 
 
 @pytest.fixture
@@ -204,6 +207,9 @@ def test_train_semcla_and_classify(workdir, capsys):
     header = json.loads(model.read_text())
     assert header["type"] == "semcla"
     assert header["alpha"] == 0.33
+    # one vector per class, no per-document vectors
+    assert all(isinstance(c, dict) for c in header["classes"].values())
+    assert "mode" not in header
     rc = main([
         "classify", "--model", str(model),
         "--taxonomy", str(workdir / "tax.tsv"),
@@ -212,6 +218,70 @@ def test_train_semcla_and_classify(workdir, capsys):
     assert rc == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[0].split("\t")[1].split(" ")[0].startswith("x:")
+
+
+# Model files in the older format, which keeps every extended training
+# vector per class and the mode: written by `semtax train --model semcla
+# --mode <mode>` on the workdir fixture's taxonomy and corpus by the
+# version that scored against every training vector.  The expected lines
+# are what that version's `classify` printed with them.
+MIXED_CORPUS = [
+    ("m1", "alpha echo golf"),
+    ("m2", "delta bravo foxtrot golf"),
+    ("m3", "jaguar charlie delta"),
+    ("m4", "alpha foxtrot jaguar echo"),
+    ("m5", "bravo charlie echo"),
+    ("m6", "zzz"),
+]
+OLD_FORMAT_LINES = {
+    "average": [
+        "m1\tz:0.714887 x:0.444944",
+        "m2\tz:0.677434 x:0.492306",
+        "m3\tx:0.899338 z:0.016252",
+        "m4\tz:0.880542 x:0.263278",
+        "m5\tx:0.920092 z:0.368985",
+        "m6\tunclassified",
+    ],
+    "centroid": [
+        "m1\tz:0.715668 x:0.444944",
+        "m2\tz:0.678262 x:0.492306",
+        "m3\tx:0.899338 z:0.016233",
+        "m4\tz:0.882222 x:0.263278",
+        "m5\tx:0.920092 z:0.369688",
+        "m6\tunclassified",
+    ],
+}
+
+
+@pytest.mark.parametrize("mode", ["average", "centroid"])
+def test_classify_with_old_format_semcla_model(workdir, capsys, mode):
+    with open(workdir / "mixed.jsonl", "w", encoding="utf-8") as fh:
+        for doc_id, text in MIXED_CORPUS:
+            fh.write(json.dumps({"id": doc_id, "text": text}) + "\n")
+    rc = main([
+        "classify", "--model", str(DATA / ("semcla_old_format_%s.json" % mode)),
+        "--taxonomy", str(workdir / "tax.tsv"),
+        "--corpus", str(workdir / "mixed.jsonl"),
+    ])
+    assert rc == 0
+    assert capsys.readouterr().out.splitlines() == OLD_FORMAT_LINES[mode]
+
+
+@pytest.mark.parametrize("body, message", [
+    ("not json", "is not JSON"),
+    ('{"type": "semcla"}', "lacks field 'classes'"),
+])
+def test_bad_model_file_exits_2(workdir, capsys, body, message):
+    (workdir / "model.json").write_text(body, encoding="utf-8")
+    rc = main([
+        "classify", "--model", str(workdir / "model.json"),
+        "--taxonomy", str(workdir / "tax.tsv"),
+        "--corpus", str(workdir / "corpus.jsonl"),
+    ])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: data: model file ")
+    assert message in err
 
 
 def test_evaluate_deterministic(workdir, capsys):

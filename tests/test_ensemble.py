@@ -159,6 +159,21 @@ class TestBagging:
         assert ens.predict("doc", "single_vote") == "A"
         assert ens.predict("doc", "rank") == "C"
 
+    def test_weighted_counts_top_labels_like_single_vote(self):
+        def fixed(ranking):
+            return lambda sample, seed: lambda doc: ranking
+
+        # one member is far more confident on its own scale than the two
+        # members it outvotes; weighted still counts one vote per member
+        trainers = [
+            fixed([("a", 100.0), ("b", 0.0)]),
+            fixed([("b", 0.51), ("a", 0.5)]),
+            fixed([("b", 0.3), ("c", 0.29), ("a", 0.1)]),
+        ]
+        ens = build_bagging_ensemble(trainers, lambda seed: None, 0)
+        assert ens.predict("doc", "single_vote") == "b"
+        assert ens.predict("doc", "weighted") == "b"
+
     def test_member_permutation_invariance(self):
         # permuting equal-weight members cannot change the tally
         votes = [Vote("a"), Vote("b"), Vote("a")]

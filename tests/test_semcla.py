@@ -1,49 +1,49 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from semtax.errors import CalibrationError, TrainingError
+from semtax.errors import CalibrationError, ConfigError, TrainingError
 from semtax.semcla import (
     DEFAULT_ALPHA_GRID,
     SemClaConfig,
-    SemClaModel,
     calibrate_alpha,
     cosine,
     extend_vector,
     rank_separation,
     semcla_classify,
+    semcla_fit,
     semcla_score,
     semcla_train,
 )
 from semtax.synth import make_calibration_groups
+from oracles import brute_extend, brute_rank_separation, brute_semcla_ranking
 
 
 class TestExtendVector:
     def test_single_parent(self, toy_tax):
         got = extend_vector({"A1": 0.9}, toy_tax, alpha=0.33)
-        assert got.weights == {"A1": 0.9, "A": pytest.approx(0.297)}
-        assert got.alpha == 0.33
+        assert got == {"A1": 0.9, "A": pytest.approx(0.297)}
 
     def test_alpha_zero_is_identity(self, toy_tax):
         v = {"A1": 0.4, "B": 0.6}
-        assert extend_vector(v, toy_tax, alpha=0.0).weights == v
+        assert extend_vector(v, toy_tax, alpha=0.0) == v
 
     def test_root_receives_mass(self, toy_tax):
         got = extend_vector({"A": 0.5}, toy_tax, alpha=0.33)
-        assert got.weights == {"A": 0.5, "R": pytest.approx(0.165)}
+        assert got == {"A": 0.5, "R": pytest.approx(0.165)}
 
     def test_added_mass_equals_alpha_times_base(self, toy_tax):
         v = {"A1": 0.2, "A2": 0.3, "B1": 0.25, "A": 0.25}
         alpha = 0.4
         got = extend_vector(v, toy_tax, alpha)
-        added = sum(got.weights.values()) - sum(v.values())
+        added = sum(got.values()) - sum(v.values())
         assert abs(added - alpha * sum(v.values())) <= 1e-9
 
     def test_one_level_only(self, toy_tax):
         # A1's grandparent R gets nothing from an A1-only vector
         got = extend_vector({"A1": 1.0}, toy_tax, alpha=0.5)
-        assert "R" not in got.weights
+        assert "R" not in got
 
 
 class TestCosine:
@@ -88,12 +88,12 @@ class TestTrainClassify:
     def test_model_shape(self, toy_tax, toy_background):
         model = semcla_train(self.docs(), toy_tax, toy_background)
         assert set(model.classes) == {"X", "Y"}
-        assert all(len(vs) == 2 for vs in model.classes.values())
+        assert all(isinstance(c, dict) for c in model.classes.values())
 
     def test_uncategorizable_doc_skipped(self, toy_tax, toy_background):
         docs = self.docs() + [("X", "qqqq wwww")]
         model = semcla_train(docs, toy_tax, toy_background)
-        assert len(model.classes["X"]) == 2
+        assert model == semcla_train(self.docs(), toy_tax, toy_background)
 
     def test_all_docs_fail_is_error(self, toy_tax, toy_background):
         docs = self.docs() + [("Z", "qqqq wwww")]
@@ -101,40 +101,41 @@ class TestTrainClassify:
             semcla_train(docs, toy_tax, toy_background)
         assert "Z" in str(exc.value)
 
-    def test_identical_vector_wins(self, toy_tax, toy_background):
-        model = SemClaModel(
-            classes={"X": [{"A1": 1.0}], "Y": [{"B1": 1.0}]},
-            alpha=0.0, mode="average",
-        )
+    def test_unknown_mode_is_config_error(self, toy_tax):
+        with pytest.raises(ConfigError, match="bogus"):
+            semcla_fit([("X", {"A1": 1.0})], toy_tax, SemClaConfig(mode="bogus"))
+
+    @staticmethod
+    def fit(tax, classes, mode="average"):
+        """A model fitted at alpha 0 (no extension) on label -> vectors."""
+        pairs = [(label, v) for label, vs in classes.items() for v in vs]
+        return semcla_fit(pairs, tax, SemClaConfig(alpha=0.0, mode=mode))
+
+    # two-category vectors over the toy taxonomy's leaves A1 and B1
+    doc = {"A1": 1.0}
+    vx1 = {"A1": 0.9, "B1": math.sqrt(1 - 0.81)}
+    vx2 = {"A1": 0.5, "B1": math.sqrt(1 - 0.25)}
+    vy = {"A1": 0.8, "B1": 0.6}
+
+    def test_identical_vector_wins(self, toy_tax):
+        model = self.fit(toy_tax, {"X": [{"A1": 1.0}], "Y": [{"B1": 1.0}]})
         ranking = semcla_score({"A1": 1.0}, model)
         assert ranking == [("X", pytest.approx(1.0)), ("Y", 0.0)]
 
-    def test_average_vs_max_distinction(self):
+    def test_average_vs_max_distinction(self, toy_tax):
         # class X cosines {0.9, 0.5} -> mean 0.7; class Y {0.8} -> Y wins
-        doc = {"a": 1.0}
-        vx1 = {"a": 0.9, "b": math.sqrt(1 - 0.81)}
-        vx2 = {"a": 0.5, "b": math.sqrt(1 - 0.25)}
-        vy = {"a": 0.8, "b": 0.6}
-        model = SemClaModel(classes={"X": [vx1, vx2], "Y": [vy]}, alpha=0.0, mode="average")
-        ranking = semcla_score(doc, model)
+        model = self.fit(toy_tax, {"X": [self.vx1, self.vx2], "Y": [self.vy]})
+        ranking = semcla_score(self.doc, model)
         scores = dict(ranking)
         assert scores["X"] == pytest.approx(0.7)
         assert scores["Y"] == pytest.approx(0.8)
         assert ranking[0][0] == "Y"
 
-    def test_centroid_mode_deterministic(self):
-        doc = {"a": 1.0}
-        vx1 = {"a": 0.9, "b": math.sqrt(1 - 0.81)}
-        vx2 = {"a": 0.5, "b": math.sqrt(1 - 0.25)}
-        vy = {"a": 0.8, "b": 0.6}
-        centroid_x = {"a": 0.7, "b": (vx1["b"] + vx2["b"]) / 2}
-        model = SemClaModel(
-            classes={"X": [vx1, vx2], "Y": [vy]},
-            alpha=0.0, mode="centroid",
-            centroids={"X": centroid_x, "Y": vy},
-        )
-        expected_x = cosine(doc, centroid_x)
-        scores = dict(semcla_score(doc, model))
+    def test_centroid_mode_deterministic(self, toy_tax):
+        model = self.fit(toy_tax, {"X": [self.vx1, self.vx2], "Y": [self.vy]}, "centroid")
+        centroid_x = {"A1": 0.7, "B1": (self.vx1["B1"] + self.vx2["B1"]) / 2}
+        expected_x = cosine(self.doc, centroid_x)
+        scores = dict(semcla_score(self.doc, model))
         assert scores["X"] == pytest.approx(expected_x)
 
     def test_alpha_zero_single_doc_is_nearest_neighbor(self, toy_tax, toy_background):
@@ -152,15 +153,12 @@ class TestTrainClassify:
         assert dict(ranking)["X"] == pytest.approx(cosine(doc_v, x_v))
         assert dict(ranking)["Y"] == pytest.approx(cosine(doc_v, y_v))
 
-    def test_scaling_training_vector_keeps_ranking(self):
-        doc = {"a": 1.0, "b": 0.5}
-        vx = {"a": 0.9, "b": 0.1}
-        vy = {"b": 1.0}
-        m1 = SemClaModel(classes={"X": [vx], "Y": [vy]}, alpha=0.0, mode="average")
-        m2 = SemClaModel(
-            classes={"X": [{k: 7.3 * w for k, w in vx.items()}], "Y": [vy]},
-            alpha=0.0, mode="average",
-        )
+    def test_scaling_training_vector_keeps_ranking(self, toy_tax):
+        doc = {"A1": 1.0, "B1": 0.5}
+        vx = {"A1": 0.9, "B1": 0.1}
+        vy = {"B1": 1.0}
+        m1 = self.fit(toy_tax, {"X": [vx], "Y": [vy]})
+        m2 = self.fit(toy_tax, {"X": [{k: 7.3 * w for k, w in vx.items()}], "Y": [vy]})
         assert [l for l, _ in semcla_score(doc, m1)] == [
             l for l, _ in semcla_score(doc, m2)
         ]
@@ -207,3 +205,52 @@ class TestCalibration:
         # smallest-alpha tie rule on equal separations
         candidates = [a for a in sorted(grid) if seps[a] == seps[best]]
         assert calibrate_alpha(groups, tax, stats, grid=grid) == candidates[0]
+
+
+@st.composite
+def grouped_vectors(draw):
+    """2-8 (group, category vector) pairs over the toy taxonomy, each a
+    multiple of one of a few base vectors with weights on a small grid, so
+    repeated and proportional vectors, and so exact cosine ties, are
+    common."""
+    weights = st.sampled_from((0.0, 0.25, 0.5, 1.0, 2.0))
+    cats = st.sampled_from(("R", "A", "B", "A1", "A2", "B1"))
+    base = draw(st.lists(
+        st.dictionaries(cats, weights, min_size=1, max_size=4), min_size=1, max_size=4
+    ))
+    out = []
+    for _ in range(draw(st.integers(2, 8))):
+        v = draw(st.sampled_from(base))
+        scale = draw(st.sampled_from((1.0, 2.0, 3.0)))
+        out.append((draw(st.sampled_from("XYZ")), {k: scale * w for k, w in v.items()}))
+    return out
+
+
+alphas = st.sampled_from((0.0, 0.1, 0.33, 0.5))
+
+
+class TestMatchesOracles:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(grouped_vectors(), alphas, st.sampled_from(("average", "centroid")))
+    def test_semcla_score(self, toy_tax, pairs, alpha, mode):
+        *train, (_, doc) = pairs
+        model = semcla_fit(train, toy_tax, SemClaConfig(alpha=alpha, mode=mode))
+        classes = {}
+        for label, v in train:
+            classes.setdefault(label, []).append(brute_extend(toy_tax.parents, v, alpha))
+        want = brute_semcla_ranking(brute_extend(toy_tax.parents, doc, alpha), classes, mode)
+        got = semcla_score(extend_vector(doc, toy_tax, alpha), model)
+        assert [label for label, _ in got] == [label for label, _ in want]
+        assert [s for _, s in got] == pytest.approx([s for _, s in want], abs=1e-12)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(grouped_vectors(), alphas)
+    def test_rank_separation(self, toy_tax, pairs, alpha):
+        groups = [g for g, _ in pairs]
+        if len(set(groups)) == len(groups) or len(set(groups)) == 1:
+            with pytest.raises(CalibrationError):
+                rank_separation(pairs, toy_tax, alpha)
+            return
+        assert rank_separation(pairs, toy_tax, alpha) == brute_rank_separation(
+            toy_tax.parents, pairs, alpha
+        )
