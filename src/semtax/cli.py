@@ -11,10 +11,11 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 
 from . import evaluate as ev
 from .corpus import load_corpus
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, EmptyVectorError
 from .classics import (
     LLDAModel,
     NBModel,
@@ -26,15 +27,16 @@ from .classics import (
     winnow_predict,
     winnow_train,
 )
-from .models import load_model, save_model
+from .models import Pipeline, load_model, save_model
 from .semcat import SemCatConfig, categorize, ranked_categories
 from .semcla import (
     DEFAULT_ALPHA_GRID,
     SemClaConfig,
     SemClaModel,
     calibrate_alpha,
-    semcla_classify,
-    semcla_train,
+    extend_vector,
+    semcla_fit,
+    semcla_score,
 )
 from .taxonomy import load_taxonomy
 from .textpipe import (
@@ -45,7 +47,6 @@ from .textpipe import (
     load_stopwords,
     preprocess,
     save_background,
-    tokenize,
 )
 
 
@@ -88,31 +89,29 @@ def _semcat_config(args) -> SemCatConfig:
     )
 
 
-def _load_background_or_build(args, docs):
-    if getattr(args, "background", None):
+def _background(docs, config):
+    """Document frequencies over the corpus's tokens after stopwords and
+    lemmas: what build-index writes, and what a command without
+    --background uses."""
+    return build_background(preprocess(d.text, config.stopwords, config.lemmas) for d in docs)
+
+
+def _load_background_or_build(args, docs, config):
+    if args.background:
         return load_background(_require_path(args.background, "background"))
-    return build_background(tokenize(d.text) for d in docs)
+    return _background(docs, config)
 
 
-def _echo_config(args, stream=None):
+def _echo_config(args):
     resolved = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
-    (stream or sys.stderr).write(
+    sys.stderr.write(
         "# config %s\n" % json.dumps(resolved, sort_keys=True, default=str)
     )
 
 
 def cmd_build_index(args):
     docs = load_corpus(_require_path(args.corpus, "corpus"))
-    stopwords = (
-        load_stopwords(_require_path(args.stopwords, "stopwords"))
-        if args.stopwords
-        else frozenset()
-    )
-    lemmas = load_lemmas(_require_path(args.lemmas, "lemmas")) if args.lemmas else {}
-    stats = build_background(
-        preprocess(d.text, stopwords, lemmas) for d in docs
-    )
-    save_background(stats, args.out)
+    save_background(_background(docs, _semcat_config(args)), args.out)
     return 0
 
 
@@ -120,7 +119,7 @@ def cmd_categorize(args):
     config = _semcat_config(args)
     tax = load_taxonomy(_require_path(args.taxonomy, "taxonomy"))
     docs = load_corpus(_require_path(args.corpus, "corpus"))
-    stats = _load_background_or_build(args, docs)
+    stats = _load_background_or_build(args, docs, config)
     index = PhraseIndex.from_taxonomy(tax)
     out = _out_stream(args.out)
     _echo_config(args)
@@ -139,22 +138,19 @@ def cmd_categorize(args):
     return 0
 
 
-def _feature_bags(args, docs, config):
+def _feature_bags(docs, features, tax, stats, config):
     """(document, feature bag) for each document, the bag None when the
-    document has no features.  train and classify both build their bags
-    here, so a model is applied with the preprocessing it was trained
-    with.  Without --taxonomy, `--features terms` is the tf-idf term
-    vector with no phrase matching."""
-    tax = None
-    if args.taxonomy or args.features != "terms":
-        tax = load_taxonomy(_require_path(args.taxonomy, "taxonomy"))
-    stats = _load_background_or_build(args, docs)
+    document has no features.  train builds its bags here and records
+    features, taxonomy use, config and background in the model's
+    pipeline; classify builds its bags here from that pipeline, so a model
+    is applied with the preprocessing it was trained with.  Without a
+    taxonomy, `terms` is the tf-idf term vector with no phrase matching."""
     index = PhraseIndex.from_taxonomy(tax) if tax is not None else PhraseIndex(())
     out = []
     for d in docs:
         try:
-            bag = ev.extract_features(d.text, args.features, tax, stats, config, index)
-        except DataError:
+            bag = ev.extract_features(d.text, features, tax, stats, config, index)
+        except EmptyVectorError:
             bag = None
         out.append((d, bag))
     return out
@@ -166,13 +162,16 @@ def cmd_train(args):
     for d in docs:
         if d.label is None:
             raise DataError("document %s has no label" % d.id)
-    if args.model == "semcla":
+    features = "categories" if args.model == "semcla" else args.features
+    tax = None
+    if args.taxonomy or features != "terms":
         tax = load_taxonomy(_require_path(args.taxonomy, "taxonomy"))
-        stats = _load_background_or_build(args, docs)
-        config = SemClaConfig(alpha=args.alpha, mode=args.mode, semcat=semcat)
-        model = semcla_train(((d.label, d.text) for d in docs), tax, stats, config)
+    stats = _load_background_or_build(args, docs, semcat)
+    bags = [(d.label, bag) for d, bag in _feature_bags(docs, features, tax, stats, semcat)]
+    if args.model == "semcla":
+        model = semcla_fit(bags, tax, SemClaConfig(alpha=args.alpha, mode=args.mode))
     else:
-        bags = [(d.label, bag) for d, bag in _feature_bags(args, docs, semcat) if bag is not None]
+        bags = [(lab, bag) for lab, bag in bags if bag is not None]
         if args.model == "bayes":
             model = nb_train(bags)
         elif args.model == "winnow":
@@ -185,7 +184,7 @@ def cmd_train(args):
                 raise ConfigError("--seed is mandatory for llda")
             labeled = [([lab], ev.bag_to_tokens(bag)) for lab, bag in bags]
             model = llda_train(labeled, iterations=args.iterations, seed=args.seed)
-    save_model(model, args.out)
+    save_model(model, Pipeline(features, tax is not None, semcat, stats), args.out)
     _echo_config(args)
     return 0
 
@@ -200,29 +199,29 @@ def _write_ranking(out, doc_id, ranking):
 
 
 def cmd_classify(args):
-    config = _semcat_config(args)
-    model = load_model(_require_path(args.model, "model"))
+    """Apply a model with the pipeline it records; --taxonomy must be given
+    exactly when the model was trained with one."""
+    model, pipeline = load_model(_require_path(args.model, "model"))
+    if pipeline.taxonomy is not None and pipeline.taxonomy != bool(args.taxonomy):
+        raise ConfigError("the model was trained %s a taxonomy: %s --taxonomy"
+                          % (("with", "give") if pipeline.taxonomy else ("without", "drop")))
     docs = load_corpus(_require_path(args.corpus, "corpus"))
+    tax = None
+    if args.taxonomy or pipeline.features != "terms":
+        tax = load_taxonomy(_require_path(args.taxonomy, "taxonomy"))
+    stats = pipeline.background
+    if stats is None:
+        stats = _background(docs, pipeline.semcat)
+    predict = {
+        NBModel: nb_predict,
+        WinnowModel: winnow_predict,
+        LLDAModel: llda_predict,
+        SemClaModel: lambda m, bag: semcla_score(extend_vector(bag, tax, m.alpha), m),
+    }[type(model)]
     out = _out_stream(args.out)
     _echo_config(args)
-    if isinstance(model, SemClaModel):
-        tax = load_taxonomy(_require_path(args.taxonomy, "taxonomy"))
-        stats = _load_background_or_build(args, docs)
-        index = PhraseIndex.from_taxonomy(tax)
-        for d in docs:
-            try:
-                ranking = semcla_classify(d.text, model, tax, stats, config, index)
-            except DataError:
-                ranking = None
-            _write_ranking(out, d.id, ranking)
-    else:
-        predict = {
-            NBModel: nb_predict,
-            WinnowModel: winnow_predict,
-            LLDAModel: llda_predict,
-        }[type(model)]
-        for d, bag in _feature_bags(args, docs, config):
-            _write_ranking(out, d.id, None if bag is None else predict(model, bag))
+    for d, bag in _feature_bags(docs, pipeline.features, tax, stats, pipeline.semcat):
+        _write_ranking(out, d.id, None if bag is None else predict(model, bag))
     if out is not sys.stdout:
         out.close()
     return 0
@@ -230,32 +229,34 @@ def cmd_classify(args):
 
 def cmd_evaluate(args):
     with open(_require_path(args.config, "config"), encoding="utf-8") as fh:
-        raw = json.load(fh)
+        try:
+            raw = json.load(fh)
+        except ValueError as exc:
+            raise ConfigError("config %s is not JSON: %s" % (args.config, exc)) from None
+    if not isinstance(raw, dict):
+        raise ConfigError("config %s is not a JSON object" % args.config)
+    semcat_raw, methods_raw = raw.get("semcat", {}), raw.get("methods")
+    if not isinstance(semcat_raw, dict) or not set(semcat_raw) <= set(ev.SEMCAT_KEYS):
+        raise ConfigError("semcat must be an object with keys among %s, got %s"
+                          % (", ".join(ev.SEMCAT_KEYS), json.dumps(semcat_raw)))
+    semcat = SemCatConfig(**semcat_raw)
+    method_keys = {f.name for f in fields(ev.MethodSpec)}
+    if not isinstance(methods_raw, list) or not methods_raw or not all(
+        isinstance(m, dict) and {"name", "kind"} <= set(m) <= method_keys for m in methods_raw
+    ):
+        raise ConfigError("methods must be a non-empty list of objects, each with a name, "
+                          "a kind and optional features and params")
+    methods = [ev.MethodSpec(**m) for m in methods_raw]
+    label_categories = raw.get("label_categories")
+    if not isinstance(label_categories, dict) or not label_categories:
+        raise ConfigError("label_categories must be a non-empty object (label -> category)")
     tax = load_taxonomy(_require_path(raw.get("taxonomy"), "taxonomy"))
     train_docs = load_corpus(_require_path(raw.get("corpus_train"), "training corpus"))
     test_docs = load_corpus(_require_path(raw.get("corpus_test"), "test corpus"))
     if raw.get("background"):
         stats = load_background(_require_path(raw["background"], "background"))
     else:
-        stats = build_background(tokenize(d.text) for d in train_docs + test_docs)
-    sc_raw = raw.get("semcat", {})
-    semcat = SemCatConfig(
-        top_terms=sc_raw.get("top_terms", 10),
-        disambig=sc_raw.get("disambig", "nearest"),
-        measure=sc_raw.get("measure", "lin"),
-        exact_match=sc_raw.get("exact_match", True),
-        min_df=sc_raw.get("min_df", 2),
-        max_df_ratio=sc_raw.get("max_df_ratio", 0.5),
-    )
-    methods = [
-        ev.MethodSpec(
-            name=m["name"], kind=m["kind"],
-            features=m.get("features", "terms"), params=m.get("params", {}),
-        )
-        for m in raw.get("methods", [])
-    ]
-    if not methods:
-        raise ConfigError("config declares no methods")
+        stats = _background(train_docs + test_docs, semcat)
     seed = args.seed if args.seed is not None else raw.get("seed")
     if seed is None:
         raise ConfigError("seed is mandatory (config or --seed)")
@@ -265,7 +266,7 @@ def cmd_evaluate(args):
         train_docs=train_docs,
         test_docs=test_docs,
         methods=methods,
-        label_categories=raw.get("label_categories", {}),
+        label_categories=label_categories,
         seed=seed,
         common_subset=raw.get("common_subset", True),
         buckets=raw.get("buckets", True),
@@ -290,12 +291,11 @@ def cmd_calibrate_alpha(args):
         if d.label is None:
             raise DataError("document %s has no label" % d.id)
         groups.setdefault(d.label, []).append(d.text)
-    stats = _load_background_or_build(args, docs)
-    grid = (
-        tuple(float(x) for x in args.grid.split(","))
-        if args.grid
-        else DEFAULT_ALPHA_GRID
-    )
+    stats = _load_background_or_build(args, docs, config)
+    try:
+        grid = tuple(float(x) for x in args.grid.split(",")) if args.grid else DEFAULT_ALPHA_GRID
+    except ValueError:
+        raise ConfigError("--grid must be comma-separated numbers, got %r" % args.grid) from None
     alpha = calibrate_alpha(groups, tax, stats, grid, config)
     _echo_config(args)
     print("alpha=%g" % alpha)
@@ -351,11 +351,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=int, default=None)
     sp.set_defaults(func=cmd_train)
 
-    sp = sub.add_parser("classify", help="classify documents with a trained model")
-    common(sp)
+    sp = sub.add_parser("classify", help="classify documents with a trained model, "
+                        "through the feature pipeline the model records")
     sp.add_argument("--model", required=True, help="model file path")
-    sp.add_argument("--features", default="terms",
-                    choices=["terms", "categories", "concepts"])
+    sp.add_argument("--corpus", required=True)
+    sp.add_argument("--taxonomy", help="required exactly when the model was trained with one")
+    sp.add_argument("--out", default=None)
     sp.set_defaults(func=cmd_classify)
 
     sp = sub.add_parser("evaluate", help="run a configured experiment")

@@ -20,7 +20,9 @@ class Document:
     categories: tuple = ()
 
 
-def parse_corpus(lines) -> list[Document]:
+def parse_corpus(lines, source) -> list[Document]:
+    """The documents on `lines`; DataError naming `source` and the line
+    for a line that is not a JSON object with an id and a string text."""
     docs = []
     seen = set()
     for lineno, raw in enumerate(lines, 1):
@@ -30,12 +32,12 @@ def parse_corpus(lines) -> list[Document]:
         try:
             rec = json.loads(line)
         except json.JSONDecodeError as exc:
-            raise DataError("corpus line %d: invalid JSON (%s)" % (lineno, exc))
-        if "id" not in rec or "text" not in rec:
-            raise DataError("corpus line %d: record needs id and text" % lineno)
+            raise DataError("%s line %d: invalid JSON (%s)" % (source, lineno, exc))
+        if not isinstance(rec, dict) or "id" not in rec or not isinstance(rec.get("text"), str):
+            raise DataError("%s line %d: record needs an id and a string text" % (source, lineno))
         doc_id = str(rec["id"])
         if doc_id in seen:
-            raise DataError("duplicate document id %s" % doc_id)
+            raise DataError("%s line %d: duplicate document id %s" % (source, lineno, doc_id))
         seen.add(doc_id)
         docs.append(
             Document(
@@ -50,15 +52,4 @@ def parse_corpus(lines) -> list[Document]:
 
 def load_corpus(path) -> list[Document]:
     with open(path, encoding="utf-8") as fh:
-        return parse_corpus(fh)
-
-
-def save_corpus(docs, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        for d in docs:
-            rec = {"id": d.id, "text": d.text}
-            if d.label is not None:
-                rec["label"] = d.label
-            if d.categories:
-                rec["categories"] = list(d.categories)
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+        return parse_corpus(fh, path)

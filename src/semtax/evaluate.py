@@ -34,6 +34,8 @@ from .taxonomy import Taxonomy, sim_lin
 from .textpipe import BackgroundStats, PhraseIndex
 
 FEATURE_MODES = ("terms", "categories", "concepts")
+# the SemCatConfig fields an experiment config may set, echoed in its report
+SEMCAT_KEYS = ("top_terms", "disambig", "measure", "exact_match", "min_df", "max_df_ratio")
 
 SHORT_MIN, MEDIUM_MIN, LONG_MIN = 1000, 2000, 10000
 
@@ -441,14 +443,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         "alpha": cfg.alpha,
         "label_categories": dict(sorted(cfg.label_categories.items())),
         "member_seed_rule": "splitmix64(master, index)",
-        "semcat": {
-            "top_terms": cfg.semcat.top_terms,
-            "disambig": cfg.semcat.disambig,
-            "measure": cfg.semcat.measure,
-            "exact_match": cfg.semcat.exact_match,
-            "min_df": cfg.semcat.min_df,
-            "max_df_ratio": cfg.semcat.max_df_ratio,
-        },
+        "semcat": {k: getattr(cfg.semcat, k) for k in SEMCAT_KEYS},
         "methods": [
             {"name": m.name, "kind": m.kind, "features": m.features,
              "params": {k: list(v) if isinstance(v, tuple) else v

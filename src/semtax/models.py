@@ -1,108 +1,102 @@
-"""Model persistence: one JSON file per model with a header recording the
-type, hyperparameters and seed."""
+"""Model persistence: one JSON file per model, holding its type, every
+field of the model (hyperparameters and seed included) and the pipeline
+that turns text into the model's features."""
 
 from __future__ import annotations
 
 import json
+import types
+import typing
+from dataclasses import asdict, dataclass, fields, is_dataclass
 
 from .classics import LLDAModel, NBModel, WinnowModel
 from .errors import DataError
+from .semcat import SemCatConfig
 from .semcla import SemClaModel, class_vector
+from .textpipe import BackgroundStats
+
+MODEL_TYPES = {"bayes": NBModel, "winnow": WinnowModel, "llda": LLDAModel, "semcla": SemClaModel}
+
+# the JSON value each declared type is read from
+_JSON_TYPES = {float: (int, float), int: int, str: str, bool: bool, dict: dict,
+               list: list, tuple: list, frozenset: list}
 
 
-def save_model(model, path):
-    if isinstance(model, NBModel):
-        payload = {
-            "type": "bayes",
-            "priors": model.priors,
-            "likelihoods": model.likelihoods,
-            "floors": model.floors,
-            "vocabulary": sorted(model.vocabulary),
-        }
-    elif isinstance(model, WinnowModel):
-        payload = {
-            "type": "winnow",
-            "theta": model.theta,
-            "alpha": model.alpha,
-            "beta": model.beta,
-            "weights": {
-                lab: {f: list(pair) for f, pair in w.items()}
-                for lab, w in model.weights.items()
-            },
-            "features": sorted(model.features),
-        }
-    elif isinstance(model, LLDAModel):
-        payload = {
-            "type": "llda",
-            "topics": model.topics,
-            "phi": model.phi,
-            "a_doc": model.a_doc,
-            "a_word": model.a_word,
-            "iterations": model.iterations,
-            "seed": model.seed,
-            "vocabulary": sorted(model.vocabulary),
-        }
-    elif isinstance(model, SemClaModel):
-        payload = {
-            "type": "semcla",
-            "alpha": model.alpha,
-            "classes": model.classes,
-        }
-    else:
-        raise DataError("cannot persist model of type %s" % type(model).__name__)
+@dataclass
+class Pipeline:
+    """How text becomes the model's features: the feature mode, whether a
+    taxonomy was used, the SemCat config and the background statistics
+    of training.  taxonomy and background are None only for files written
+    before models recorded their pipeline: classify then takes the
+    taxonomy as given and builds the background from its corpus."""
+
+    features: str
+    taxonomy: bool | None
+    semcat: SemCatConfig
+    background: BackgroundStats | None
+
+
+def save_model(model, pipeline: Pipeline, path):
+    (kind,) = [k for k, cls in MODEL_TYPES.items() if isinstance(model, cls)]
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True)
+        json.dump({"type": kind, **asdict(model), "pipeline": asdict(pipeline)},
+                  fh, sort_keys=True, default=sorted)
 
 
-def load_model(path):
-    """The model saved at path; DataError when the file is not a JSON
-    object of a known type with every field that type needs."""
+def load_model(path) -> tuple[object, Pipeline]:
+    """The (model, pipeline) saved at path; DataError when the file is not
+    a JSON object of a known type whose fields have the declared types."""
     with open(path, encoding="utf-8") as fh:
         try:
             payload = json.load(fh)
         except ValueError as exc:
             raise DataError("model file %s is not JSON: %s" % (path, exc)) from None
-    try:
-        return _model_from_payload(payload, path)
-    except KeyError as exc:
-        raise DataError("model file %s lacks field %s" % (path, exc)) from None
-
-
-def _model_from_payload(payload, path):
     kind = payload.get("type") if isinstance(payload, dict) else None
-    if kind == "bayes":
-        return NBModel(
-            priors=payload["priors"],
-            likelihoods=payload["likelihoods"],
-            floors=payload["floors"],
-            vocabulary=frozenset(payload["vocabulary"]),
-        )
-    if kind == "winnow":
-        return WinnowModel(
-            theta=payload["theta"],
-            alpha=payload["alpha"],
-            beta=payload["beta"],
-            weights={
-                lab: {f: tuple(pair) for f, pair in w.items()}
-                for lab, w in payload["weights"].items()
-            },
-            features=frozenset(payload["features"]),
-        )
-    if kind == "llda":
-        return LLDAModel(
-            topics=payload["topics"],
-            phi=payload["phi"],
-            a_doc=payload["a_doc"],
-            a_word=payload["a_word"],
-            iterations=payload["iterations"],
-            seed=payload["seed"],
-            vocabulary=frozenset(payload["vocabulary"]),
-        )
-    if kind == "semcla":
-        classes = payload["classes"]
-        if "mode" in payload:
+    if not isinstance(kind, str) or kind not in MODEL_TYPES:
+        raise DataError("unknown model type %r in %s" % (kind, path))
+    cls = MODEL_TYPES[kind]
+    try:
+        if cls is SemClaModel and "mode" in payload and "classes" in payload:
             # older files keep every extended vector, and scored any mode but centroid as average
             mode = "centroid" if payload["mode"] == "centroid" else "average"
-            classes = {lab: class_vector(vs, mode) for lab, vs in classes.items()}
-        return SemClaModel(classes=classes, alpha=payload["alpha"])
-    raise DataError("unknown model type %r in %s" % (kind, path))
+            vectors = _decode(dict[str, list[dict[str, float]]], payload["classes"], "classes")
+            payload["classes"] = {lab: class_vector(vs, mode) for lab, vs in vectors.items()}
+        model = _decode(cls, payload, "")
+        if "pipeline" not in payload:
+            default = "categories" if cls is SemClaModel else "terms"
+            return model, Pipeline(default, None, SemCatConfig(), None)
+        return model, _decode(Pipeline, payload["pipeline"], "pipeline")
+    except DataError as exc:
+        raise DataError("model file %s %s" % (path, exc)) from None
+
+
+def _decode(tp, value, where):
+    """value, read from JSON, rebuilt as the declared type tp; where names
+    the field for the DataError raised when a field is missing or a value
+    has another type.  Unions are `X | None`."""
+    origin, args = typing.get_origin(tp) or tp, typing.get_args(tp)
+    if origin is types.UnionType:
+        return None if value is None else _decode(args[0], value, where)
+    if not isinstance(value, _JSON_TYPES.get(origin, dict)) or (
+        isinstance(value, bool) and origin is not bool
+    ):
+        raise DataError("has field %r of type %s, not %s"
+                        % (where, type(value).__name__, origin.__name__))
+    if is_dataclass(origin):
+        hints = typing.get_type_hints(origin)
+        decoded = {}
+        for f in fields(origin):
+            name = "%s.%s" % (where, f.name) if where else f.name
+            if f.name not in value:
+                raise DataError("lacks field %r" % name)
+            decoded[f.name] = _decode(hints[f.name], value[f.name], name)
+        return origin(**decoded)
+    if origin is dict:
+        return {k: _decode(args[1], v, "%s.%s" % (where, k)) for k, v in value.items()}
+    if origin is tuple:
+        if len(value) != len(args):
+            raise DataError("has field %r with %d values, not %d" % (where, len(value), len(args)))
+        return tuple(_decode(a, v, where) for a, v in zip(args, value))
+    if origin in (list, frozenset):
+        return origin(_decode(args[0], v, where) for v in value)
+    return origin(value)

@@ -45,8 +45,8 @@ class SemCatConfig:
     exact_match: bool = True
     min_df: int = 2
     max_df_ratio: float = 0.5
-    stopwords: frozenset = frozenset()
-    lemmas: dict = field(default_factory=dict)
+    stopwords: frozenset[str] = frozenset()
+    lemmas: dict[str, str] = field(default_factory=dict)
 
 
 def map_terms_to_concepts(

@@ -155,14 +155,17 @@ def load_stopwords(path) -> frozenset[str]:
 
 
 def load_lemmas(path) -> dict[str, str]:
+    """Read `surface<TAB>lemma` lines."""
     lemmas = {}
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.rstrip("\n")
             if not line.strip():
                 continue
-            surface, lemma = line.split("\t")
-            lemmas[surface] = lemma
+            pair = line.split("\t")
+            if len(pair) != 2:
+                raise DataError("%s line %d: expected surface<TAB>lemma, got %r" % (path, lineno, line))
+            lemmas[pair[0]] = pair[1]
     return lemmas
 
 
@@ -171,17 +174,22 @@ def load_background(path) -> BackgroundStats:
     doc_count = None
     df = {}
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.rstrip("\n")
             if not line.strip():
                 continue
-            if line.startswith("#docs="):
-                doc_count = int(line[len("#docs=") :])
-                continue
-            term, n = line.split("\t")
-            df[term] = int(n)
+            try:
+                if line.startswith("#docs="):
+                    doc_count = int(line[len("#docs=") :])
+                    continue
+                term, n = line.split("\t")
+                df[term] = int(n)
+            except ValueError:
+                raise DataError(
+                    "%s line %d: expected #docs=<n> or term<TAB>df, got %r" % (path, lineno, line)
+                ) from None
     if doc_count is None:
-        raise DataError("background stats file is missing the #docs= header")
+        raise DataError("background stats file %s is missing the #docs= header" % path)
     return BackgroundStats(doc_count=doc_count, doc_freq=df)
 
 

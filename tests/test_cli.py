@@ -114,7 +114,6 @@ def test_cyclic_taxonomy_exits_2(workdir, capsys):
 @pytest.mark.parametrize("command", [
     ["categorize"],
     ["train", "--model", "bayes"],
-    ["classify", "--model", "nb.json"],
 ])
 def test_top_terms_below_one_exits_1(workdir, capsys, command):
     rc = main(command + [
@@ -152,9 +151,7 @@ def test_train_and_classify_roundtrip(workdir, capsys):
     (False, "terms"), (True, "terms"), (True, "categories"),
 ])
 def test_classify_scores_the_bags_train_fitted(workdir, monkeypatch, capsys, taxonomy, features):
-    flags = ["--features", features]
-    if taxonomy:
-        flags += ["--taxonomy", str(workdir / "tax.tsv")]
+    flags = ["--taxonomy", str(workdir / "tax.tsv")] if taxonomy else []
     fitted, scored = [], []
     real_train, real_predict = semtax.cli.nb_train, semtax.cli.nb_predict
 
@@ -170,10 +167,89 @@ def test_classify_scores_the_bags_train_fitted(workdir, monkeypatch, capsys, tax
     monkeypatch.setattr(semtax.cli, "nb_predict", predict)
     model = workdir / "nb.json"
     corpus = ["--corpus", str(workdir / "corpus.jsonl")]
-    assert main(["train", "--model", "bayes", "--out", str(model)] + corpus + flags) == 0
+    fit = ["train", "--model", "bayes", "--features", features, "--out", str(model)]
+    assert main(fit + corpus + flags) == 0
     assert main(["classify", "--model", str(model)] + corpus + flags) == 0
     assert len(fitted) == 4
     assert scored == fitted
+
+
+def _record(monkeypatch, name, calls, bags):
+    """Wrap semtax.cli.<name> to log into calls the bags that bags(*args)
+    picks from each call's arguments."""
+    real = getattr(semtax.cli, name)
+
+    def wrapper(*args):
+        calls.extend(bags(*args))
+        return real(*args)
+
+    monkeypatch.setattr(semtax.cli, name, wrapper)
+
+
+@pytest.mark.parametrize("kind", ["bayes", "semcla"])
+def test_classify_applies_the_pipeline_train_recorded(workdir, monkeypatch, capsys, kind):
+    (workdir / "stop.txt").write_text("charlie\n", encoding="utf-8")
+    (workdir / "lemmas.tsv").write_text("delta\tbravo\n", encoding="utf-8")
+    words = ["alpha", "bravo", "charlie", "delta", "echo", "foxtrot", "golf"]
+    (workdir / "bg.tsv").write_text(
+        "#docs=10\n" + "".join("%s\t2\n" % w for w in words), encoding="utf-8"
+    )
+    fitted, scored = [], []
+    if kind == "bayes":
+        _record(monkeypatch, "nb_train", fitted, lambda bags: [b for _, b in bags])
+        _record(monkeypatch, "nb_predict", scored, lambda model, bag: [bag])
+    else:
+        _record(monkeypatch, "semcla_fit", fitted, lambda pairs, tax, config: [b for _, b in pairs])
+        _record(monkeypatch, "extend_vector", scored, lambda bag, tax, alpha: [bag])
+    model = workdir / "model.json"
+    data = ["--corpus", str(workdir / "corpus.jsonl"), "--taxonomy", str(workdir / "tax.tsv")]
+    assert main([
+        "train", "--model", kind, "--out", str(model),
+        "--stopwords", str(workdir / "stop.txt"), "--lemmas", str(workdir / "lemmas.tsv"),
+        "--background", str(workdir / "bg.tsv"), "--top-terms", "2",
+        "--disambig", "uniform", "--fuzzy-match",
+    ] + data) == 0
+    pipeline = json.loads(model.read_text())["pipeline"]
+    assert pipeline["semcat"]["stopwords"] == ["charlie"]
+    assert pipeline["background"]["doc_count"] == 10
+    assert main(["classify", "--model", str(model)] + data) == 0
+    assert len(fitted) == 4
+    assert scored == fitted
+    if kind == "bayes":
+        assert all(len(bag) <= 2 and "charlie" not in bag and "delta" not in bag for bag in fitted)
+
+
+def test_classify_uses_the_training_background(workdir, monkeypatch, capsys):
+    # alone, these two documents would drop alpha (in every one of them)
+    # and echo and golf (in fewer than two): training's background keeps all three
+    with open(workdir / "other.jsonl", "w", encoding="utf-8") as fh:
+        fh.write(json.dumps({"id": "o1", "text": "alpha echo"}) + "\n")
+        fh.write(json.dumps({"id": "o2", "text": "alpha golf"}) + "\n")
+    model = workdir / "nb.json"
+    assert main(["train", "--model", "bayes", "--out", str(model),
+                 "--corpus", str(workdir / "corpus.jsonl")]) == 0
+    capsys.readouterr()
+    scored = []
+    _record(monkeypatch, "nb_predict", scored, lambda model, bag: [bag])
+    assert main(["classify", "--model", str(model),
+                 "--corpus", str(workdir / "other.jsonl")]) == 0
+    assert "unclassified" not in capsys.readouterr().out
+    assert scored == [{"alpha": 0.5, "echo": 0.5}, {"alpha": 0.5, "golf": 0.5}]
+
+
+@pytest.mark.parametrize("train_with, classify_with", [(False, True), (True, False)])
+def test_classify_taxonomy_mismatch_exits_1(workdir, capsys, train_with, classify_with):
+    model = workdir / "nb.json"
+    tax = ["--taxonomy", str(workdir / "tax.tsv")]
+    corpus = ["--corpus", str(workdir / "corpus.jsonl")]
+    train = ["train", "--model", "bayes", "--out", str(model)] + corpus
+    assert main(train + (tax if train_with else [])) == 0
+    capsys.readouterr()
+    rc = main(["classify", "--model", str(model)] + corpus + (tax if classify_with else []))
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: config: the model was trained with")
 
 
 def test_categorize_builds_one_phrase_index(workdir, monkeypatch, capsys):
@@ -270,6 +346,26 @@ def test_classify_with_old_format_semcla_model(workdir, capsys, mode):
 @pytest.mark.parametrize("body, message", [
     ("not json", "is not JSON"),
     ('{"type": "semcla"}', "lacks field 'classes'"),
+    pytest.param(
+        '{"type": "semcla", "alpha": 0.33, "classes": {"x": 5}}',
+        "has field 'classes.x' of type int, not dict", id="semcla-class-int",
+    ),
+    pytest.param(
+        '{"type": "bayes", "priors": {"x": 1.0}, "likelihoods": {"x": {}},'
+        ' "floors": {"x": 0.5}, "vocabulary": 3}',
+        "has field 'vocabulary' of type int, not frozenset", id="bayes-vocabulary-int",
+    ),
+    pytest.param(
+        '{"type": "semcla", "alpha": 0.33, "classes": {"x": {"A": 1.0}},'
+        ' "pipeline": {"features": "categories", "taxonomy": "yes"}}',
+        "has field 'pipeline.taxonomy' of type str, not bool", id="pipeline-taxonomy-str",
+    ),
+    pytest.param(
+        '{"type": "semcla", "alpha": 0.33, "classes": {"x": {"A": 1.0}},'
+        ' "pipeline": {"features": "categories", "taxonomy": true, "background": null,'
+        ' "semcat": {"top_terms": 10}}}',
+        "lacks field 'pipeline.semcat.disambig'", id="pipeline-semcat-partial",
+    ),
 ])
 def test_bad_model_file_exits_2(workdir, capsys, body, message):
     (workdir / "model.json").write_text(body, encoding="utf-8")
@@ -282,6 +378,57 @@ def test_bad_model_file_exits_2(workdir, capsys, body, message):
     err = capsys.readouterr().err
     assert err.startswith("error: data: model file ")
     assert message in err
+
+
+def test_categorize_without_background_counts_df_as_build_index_does(tmp_path, capsys):
+    (tmp_path / "tax.tsv").write_text(
+        "C\tR\tRoot\t\nC\tL\tLand\tR\nC\tW\tWater\tR\nP\tc1\tL\tcar\nP\tc2\tW\tboat\n",
+        encoding="utf-8",
+    )
+    (tmp_path / "lemmas.tsv").write_text("cars\tcar\nboats\tboat\n", encoding="utf-8")
+    texts = ["cars road", "boats sea", "cars sea", "boats road", "car x", "boat y"]
+    with open(tmp_path / "corpus.jsonl", "w", encoding="utf-8") as fh:
+        for i, text in enumerate(texts):
+            fh.write(json.dumps({"id": "d%d" % i, "text": text}) + "\n")
+    data = ["--corpus", str(tmp_path / "corpus.jsonl"), "--lemmas", str(tmp_path / "lemmas.tsv")]
+    assert main(["build-index", "--out", str(tmp_path / "bg.tsv")] + data) == 0
+    categorize = ["categorize", "--taxonomy", str(tmp_path / "tax.tsv")] + data
+    assert main(categorize + ["--background", str(tmp_path / "bg.tsv")]) == 0
+    with_index = capsys.readouterr().out.splitlines()
+    assert len(with_index) == 6
+    assert not any(line.endswith("\t-") for line in with_index)
+    assert main(categorize) == 0
+    assert capsys.readouterr().out.splitlines() == with_index
+
+
+@pytest.mark.parametrize("flag, name, body, where", [
+    ("--background", "bg.tsv", "#docs=4\nalpha\n", "bg.tsv line 2"),
+    ("--background", "bg.tsv", "#docs=4\nalpha\tmany\n", "bg.tsv line 2"),
+    ("--lemmas", "lemmas.tsv", "cars\tcar\n\nboats\n", "lemmas.tsv line 3"),
+    ("--corpus", "bad.jsonl", '{"id": "d1", "text": "alpha"}\n5\n', "bad.jsonl line 2"),
+    ("--corpus", "bad.jsonl", '{"id": "d1", "text": 5}\n', "bad.jsonl line 1"),
+], ids=["background-no-tab", "background-df-not-int", "lemmas-no-tab",
+        "corpus-not-object", "corpus-text-not-string"])
+def test_bad_input_file_exits_2(workdir, capsys, flag, name, body, where):
+    (workdir / name).write_text(body, encoding="utf-8")
+    paths = {"--taxonomy": workdir / "tax.tsv", "--corpus": workdir / "corpus.jsonl"}
+    paths[flag] = workdir / name
+    rc = main(["categorize"] + [str(x) for pair in paths.items() for x in pair])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: data: ")
+    assert where in err
+
+
+def test_calibrate_alpha_bad_grid_exits_1(workdir, capsys):
+    rc = main([
+        "calibrate-alpha",
+        "--taxonomy", str(workdir / "tax.tsv"),
+        "--corpus", str(workdir / "corpus.jsonl"),
+        "--grid", "a,b",
+    ])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: config: --grid must be comma-separated numbers, got 'a,b'\n"
 
 
 def test_evaluate_deterministic(workdir, capsys):
@@ -338,3 +485,29 @@ def test_config_echo_on_stderr(workdir, capsys):
     ])
     assert rc == 0
     assert capsys.readouterr().err.startswith("# config {")
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda cfg: "not json", "is not JSON"),
+    (lambda cfg: [cfg], "is not a JSON object"),
+    (lambda cfg: dict(cfg, methods=[{"name": "nb"}]), "each with a name, a kind"),
+    (lambda cfg: dict(cfg, semcat={"top_term": 5}), '{"top_term": 5}'),
+    (lambda cfg: {k: v for k, v in cfg.items() if k != "label_categories"}, "label_categories"),
+    (lambda cfg: dict(cfg, label_categories={}), "label_categories"),
+], ids=["not-json", "not-object", "method-without-kind", "unknown-semcat-key",
+        "no-label-categories", "empty-label-categories"])
+def test_evaluate_bad_config_exits_1(workdir, capsys, edit, message):
+    cfg = {
+        "taxonomy": str(workdir / "tax.tsv"),
+        "corpus_train": str(workdir / "corpus.jsonl"),
+        "corpus_test": str(workdir / "corpus.jsonl"),
+        "label_categories": {"x": "A", "z": "B"},
+        "methods": [{"name": "nb", "kind": "bayes"}],
+        "seed": 7,
+    }
+    body = edit(cfg)
+    (workdir / "exp.json").write_text(body if isinstance(body, str) else json.dumps(body))
+    assert main(["evaluate", "--config", str(workdir / "exp.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: config: ")
+    assert message in err

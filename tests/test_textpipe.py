@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from semtax.errors import EmptyVectorError
 from semtax.textpipe import (
@@ -37,6 +37,7 @@ class TestPreprocess:
 
     words = st.lists(st.text(alphabet="abcdefg", min_size=1, max_size=6), max_size=15)
 
+    @settings(derandomize=True)
     @given(words)
     def test_idempotent(self, tokens):
         text = " ".join(tokens)
@@ -104,6 +105,7 @@ class TestTopN:
     def test_lexicographic_tie_break(self):
         assert top_n_terms({"b": 0.5, "a": 0.5}, 1) == {"a": 1.0}
 
+    @settings(derandomize=True)
     @given(
         st.dictionaries(
             st.text(alphabet="abcdef", min_size=1, max_size=4),
@@ -113,11 +115,18 @@ class TestTopN:
         ),
         st.integers(min_value=1, max_value=15),
     )
+    @example(
+        weights={"a": 0.5, "b": 1.0, "c": 1.0, "d": 0.5, "e": 1.0, "f": 1.0, "aa": 0.5,
+                 "ab": 0.9999999999999999, "ac": 1.0, "ad": 0.5},
+        n=6,
+    )
     def test_never_grows_and_keeps_order(self, weights, n):
         v = l1_normalize(weights)
         got = top_n_terms(v, n)
         assert len(got) <= len(v)
-        kept = sorted(got, key=got.get)
+        # v[a] < v[b] implies got[a] <= got[b]: renormalizing may round two
+        # close weights to one float (a tie in got), but never reverses them
+        kept = sorted(got, key=lambda t: (got[t], v[t]))
         for t1, t2 in zip(kept, kept[1:]):
             assert v[t1] <= v[t2]
 
