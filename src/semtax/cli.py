@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+import typing
 from dataclasses import fields
 
 from . import evaluate as ev
@@ -27,7 +28,7 @@ from .classics import (
     winnow_predict,
     winnow_train,
 )
-from .models import Pipeline, load_model, save_model
+from .models import Pipeline, decode, load_model, save_model
 from .semcat import SemCatConfig, categorize, ranked_categories
 from .semcla import (
     DEFAULT_ALPHA_GRID,
@@ -41,11 +42,11 @@ from .semcla import (
 from .taxonomy import load_taxonomy
 from .textpipe import (
     PhraseIndex,
+    TermTable,
     build_background,
     load_background,
     load_lemmas,
     load_stopwords,
-    preprocess,
     save_background,
 )
 
@@ -93,7 +94,8 @@ def _background(docs, config):
     """Document frequencies over the corpus's tokens after stopwords and
     lemmas: what build-index writes, and what a command without
     --background uses."""
-    return build_background(preprocess(d.text, config.stopwords, config.lemmas) for d in docs)
+    table = TermTable.from_config(config)
+    return build_background(table.terms(d.text) for d in docs)
 
 
 def _load_background_or_build(args, docs, config):
@@ -102,8 +104,10 @@ def _load_background_or_build(args, docs, config):
     return _background(docs, config)
 
 
-def _echo_config(args):
-    resolved = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
+def _echo_config(args, **used):
+    """The command's settings on stderr; used overrides an argument the
+    command replaced with the value it actually used."""
+    resolved = {k: v for k, v in sorted((vars(args) | used).items()) if k != "func"}
     sys.stderr.write(
         "# config %s\n" % json.dumps(resolved, sort_keys=True, default=str)
     )
@@ -121,12 +125,13 @@ def cmd_categorize(args):
     docs = load_corpus(_require_path(args.corpus, "corpus"))
     stats = _load_background_or_build(args, docs, config)
     index = PhraseIndex.from_taxonomy(tax)
+    table = TermTable.from_config(config, stats)
     out = _out_stream(args.out)
     _echo_config(args)
     for d in docs:
         try:
-            cats = categorize(d.text, tax, stats, config, index)
-        except DataError:
+            cats = categorize(d.text, tax, stats, config, index, table)
+        except EmptyVectorError:
             out.write("%s\t%s\t-\n" % (d.id, config.disambig))
             continue
         ranked = " ".join(
@@ -146,10 +151,11 @@ def _feature_bags(docs, features, tax, stats, config):
     is applied with the preprocessing it was trained with.  Without a
     taxonomy, `terms` is the tf-idf term vector with no phrase matching."""
     index = PhraseIndex.from_taxonomy(tax) if tax is not None else PhraseIndex(())
+    table = TermTable.from_config(config, stats)
     out = []
     for d in docs:
         try:
-            bag = ev.extract_features(d.text, features, tax, stats, config, index)
+            bag = ev.extract_features(d.text, features, tax, stats, config, index, table)
         except EmptyVectorError:
             bag = None
         out.append((d, bag))
@@ -185,7 +191,7 @@ def cmd_train(args):
             labeled = [([lab], ev.bag_to_tokens(bag)) for lab, bag in bags]
             model = llda_train(labeled, iterations=args.iterations, seed=args.seed)
     save_model(model, Pipeline(features, tax is not None, semcat, stats), args.out)
-    _echo_config(args)
+    _echo_config(args, features=features)
     return 0
 
 
@@ -239,7 +245,12 @@ def cmd_evaluate(args):
     if not isinstance(semcat_raw, dict) or not set(semcat_raw) <= set(ev.SEMCAT_KEYS):
         raise ConfigError("semcat must be an object with keys among %s, got %s"
                           % (", ".join(ev.SEMCAT_KEYS), json.dumps(semcat_raw)))
-    semcat = SemCatConfig(**semcat_raw)
+    hints = typing.get_type_hints(SemCatConfig)
+    try:
+        semcat = SemCatConfig(
+            **{k: decode(hints[k], v, "semcat." + k) for k, v in semcat_raw.items()})
+    except DataError as exc:
+        raise ConfigError("config %s %s" % (args.config, exc)) from None
     method_keys = {f.name for f in fields(ev.MethodSpec)}
     if not isinstance(methods_raw, list) or not methods_raw or not all(
         isinstance(m, dict) and {"name", "kind"} <= set(m) <= method_keys for m in methods_raw

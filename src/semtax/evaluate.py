@@ -31,7 +31,7 @@ from .errors import ConfigError, DataError, DegenerateInputError, EmptyVectorErr
 from .semcat import SemCatConfig, assign_concepts, categorize_vector, ranked_categories, term_vector
 from .semcla import SemClaConfig, extend_vector, semcla_fit, semcla_score
 from .taxonomy import Taxonomy, sim_lin
-from .textpipe import BackgroundStats, PhraseIndex
+from .textpipe import BackgroundStats, PhraseIndex, TermTable
 
 FEATURE_MODES = ("terms", "categories", "concepts")
 # the SemCatConfig fields an experiment config may set, echoed in its report
@@ -111,10 +111,11 @@ def extract_features(
     stats: BackgroundStats,
     config: SemCatConfig,
     phrase_index: PhraseIndex | None = None,
+    term_table: TermTable | None = None,
 ) -> dict[str, float]:
     """terms: the tf-idf term vector; categories: SemCat category weights;
     concepts: disambiguated concept ids weighted by share."""
-    v = term_vector(text, tax, stats, config, phrase_index)
+    v = term_vector(text, tax, stats, config, phrase_index, term_table)
     return vector_features(v, mode, tax, config)
 
 
@@ -341,6 +342,7 @@ class _Context:
     def __init__(self, cfg: ExperimentConfig):
         self.cfg = cfg
         self.phrase_index = PhraseIndex.from_taxonomy(cfg.taxonomy)
+        self.term_table = TermTable.from_config(cfg.semcat, cfg.background)
         self._vectors: dict = {}
         self._bags: dict = {}
 
@@ -349,7 +351,7 @@ class _Context:
             try:
                 self._vectors[doc.id] = term_vector(
                     doc.text, self.cfg.taxonomy, self.cfg.background,
-                    self.cfg.semcat, self.phrase_index,
+                    self.cfg.semcat, self.phrase_index, self.term_table,
                 )
             except EmptyVectorError:
                 self._vectors[doc.id] = None

@@ -59,24 +59,24 @@ def load_model(path) -> tuple[object, Pipeline]:
         if cls is SemClaModel and "mode" in payload and "classes" in payload:
             # older files keep every extended vector, and scored any mode but centroid as average
             mode = "centroid" if payload["mode"] == "centroid" else "average"
-            vectors = _decode(dict[str, list[dict[str, float]]], payload["classes"], "classes")
+            vectors = decode(dict[str, list[dict[str, float]]], payload["classes"], "classes")
             payload["classes"] = {lab: class_vector(vs, mode) for lab, vs in vectors.items()}
-        model = _decode(cls, payload, "")
+        model = decode(cls, payload, "")
         if "pipeline" not in payload:
             default = "categories" if cls is SemClaModel else "terms"
             return model, Pipeline(default, None, SemCatConfig(), None)
-        return model, _decode(Pipeline, payload["pipeline"], "pipeline")
+        return model, decode(Pipeline, payload["pipeline"], "pipeline")
     except DataError as exc:
         raise DataError("model file %s %s" % (path, exc)) from None
 
 
-def _decode(tp, value, where):
+def decode(tp, value, where):
     """value, read from JSON, rebuilt as the declared type tp; where names
     the field for the DataError raised when a field is missing or a value
     has another type.  Unions are `X | None`."""
     origin, args = typing.get_origin(tp) or tp, typing.get_args(tp)
     if origin is types.UnionType:
-        return None if value is None else _decode(args[0], value, where)
+        return None if value is None else decode(args[0], value, where)
     if not isinstance(value, _JSON_TYPES.get(origin, dict)) or (
         isinstance(value, bool) and origin is not bool
     ):
@@ -89,14 +89,14 @@ def _decode(tp, value, where):
             name = "%s.%s" % (where, f.name) if where else f.name
             if f.name not in value:
                 raise DataError("lacks field %r" % name)
-            decoded[f.name] = _decode(hints[f.name], value[f.name], name)
+            decoded[f.name] = decode(hints[f.name], value[f.name], name)
         return origin(**decoded)
     if origin is dict:
-        return {k: _decode(args[1], v, "%s.%s" % (where, k)) for k, v in value.items()}
+        return {k: decode(args[1], v, "%s.%s" % (where, k)) for k, v in value.items()}
     if origin is tuple:
         if len(value) != len(args):
             raise DataError("has field %r with %d values, not %d" % (where, len(value), len(args)))
-        return tuple(_decode(a, v, where) for a, v in zip(args, value))
+        return tuple(decode(a, v, where) for a, v in zip(args, value))
     if origin in (list, frozenset):
-        return origin(_decode(args[0], v, where) for v in value)
+        return origin(decode(args[0], v, where) for v in value)
     return origin(value)

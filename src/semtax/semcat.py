@@ -14,8 +14,8 @@ from .taxonomy import Taxonomy, fold_diacritics, normalize_label, sim_page
 from .textpipe import (
     BackgroundStats,
     PhraseIndex,
+    TermTable,
     extract_phrases,
-    preprocess,
     tfidf_weights,
     top_n_terms,
 )
@@ -170,12 +170,14 @@ def term_vector(
     stats: BackgroundStats,
     config: SemCatConfig,
     phrase_index: PhraseIndex | None = None,
+    term_table: TermTable | None = None,
 ) -> dict[str, float]:
-    tokens = preprocess(
-        text, config.stopwords, config.lemmas, stats, config.min_df, config.max_df_ratio
-    )
+    """The document's top-n tf-idf vector.  A caller that loops over
+    documents passes one phrase index of tax and one term table of
+    (config, stats) to every call."""
+    table = term_table if term_table is not None else TermTable.from_config(config, stats)
     index = phrase_index if phrase_index is not None else PhraseIndex.from_taxonomy(tax)
-    terms = extract_phrases(tokens, index)
+    terms = extract_phrases(table.terms(text), index)
     v = tfidf_weights(terms, stats)
     return top_n_terms(v, config.top_terms)
 
@@ -186,11 +188,12 @@ def categorize(
     stats: BackgroundStats,
     config: SemCatConfig | None = None,
     phrase_index: PhraseIndex | None = None,
+    term_table: TermTable | None = None,
 ) -> dict[str, float]:
     """Full pipeline: preprocess -> phrases -> tfidf -> top-n -> concepts
     -> disambiguate -> categories.  Deterministic for a fixed config."""
     config = config or SemCatConfig()
-    v = term_vector(text, tax, stats, config, phrase_index)
+    v = term_vector(text, tax, stats, config, phrase_index, term_table)
     return categorize_vector(v, tax, config)
 
 

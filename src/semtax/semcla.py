@@ -15,7 +15,7 @@ from scipy.stats import rankdata
 from .errors import CalibrationError, ConfigError, EmptyVectorError, TrainingError
 from .semcat import SemCatConfig, categorize
 from .taxonomy import Taxonomy
-from .textpipe import BackgroundStats, PhraseIndex
+from .textpipe import BackgroundStats, PhraseIndex, TermTable
 
 log = logging.getLogger(__name__)
 
@@ -107,10 +107,11 @@ def semcla_train(
     with semcla_fit."""
     config = config or SemClaConfig()
     index = phrase_index if phrase_index is not None else PhraseIndex.from_taxonomy(tax)
+    table = TermTable.from_config(config.semcat, stats)
     pairs = []
     for label, text in docs:
         try:
-            cats = categorize(text, tax, stats, config.semcat, index)
+            cats = categorize(text, tax, stats, config.semcat, index, table)
         except EmptyVectorError:
             cats = None
         pairs.append((label, cats))
@@ -206,13 +207,14 @@ def calibrate_alpha(
         raise CalibrationError("empty alpha grid")
     config = semcat_config or SemCatConfig()
     index = phrase_index if phrase_index is not None else PhraseIndex.from_taxonomy(tax)
+    table = TermTable.from_config(config, stats)
     base = []
     for label in sorted(groups):
         docs = groups[label]
         if len(docs) < 2:
             raise CalibrationError("group %s has fewer than two documents" % label)
         for text in docs:
-            base.append((label, categorize(text, tax, stats, config, index)))
+            base.append((label, categorize(text, tax, stats, config, index, table)))
     # rank_separation rounds its similarities, so equal separations are
     # bit-identical and max, which keeps the first maximum, picks the smaller alpha
     return max(sorted(grid), key=lambda alpha: rank_separation(base, tax, alpha))

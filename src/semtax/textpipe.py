@@ -10,9 +10,13 @@ import math
 import re
 from collections import Counter
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from .errors import DataError, EmptyVectorError
 from .taxonomy import Taxonomy
+
+if TYPE_CHECKING:
+    from .semcat import SemCatConfig
 
 # Unicode letter runs only: language-neutral tokenization.
 _TOKEN_RE = re.compile(r"[^\W\d_]+", re.UNICODE)
@@ -41,7 +45,61 @@ def build_background(token_docs) -> BackgroundStats:
 
 
 def tokenize(text: str) -> list[str]:
-    return [m.group(0).lower() for m in _TOKEN_RE.finditer(text)]
+    return [s.lower() for s in _TOKEN_RE.findall(text)]
+
+
+class TermTable:
+    """Each surface token's term, or None when the token is dropped,
+    decided once per surface on first sight: lowercase, drop stopwords,
+    apply the lemma map, then drop terms outside the document-frequency
+    cutoffs.  Build one table per batch of documents that share these
+    settings.
+
+    Cutoffs apply only to terms the background corpus has seen; unseen
+    terms are kept (they may still match concept labels).
+    """
+
+    def __init__(
+        self,
+        stopwords: frozenset[str] | set[str] = frozenset(),
+        lemmas: dict[str, str] | None = None,
+        stats: BackgroundStats | None = None,
+        min_df: int = 2,
+        max_df_ratio: float = 0.5,
+    ):
+        self.stopwords = stopwords
+        self.lemmas = lemmas or {}
+        self.stats = stats
+        self.min_df = min_df
+        self.max_df_ratio = max_df_ratio
+        self._terms: dict[str, str | None] = {}
+
+    @classmethod
+    def from_config(
+        cls, config: "SemCatConfig", stats: BackgroundStats | None = None
+    ) -> "TermTable":
+        """The table of config's preprocessing; without stats, no cutoffs."""
+        return cls(config.stopwords, config.lemmas, stats, config.min_df, config.max_df_ratio)
+
+    def _decide(self, surface: str) -> str | None:
+        tok = surface.lower()
+        if tok in self.stopwords:
+            return None
+        tok = self.lemmas.get(tok, tok)
+        stats = self.stats
+        if stats is not None and tok in stats.doc_freq:
+            df = stats.doc_freq[tok]
+            if df < self.min_df or df / stats.doc_count > self.max_df_ratio:
+                return None
+        return tok
+
+    def terms(self, text: str) -> list[str]:
+        """The kept terms of text's letter-run tokens, in text order."""
+        surfaces = _TOKEN_RE.findall(text)
+        table = self._terms
+        for s in set(surfaces).difference(table):
+            table[s] = self._decide(s)
+        return [t for t in map(table.__getitem__, surfaces) if t is not None]
 
 
 def preprocess(
@@ -52,37 +110,23 @@ def preprocess(
     min_df: int = 2,
     max_df_ratio: float = 0.5,
 ) -> list[str]:
-    """Lowercase, tokenize on letter boundaries, drop stopwords, apply the
-    lemma map, then drop tokens outside the document-frequency cutoffs.
-
-    Cutoffs apply only to tokens the background corpus has seen; unseen
-    tokens are kept (they may still match concept labels).
-    """
-    lemmas = lemmas or {}
-    out = []
-    for tok in tokenize(text):
-        if tok in stopwords:
-            continue
-        tok = lemmas.get(tok, tok)
-        if stats is not None and tok in stats.doc_freq:
-            df = stats.doc_freq[tok]
-            if df < min_df or df / stats.doc_count > max_df_ratio:
-                continue
-        out.append(tok)
-    return out
+    """The terms of one text (see TermTable)."""
+    return TermTable(stopwords, lemmas, stats, min_df, max_df_ratio).terms(text)
 
 
 class PhraseIndex:
-    """Multi-word concept labels, indexed for greedy longest-match."""
+    """Multi-word concept labels, indexed for greedy longest-match:
+    `longest` maps each first token to the length of the longest label
+    it starts."""
 
     def __init__(self, phrases):
         self.phrases: set[tuple[str, ...]] = set()
-        self.max_len = 1
+        self.longest: dict[str, int] = {}
         for p in phrases:
             toks = tuple(tokenize(p))
             if len(toks) >= 2:
                 self.phrases.add(toks)
-                self.max_len = max(self.max_len, len(toks))
+                self.longest[toks[0]] = max(self.longest.get(toks[0], 0), len(toks))
 
     @classmethod
     def from_taxonomy(cls, tax: Taxonomy) -> "PhraseIndex":
@@ -92,22 +136,19 @@ class PhraseIndex:
 def extract_phrases(tokens: list[str], index: PhraseIndex) -> list[str]:
     """Greedy leftmost-longest match of multi-word labels; matched spans
     become single space-joined phrase terms, everything else passes
-    through."""
+    through.  Spans are tried only where a label starts."""
+    longest = index.longest
+    if not longest:
+        return list(tokens)
     out = []
     i = 0
     n = len(tokens)
     while i < n:
-        matched = False
-        for span in range(min(index.max_len, n - i), 1, -1):
-            cand = tuple(tokens[i : i + span])
-            if cand in index.phrases:
-                out.append(" ".join(cand))
-                i += span
-                matched = True
-                break
-        if not matched:
-            out.append(tokens[i])
-            i += 1
+        span = min(longest.get(tokens[i], 1), n - i)
+        while span > 1 and tuple(tokens[i : i + span]) not in index.phrases:
+            span -= 1
+        out.append(" ".join(tokens[i : i + span]) if span > 1 else tokens[i])
+        i += span
     return out
 
 
@@ -170,7 +211,8 @@ def load_lemmas(path) -> dict[str, str]:
 
 
 def load_background(path) -> BackgroundStats:
-    """Read `term<TAB>df` lines preceded by a `#docs=<n>` header."""
+    """Read `term<TAB>df` lines preceded by a `#docs=<n>` header; every
+    count is at least 1."""
     doc_count = None
     df = {}
     with open(path, encoding="utf-8") as fh:
@@ -180,14 +222,17 @@ def load_background(path) -> BackgroundStats:
                 continue
             try:
                 if line.startswith("#docs="):
-                    doc_count = int(line[len("#docs=") :])
-                    continue
-                term, n = line.split("\t")
-                df[term] = int(n)
+                    doc_count = n = int(line[len("#docs=") :])
+                else:
+                    term, n = line.split("\t")
+                    df[term] = n = int(n)
             except ValueError:
                 raise DataError(
                     "%s line %d: expected #docs=<n> or term<TAB>df, got %r" % (path, lineno, line)
                 ) from None
+            if n < 1:
+                raise DataError(
+                    "%s line %d: counts must be at least 1, got %r" % (path, lineno, line))
     if doc_count is None:
         raise DataError("background stats file %s is missing the #docs= header" % path)
     return BackgroundStats(doc_count=doc_count, doc_freq=df)

@@ -3,9 +3,11 @@
 These work from the raw parent map and concept->category links only and
 recompute everything by naive enumeration.  The SemCla oracles score
 against every training vector and compare every pair by its own cosine.
+The text oracles decide every token afresh and try every phrase span.
 """
 
 import math
+import re
 
 import numpy as np
 from scipy.stats import rankdata
@@ -118,3 +120,50 @@ def brute_rank_separation(parents, base_vectors, alpha):
     same_ranks = [r for r, s in zip(ranks, same) if s]
     diff_ranks = [r for r, s in zip(ranks, same) if not s]
     return float(np.mean(diff_ranks) - np.mean(same_ranks))
+
+
+def brute_tokenize(text):
+    """Letter runs of text, each lowercased on its own."""
+    return [m.group(0).lower() for m in re.finditer(r"[^\W\d_]+", text)]
+
+
+def brute_preprocess(text, stopwords=frozenset(), lemmas=None, stats=None,
+                     min_df=2, max_df_ratio=0.5):
+    """Token by token: drop stopwords, apply the lemma map, then drop
+    terms the background has seen outside the df cutoffs."""
+    lemmas = lemmas or {}
+    out = []
+    for tok in brute_tokenize(text):
+        if tok in stopwords:
+            continue
+        tok = lemmas.get(tok, tok)
+        if stats is not None and tok in stats.doc_freq:
+            df = stats.doc_freq[tok]
+            if df < min_df or df / stats.doc_count > max_df_ratio:
+                continue
+        out.append(tok)
+    return out
+
+
+def brute_extract_phrases(tokens, labels):
+    """Greedy leftmost-longest match of the multi-word labels: at every
+    position try each span from the longest label's length down to 2."""
+    phrases = {tuple(brute_tokenize(lab)) for lab in labels}
+    phrases = {p for p in phrases if len(p) >= 2}
+    max_len = max((len(p) for p in phrases), default=1)
+    out = []
+    i = 0
+    n = len(tokens)
+    while i < n:
+        matched = False
+        for span in range(min(max_len, n - i), 1, -1):
+            cand = tuple(tokens[i : i + span])
+            if cand in phrases:
+                out.append(" ".join(cand))
+                i += span
+                matched = True
+                break
+        if not matched:
+            out.append(tokens[i])
+            i += 1
+    return out

@@ -296,6 +296,21 @@ def test_train_semcla_and_classify(workdir, capsys):
     assert lines[0].split("\t")[1].split(" ")[0].startswith("x:")
 
 
+def test_train_semcla_echoes_the_features_it_used(workdir, capsys):
+    model = workdir / "semcla.json"
+    rc = main([
+        "train", "--model", "semcla", "--features", "terms",
+        "--taxonomy", str(workdir / "tax.tsv"),
+        "--corpus", str(workdir / "corpus.jsonl"),
+        "--out", str(model),
+    ])
+    assert rc == 0
+    err = capsys.readouterr().err.splitlines()
+    (echo,) = [line for line in err if line.startswith("# config ")]
+    used = json.loads(echo[len("# config "):])["features"]
+    assert used == json.loads(model.read_text())["pipeline"]["features"] == "categories"
+
+
 # Model files in the older format, which keeps every extended training
 # vector per class and the mode: written by `semtax train --model semcla
 # --mode <mode>` on the workdir fixture's taxonomy and corpus by the
@@ -404,10 +419,13 @@ def test_categorize_without_background_counts_df_as_build_index_does(tmp_path, c
 @pytest.mark.parametrize("flag, name, body, where", [
     ("--background", "bg.tsv", "#docs=4\nalpha\n", "bg.tsv line 2"),
     ("--background", "bg.tsv", "#docs=4\nalpha\tmany\n", "bg.tsv line 2"),
+    ("--background", "bg.tsv", "#docs=0\nalpha\t1\n", "bg.tsv line 1"),
+    ("--background", "bg.tsv", "#docs=4\nalpha\t0\n", "bg.tsv line 2"),
     ("--lemmas", "lemmas.tsv", "cars\tcar\n\nboats\n", "lemmas.tsv line 3"),
     ("--corpus", "bad.jsonl", '{"id": "d1", "text": "alpha"}\n5\n', "bad.jsonl line 2"),
     ("--corpus", "bad.jsonl", '{"id": "d1", "text": 5}\n', "bad.jsonl line 1"),
-], ids=["background-no-tab", "background-df-not-int", "lemmas-no-tab",
+], ids=["background-no-tab", "background-df-not-int", "background-no-docs",
+        "background-df-zero", "lemmas-no-tab",
         "corpus-not-object", "corpus-text-not-string"])
 def test_bad_input_file_exits_2(workdir, capsys, flag, name, body, where):
     (workdir / name).write_text(body, encoding="utf-8")
@@ -492,9 +510,11 @@ def test_config_echo_on_stderr(workdir, capsys):
     (lambda cfg: [cfg], "is not a JSON object"),
     (lambda cfg: dict(cfg, methods=[{"name": "nb"}]), "each with a name, a kind"),
     (lambda cfg: dict(cfg, semcat={"top_term": 5}), '{"top_term": 5}'),
+    (lambda cfg: dict(cfg, semcat={"top_terms": "x"}), "'semcat.top_terms' of type str, not int"),
     (lambda cfg: {k: v for k, v in cfg.items() if k != "label_categories"}, "label_categories"),
     (lambda cfg: dict(cfg, label_categories={}), "label_categories"),
 ], ids=["not-json", "not-object", "method-without-kind", "unknown-semcat-key",
+        "semcat-value-type",
         "no-label-categories", "empty-label-categories"])
 def test_evaluate_bad_config_exits_1(workdir, capsys, edit, message):
     cfg = {

@@ -3,10 +3,12 @@ import math
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from oracles import brute_extract_phrases, brute_preprocess, brute_tokenize
 from semtax.errors import EmptyVectorError
 from semtax.textpipe import (
     BackgroundStats,
     PhraseIndex,
+    TermTable,
     build_background,
     extract_phrases,
     l1_normalize,
@@ -62,6 +64,64 @@ class TestExtractPhrases:
     def test_triple_beats_pair(self):
         index = PhraseIndex(["a b", "a b c"])
         assert extract_phrases(["a", "b", "c"], index) == ["a b c"]
+
+
+# surfaces whose lowercase forms differ in interesting ways: "İ" lowers
+# to "i" and a combining dot, so lowering a whole text before splitting it
+# into letter runs cuts "İstanbul" in two
+WORDS = ["alpha", "Beta", "GAMMA", "İstanbul", "i", "stanbul", "Straße", "ǅemal",
+         "ΣΊΣΥΦΟΣ", "naïve", "the", "thee", "cats", "cat", "a", "b", "c", "d"]
+SEPARATORS = [" ", "\u00a0", ", ", "-", "42", "_", "\n", "\u0307"]
+VOCAB = sorted({t for w in WORDS for t in brute_tokenize(w)})
+
+
+class TestTermTableMatchesOracle:
+    """TermTable.terms then extract_phrases equal the token-by-token
+    oracle, with one table shared by several texts."""
+
+    vocab = st.sampled_from(VOCAB)
+    texts = st.lists(
+        st.text(max_size=30)
+        | st.lists(st.sampled_from(WORDS + SEPARATORS), max_size=30).map("".join)
+        | st.lists(st.sampled_from("abcd"), min_size=2, max_size=20).map(" ".join),
+        min_size=1, max_size=4,
+    )
+    stats = st.none() | st.builds(
+        BackgroundStats, st.integers(1, 20), st.dictionaries(vocab, st.integers(1, 6), max_size=12)
+    )
+    # few words, so that labels share first tokens and prefix one another
+    labels = st.lists(st.lists(st.sampled_from("abcd"), min_size=1, max_size=3).map(" ".join),
+                      min_size=1, max_size=6)
+
+    @settings(derandomize=True, max_examples=300)
+    @given(
+        texts=texts,
+        stopwords=st.frozensets(vocab, max_size=4),
+        lemmas=st.dictionaries(vocab, vocab, max_size=5),
+        stats=stats,
+        min_df=st.integers(0, 4),
+        max_df_ratio=st.sampled_from([0.1, 0.5, 1.0]),
+        labels=labels,
+    )
+    @example(texts=["İstanbul is big"], stopwords=frozenset(), lemmas={}, stats=None,
+             min_df=2, max_df_ratio=0.5, labels=[])
+    @example(texts=["The cats, thee cat"], stopwords=frozenset({"the", "cat"}),
+             lemmas={"thee": "the", "cats": "cat"}, stats=None, min_df=2, max_df_ratio=0.5,
+             labels=[])
+    @example(texts=["alpha beta gamma naïve cats"], stopwords=frozenset(),
+             lemmas={"naïve": "beta", "cats": "cat"},
+             stats=BackgroundStats(10, {"alpha": 2, "beta": 6, "gamma": 5, "cat": 1}), min_df=2,
+             max_df_ratio=0.5, labels=[])
+    @example(texts=["a b c d a c b c d a b", "a b a"], stopwords=frozenset(), lemmas={},
+             stats=None, min_df=2, max_df_ratio=0.5, labels=["a b", "a b c", "a c", "b c d", "a"])
+    def test_matches_oracle(self, texts, stopwords, lemmas, stats, min_df, max_df_ratio, labels):
+        table = TermTable(stopwords, lemmas, stats, min_df, max_df_ratio)
+        index = PhraseIndex(labels)
+        for text in texts:
+            expected = brute_preprocess(text, stopwords, lemmas, stats, min_df, max_df_ratio)
+            assert table.terms(text) == expected
+            for tokens in (brute_tokenize(text), expected):
+                assert extract_phrases(tokens, index) == brute_extract_phrases(tokens, labels)
 
 
 class TestTfidf:
