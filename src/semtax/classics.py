@@ -1,22 +1,104 @@
 """Baseline supervised classifiers: multinomial Naive Bayes, Balanced
-Winnow (one-vs-rest) and Labeled LDA, all exposing ranked-label
-prediction.
+Winnow (one-vs-rest) and Labeled LDA.  Each trained model ranks labels
+through one linear form, score = bias + W·x, so that a committee of them
+scores every member with one matrix product.
 """
 
 from __future__ import annotations
 
-import math
 import random
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
 
 from .errors import ConfigError, TrainingError
 
 Bag = dict  # feature -> count/weight
 
 
-def _ranked(scores: dict[str, float]) -> list[tuple[str, float]]:
-    return sorted(scores.items(), key=lambda ls: (-ls[1], ls[0]))
+def rank_order(scores: np.ndarray) -> np.ndarray:
+    """The ranking rule of every scorer: the indices of each row of
+    scores by score rounded to 9 decimals, descending, so that scores
+    equal in exact arithmetic tie; ties keep index order, which is label
+    order."""
+    # rint(-1e9 s) orders as -round(s, 9) does, in two array operations
+    return np.argsort(np.rint(scores * -1e9), axis=-1, kind="stable")
+
+
+class LinearScorer:
+    """Labels scored as bias + W·x over the columns of a feature bag x.
+    Features outside the columns and non-positive values contribute
+    nothing.  The rows form one group per model, each sorted by label:
+    one group for a single model, one per member for a stacked
+    committee.  Bags are scored together, one matrix product per
+    BATCH of them."""
+
+    BATCH = 256
+
+    def __init__(self, labels, features, bias, weights, starts=(0,)):
+        self.labels = tuple(labels)
+        self.columns = {f: j for j, f in enumerate(features)}
+        self.bias = np.asarray(bias, dtype=float)
+        # feature-major, so that a bag's columns are rows
+        self.weights_t = np.asarray(weights, dtype=float).reshape(
+            len(self.labels), len(self.columns)).T.copy()
+        self.groups = list(zip(starts, tuple(starts[1:]) + (len(self.labels),)))
+
+    @classmethod
+    def stack(cls, scorers: list["LinearScorer"]) -> "LinearScorer":
+        """One scorer whose groups are the given scorers' rows, in order,
+        over the union of their columns."""
+        features = sorted({f for s in scorers for f in s.columns})
+        index = {f: j for j, f in enumerate(features)}
+        weights_t = np.zeros((len(features), sum(len(s.labels) for s in scorers)))
+        starts, row = [], 0
+        for s in scorers:
+            starts.append(row)
+            weights_t[[index[f] for f in s.columns], row:row + len(s.labels)] = s.weights_t
+            row += len(s.labels)
+        return cls([lab for s in scorers for lab in s.labels], features,
+                   np.concatenate([s.bias for s in scorers]), weights_t.T, starts)
+
+    def scores(self, bags: list[Bag]) -> np.ndarray:
+        """bias + W·x for each bag x: one row per bag."""
+        rows, cols, vals = [], [], []
+        for i, bag in enumerate(bags):
+            for f, v in bag.items():
+                j = self.columns.get(f)
+                if j is not None and v > 0:
+                    rows.append(i)
+                    cols.append(j)
+                    vals.append(v)
+        # only the columns some bag uses
+        used, at = np.unique(np.array(cols, dtype=np.intp), return_inverse=True)
+        x = np.zeros((len(bags), len(used)))
+        x[rows, at] = vals
+        return x @ self.weights_t[used] + self.bias
+
+    def rankings(self, bags: list[Bag], depth: int | None = None) -> list:
+        """For each bag, each group's (label, score) ranking of it, cut
+        to `depth` labels; scores are not rounded."""
+        labels = self.labels
+        out = []
+        for first in range(0, len(bags), self.BATCH):
+            scores = self.scores(bags[first:first + self.BATCH])
+            # each group's ranked rows side by side, and the column where each group ends
+            picked = [rank_order(scores[:, a:b])[:, :depth] + a for a, b in self.groups]
+            cuts = np.cumsum([0] + [p.shape[1] for p in picked]).tolist()
+            rows = np.concatenate(picked, axis=1)
+            kept = np.take_along_axis(scores, rows, axis=1).tolist()
+            out.extend(
+                [[(labels[i], s) for i, s in zip(r[a:b], k[a:b])] for a, b in zip(cuts, cuts[1:])]
+                for r, k in zip(rows.tolist(), kept)
+            )
+        return out
+
+    def ranking(self, bag: Bag) -> list[tuple[str, float]]:
+        """The bag's ranking by a single model."""
+        ((ranking,),) = self.rankings([bag])
+        return ranking
 
 
 # -- Naive Bayes ---------------------------------------------------------
@@ -28,6 +110,16 @@ class NBModel:
     likelihoods: dict[str, dict[str, float]]  # label -> word -> P(w|c)
     floors: dict[str, float]  # label -> smoothed probability of unseen vocab word
     vocabulary: frozenset[str]
+
+    @cached_property
+    def linear(self) -> LinearScorer:
+        """bias log P(c), weights log P(w|c) over the vocabulary."""
+        labels = sorted(self.priors)
+        features = sorted(self.vocabulary)
+        weights = [[self.likelihoods[c].get(w, self.floors[c]) for w in features]
+                   for c in labels]
+        return LinearScorer(labels, features, np.log([self.priors[c] for c in labels]),
+                            np.log(weights))
 
 
 def nb_train(labeled_bags) -> NBModel:
@@ -65,16 +157,8 @@ def nb_train(labeled_bags) -> NBModel:
 def nb_predict(model: NBModel, bag: Bag) -> list[tuple[str, float]]:
     """score(c) = log P(c) + sum_w n_wd * log P(w|c); out-of-vocabulary
     words are ignored, in-vocabulary words unseen in a class use the
-    smoothing floor."""
-    scores = {}
-    for c, prior in model.priors.items():
-        s = math.log(prior)
-        lk = model.likelihoods[c]
-        for w, n in bag.items():
-            if w in model.vocabulary:
-                s += n * math.log(lk.get(w, model.floors[c]))
-        scores[c] = s
-    return _ranked(scores)
+    smoothing floor.  Ranked by rank_order."""
+    return model.linear.ranking(bag)
 
 
 # -- Balanced Winnow -----------------------------------------------------
@@ -88,6 +172,16 @@ class WinnowModel:
     # label -> feature -> (w+, w-)
     weights: dict[str, dict[str, tuple[float, float]]]
     features: frozenset[str]
+
+    @cached_property
+    def linear(self) -> LinearScorer:
+        """bias -theta, weights w+ - w-."""
+        labels = sorted(self.weights)
+        features = sorted(self.features)
+        weights = [[wp - wn for wp, wn in (self.weights[lab].get(f, (0.0, 0.0))
+                                           for f in features)]
+                   for lab in labels]
+        return LinearScorer(labels, features, [-self.theta] * len(labels), weights)
 
 
 def _winnow_margin(w: dict[str, tuple[float, float]], x: Bag, theta: float) -> float:
@@ -142,12 +236,9 @@ def winnow_train(
 
 
 def winnow_predict(model: WinnowModel, x: Bag) -> list[tuple[str, float]]:
-    """Labels ranked by margin sum (w+ - w-) x_i - theta; ties by label
-    order.  Features unseen at training time are ignored."""
-    scores = {
-        lab: _winnow_margin(w, x, model.theta) for lab, w in model.weights.items()
-    }
-    return _ranked(scores)
+    """Labels ranked (rank_order) by margin sum (w+ - w-) x_i - theta.
+    Features unseen at training time are ignored."""
+    return model.linear.ranking(x)
 
 
 # -- Labeled LDA ---------------------------------------------------------
@@ -163,6 +254,15 @@ class LLDAModel:
     seed: int
     vocabulary: frozenset[str]
 
+    @cached_property
+    def linear(self) -> LinearScorer:
+        """bias 0, weights log phi."""
+        labels = sorted(self.topics)
+        features = sorted(self.vocabulary)
+        weights = [[self.phi[t][w] for w in features] for t in labels]
+        return LinearScorer(labels, features, np.zeros(len(labels)),
+                            np.log(weights))
+
 
 def llda_train(
     labeled_docs,
@@ -174,7 +274,9 @@ def llda_train(
     """Collapsed Gibbs sampling with each token's topic restricted to the
     document's labels.  labeled_docs: iterable of (labels, tokens) where
     labels is a list (single- or multi-label) and tokens a word sequence.
-    Deterministic for a fixed seed."""
+    A single-label document has no sampling freedom: its tokens are
+    counted for its label without a draw.  Deterministic for a fixed
+    seed."""
     docs = [(sorted(set(labels)), list(tokens)) for labels, tokens in labeled_docs]
     if not docs:
         raise TrainingError("empty training set")
@@ -190,26 +292,22 @@ def llda_train(
 
     n_zw: dict[str, Counter] = {t: Counter() for t in topics}
     n_z: Counter = Counter()
-    n_dz: list[Counter] = []
-    assignments: list[list[str]] = []
+    # (labels, tokens, topic counts, topic per token) of each multi-label
+    # document; a single-label document's tokens all take its label
+    sampled = []
     for labels, tokens in docs:
-        dz: Counter = Counter()
-        zs = []
-        for w in tokens:
-            z = rng.choice(labels)
-            zs.append(z)
+        if len(labels) == 1:
+            n_zw[labels[0]].update(tokens)
+            n_z[labels[0]] += len(tokens)
+            continue
+        zs = [rng.choice(labels) for _ in tokens]
+        for w, z in zip(tokens, zs):
             n_zw[z][w] += 1
-            n_z[z] += 1
-            dz[z] += 1
-        n_dz.append(dz)
-        assignments.append(zs)
+        n_z.update(zs)
+        sampled.append((labels, tokens, Counter(zs), zs))
 
     for _ in range(iterations):
-        for d, (labels, tokens) in enumerate(docs):
-            if len(labels) == 1:
-                continue  # no sampling freedom
-            dz = n_dz[d]
-            zs = assignments[d]
+        for labels, tokens, dz, zs in sampled:
             for i, w in enumerate(tokens):
                 z = zs[i]
                 n_zw[z][w] -= 1
@@ -251,13 +349,5 @@ def llda_train(
 
 def llda_predict(model: LLDAModel, bag: Bag) -> list[tuple[str, float]]:
     """score(label) = sum_w n_wd * log phi(w|label); out-of-vocabulary
-    words are ignored.  Ties by label order."""
-    scores = {}
-    for t in model.topics:
-        phi_t = model.phi[t]
-        s = 0.0
-        for w, n in bag.items():
-            if w in model.vocabulary:
-                s += n * math.log(phi_t[w])
-        scores[t] = s
-    return _ranked(scores)
+    words are ignored.  Ranked by rank_order."""
+    return model.linear.ranking(bag)

@@ -8,6 +8,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
+from .classics import LinearScorer
 from .errors import DataError, TrainingError
 from .taxonomy import Taxonomy, sim_lin
 
@@ -102,29 +103,36 @@ def aggregate(votes: list[Vote], mode: str = "single_vote", seed: int = 0) -> st
 
 @dataclass
 class BaggingEnsemble:
-    """Trained members; each member is a predict function that maps a
-    document to a ranked (label, score) list."""
+    """Trained members, each a LinearScorer.  Their rows are stacked into
+    one scorer, so a document is scored for every member with one matrix
+    product and every member's ranking read off one score vector."""
 
     members: list
     master_seed: int
     member_seeds: list
 
-    def member_rankings(self, doc) -> list[list[tuple[str, float]]]:
-        return [predict(doc) for predict in self.members]
+    def __post_init__(self):
+        self._stacked = LinearScorer.stack(self.members)
 
-    def predict(self, doc, mode: str = "single_vote", rank_depth: int = 3) -> str:
-        """single_vote and weighted: each member casts one weight-1 vote
-        for its top label, so weighted counts top labels exactly as
-        single_vote does until member weights are defined; rank: Borda
-        over each member's top `rank_depth` labels.  Ties are broken with
-        the master seed."""
+    def member_rankings(self, bags, depth: int | None = None) -> list:
+        """For each bag, each member's ranking of it, cut to `depth`
+        labels."""
+        return self._stacked.rankings(bags, depth)
+
+    def predict(self, bags, mode: str = "single_vote", rank_depth: int = 3) -> list[str]:
+        """The committee's label for each bag.  single_vote and weighted:
+        each member casts one weight-1 vote for its top label, so weighted
+        counts top labels exactly as single_vote does until member weights
+        are defined; rank: Borda over each member's top `rank_depth`
+        labels.  Ties are broken with the master seed."""
         depth = rank_depth if mode == "rank" else 1
-        votes = [
-            Vote(lab, 1.0, i)
-            for ranking in self.member_rankings(doc)
-            for i, (lab, _) in enumerate(ranking[:depth], 1)
+        return [
+            aggregate([Vote(lab, 1.0, i)
+                       for ranking in rankings
+                       for i, (lab, _) in enumerate(ranking, 1)],
+                      mode, seed=self.master_seed)
+            for rankings in self.member_rankings(bags, depth)
         ]
-        return aggregate(votes, mode, seed=self.master_seed)
 
 
 def build_bagging_ensemble(
@@ -134,7 +142,7 @@ def build_bagging_ensemble(
 ) -> BaggingEnsemble:
     """Train one member per trainer, each on an independently drawn
     sample.  `sampler` maps a member seed to training material; a trainer
-    maps (sample, seed) to a predict function.  Member i's seed is
+    maps (sample, seed) to a LinearScorer.  Member i's seed is
     derive_seed(master_seed, i)."""
     if not trainers:
         raise DataError("ensemble needs at least one member")

@@ -4,7 +4,6 @@ and the seeded experiment runner.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 from dataclasses import dataclass, field, asdict
@@ -12,28 +11,34 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 from scipy import stats as sps
 
-from .classics import (
-    llda_predict,
-    llda_train,
-    nb_predict,
-    nb_train,
-    winnow_predict,
-    winnow_train,
-)
+from .classics import llda_train, nb_train, winnow_train
 from .corpus import Document
 from .ensemble import (
+    AGGREGATION_MODES,
     build_bagging_ensemble,
     draw_training_sample,
     project_category_to_label,
     semcom_predict,
 )
 from .errors import ConfigError, DataError, DegenerateInputError, EmptyVectorError
-from .semcat import SemCatConfig, assign_concepts, categorize_vector, ranked_categories, term_vector
+from .semcat import (
+    SemCatConfig,
+    assign_concepts,
+    categorize_vector,
+    check_config,
+    ranked_categories,
+    term_vector,
+)
 from .semcla import SemClaConfig, extend_vector, semcla_fit, semcla_score
 from .taxonomy import Taxonomy, sim_lin
 from .textpipe import BackgroundStats, PhraseIndex, TermTable
 
 FEATURE_MODES = ("terms", "categories", "concepts")
+CLASSICAL_KINDS = ("bayes", "winnow", "llda")
+METHOD_KINDS = CLASSICAL_KINDS + ("semcat", "semcla", "ensemble", "semcom")
+# the params a committee passes on to its members' learners
+LEARNER_PARAMS = ("theta", "alpha", "beta", "epochs", "a_word", "iterations")
+SAMPLE_LEVELS = {1: "1", "1": "1", 2: "2", "2": "2", "inf": "inf", float("inf"): "inf"}
 # the SemCatConfig fields an experiment config may set, echoed in its report
 SEMCAT_KEYS = ("top_terms", "disambig", "measure", "exact_match", "min_df", "max_df_ratio")
 
@@ -206,9 +211,76 @@ class ExperimentReport:
         return "\n".join(lines)
 
 
+def _shown(value) -> str:
+    return json.dumps(value, default=str)
+
+
+def committee_key(spec: MethodSpec) -> tuple:
+    """What a committee's members are trained from, besides the
+    experiment's master seed: (members as (kind, count) pairs, sample
+    level, sample size, features, learner params).  ConfigError when a
+    committee param has a bad value."""
+    params = spec.params
+    members = params.get("members", [("bayes", 25), ("winnow", 25)])
+    if not isinstance(members, (list, tuple)) or not members or not all(
+        isinstance(m, (list, tuple)) and len(m) == 2 and m[0] in CLASSICAL_KINDS
+        and isinstance(m[1], int) and not isinstance(m[1], bool) and m[1] >= 1
+        for m in members
+    ):
+        raise ConfigError("method %s: members must be a non-empty list of [kind, count] "
+                          "pairs, kind one of %s and count at least 1, got %s"
+                          % (spec.name, ", ".join(CLASSICAL_KINDS), _shown(members)))
+    level = params.get("level", "2")
+    if isinstance(level, bool) or not isinstance(level, (int, float, str)) or (
+        level not in SAMPLE_LEVELS
+    ):
+        raise ConfigError("method %s: level must be 1, 2 or \"inf\", got %s"
+                          % (spec.name, _shown(level)))
+    size = params.get("sample_size", 200)
+    if isinstance(size, bool) or not isinstance(size, int) or size < 1:
+        raise ConfigError("method %s: sample_size must be an integer of at least 1, got %s"
+                          % (spec.name, _shown(size)))
+    aggregation = params.get("aggregation", "single_vote")
+    if aggregation not in AGGREGATION_MODES:
+        raise ConfigError("method %s: aggregation must be one of %s, got %s"
+                          % (spec.name, ", ".join(AGGREGATION_MODES), _shown(aggregation)))
+    weights = params.get("semcat_weights", (14.0, 10.0, 6.0))
+    if not isinstance(weights, (list, tuple)) or not weights or not all(
+        isinstance(w, (int, float)) and not isinstance(w, bool) for w in weights
+    ):
+        raise ConfigError("method %s: semcat_weights must be a non-empty list of numbers, got %s"
+                          % (spec.name, _shown(weights)))
+    return (
+        tuple((kind, count) for kind, count in members),
+        SAMPLE_LEVELS[level],
+        size,
+        spec.features,
+        tuple((k, _shown(params[k])) for k in LEARNER_PARAMS if k in params),
+    )
+
+
+def check_experiment(cfg: ExperimentConfig):
+    """ConfigError for a SemCat setting out of range, an unknown method
+    kind or feature mode, or a bad committee param, before any training."""
+    try:
+        check_config(cfg.semcat)
+    except DataError as exc:
+        raise ConfigError("experiment config %s" % exc) from None
+    for spec in cfg.methods:
+        if spec.kind not in METHOD_KINDS:
+            raise ConfigError("method %s: unknown kind %s" % (spec.name, _shown(spec.kind)))
+        if spec.features not in FEATURE_MODES:
+            raise ConfigError("method %s: unknown feature mode %s"
+                              % (spec.name, _shown(spec.features)))
+        if not isinstance(spec.params, dict):
+            raise ConfigError("method %s: params must be an object" % spec.name)
+        if spec.kind in ("ensemble", "semcom"):
+            committee_key(spec)
+
+
 class _Predictor:
-    """One configured method: trained state plus a doc -> label function
-    (None means unclassified)."""
+    """One configured method: its trained state, and the label it gives
+    each document (None means unclassified)."""
 
     def __init__(self, spec: MethodSpec, ctx: "_Context"):
         self.spec = spec
@@ -222,33 +294,28 @@ class _Predictor:
         if not bags:
             raise DataError("no usable training documents for %s" % self.spec.name)
         if kind == "bayes":
-            model = nb_train(bags)
-            return lambda bag: nb_predict(model, bag)
+            return nb_train(bags)
         if kind == "winnow":
-            model = winnow_train(
+            return winnow_train(
                 bags,
                 theta=params.get("theta", 1.0),
                 alpha=params.get("alpha", 1.1),
                 beta=params.get("beta", 0.9),
                 epochs=params.get("epochs", 50),
             )
-            return lambda bag: winnow_predict(model, bag)
-        if kind == "llda":
-            labeled = [([lab], bag_to_tokens(bag)) for lab, bag in bags]
-            model = llda_train(
-                labeled,
-                a_word=params.get("a_word", 0.01),
-                iterations=params.get("iterations", 200),
-                seed=seed,
-            )
-            return lambda bag: llda_predict(model, bag)
-        raise ConfigError("unknown classifier kind %r" % kind)
+        labeled = [([lab], bag_to_tokens(bag)) for lab, bag in bags]
+        return llda_train(
+            labeled,
+            a_word=params.get("a_word", 0.01),
+            iterations=params.get("iterations", 200),
+            seed=seed,
+        )
 
     def _build(self):
         cfg = self.ctx.cfg
         kind = self.spec.kind
-        if kind in ("bayes", "winnow", "llda"):
-            self._rank = self._train_classical(kind, cfg.train_docs, cfg.seed)
+        if kind in CLASSICAL_KINDS:
+            self._model = self._train_classical(kind, cfg.train_docs, cfg.seed)
         elif kind == "semcla":
             sc = SemClaConfig(
                 alpha=self.spec.params.get("alpha", cfg.alpha),
@@ -260,19 +327,12 @@ class _Predictor:
                 cfg.taxonomy,
                 sc,
             )
-        elif kind == "semcat":
-            pass  # unsupervised; nothing to train
         elif kind in ("ensemble", "semcom"):
-            self._build_ensemble()
-        else:
-            raise ConfigError("unknown method kind %r" % kind)
+            key = committee_key(self.spec)
+            self._ensemble = self.ctx.committee(key, lambda: self._train_committee(*key[:3]))
 
-    def _build_ensemble(self):
+    def _train_committee(self, members, level, size):
         cfg = self.ctx.cfg
-        params = self.spec.params
-        members = params.get("members", [("bayes", 25), ("winnow", 25)])
-        level = params.get("level", "2")
-        size = params.get("sample_size", 200)
         docs_by_id = {d.id: d for d in cfg.train_docs}
 
         def sampler(seed):
@@ -281,48 +341,58 @@ class _Predictor:
             )
             return [docs_by_id[i] for ids in sample.values() for i in ids]
 
-        trainers = [
-            functools.partial(self._train_classical, kind)
-            for kind, count in members
-            for _ in range(count)
-        ]
-        self._ensemble = build_bagging_ensemble(trainers, sampler, cfg.seed)
+        def trainer(kind):
+            return lambda docs, seed: self._train_classical(kind, docs, seed).linear
 
-    def predict(self, doc: Document):
+        trainers = [trainer(kind) for kind, count in members for _ in range(count)]
+        return build_bagging_ensemble(trainers, sampler, cfg.seed)
+
+    def predict_all(self, docs) -> list:
+        """Each document's label, None when it is unclassified.  Classical
+        learners and committees score all the documents' bags together."""
         kind = self.spec.kind
+        if kind in ("semcat", "semcla"):
+            return [self._predict_semantic(d) for d in docs]
+        bags = [self.ctx.bag(d, self.spec.features) for d in docs]
+        known = [(d, bag) for d, bag in zip(docs, bags) if bag is not None]
+        labels = iter(self._predict_bags(known))
+        return [None if bag is None else next(labels) for bag in bags]
+
+    def _predict_semantic(self, doc: Document):
         cfg = self.ctx.cfg
-        if kind == "semcat":
-            cats = self.ctx.categorized(doc)
-            if cats is None:
-                return None
+        cats = self.ctx.categorized(doc)
+        if cats is None:
+            return None
+        if self.spec.kind == "semcat":
             top = ranked_categories(cats)[0][0]
             return project_category_to_label(cfg.taxonomy, top, cfg.label_categories)
-        if kind == "semcla":
-            cats = self.ctx.categorized(doc)
-            if cats is None:
-                return None
-            ext = extend_vector(cats, cfg.taxonomy, self._semcla.alpha)
-            return semcla_score(ext, self._semcla)[0][0]
-        bag = self.ctx.bag(doc, self.spec.features)
-        if bag is None:
-            return None
-        if kind in ("bayes", "winnow", "llda"):
-            return self._rank(bag)[0][0]
+        ext = extend_vector(cats, cfg.taxonomy, self._semcla.alpha)
+        return semcla_score(ext, self._semcla)[0][0]
+
+    def _predict_bags(self, known: list) -> list:
+        """The labels of (document, bag) pairs."""
+        kind = self.spec.kind
+        cfg = self.ctx.cfg
+        bags = [bag for _, bag in known]
+        if kind in CLASSICAL_KINDS:
+            return [ranking[0][0] for (ranking,) in self._model.linear.rankings(bags, 1)]
         if kind == "ensemble":
-            return self._ensemble.predict(bag, self.spec.params.get("aggregation", "single_vote"))
+            return self._ensemble.predict(bags, self.spec.params.get("aggregation", "single_vote"))
         # semcom: weighted committee with SemCat injection
         weights = tuple(self.spec.params.get("semcat_weights", (14.0, 10.0, 6.0)))
-        cats = self.ctx.categorized(doc)
-        semcat_ranking = None if cats is None else ranked_categories(cats)
-        label_map = {}
-        if semcat_ranking is not None:
-            for category, _ in semcat_ranking[: len(weights)]:
-                lab = project_category_to_label(cfg.taxonomy, category, cfg.label_categories)
-                if lab is not None:
-                    label_map[category] = lab
-        return semcom_predict(
-            self._ensemble.member_rankings(bag), semcat_ranking, weights, label_map, cfg.seed
-        ).winner
+        labels = []
+        for (doc, _), member_tops in zip(known, self._ensemble.member_rankings(bags, 1)):
+            cats = self.ctx.categorized(doc)
+            semcat_ranking = None if cats is None else ranked_categories(cats)
+            label_map = {}
+            if semcat_ranking is not None:
+                for category, _ in semcat_ranking[: len(weights)]:
+                    lab = project_category_to_label(cfg.taxonomy, category, cfg.label_categories)
+                    if lab is not None:
+                        label_map[category] = lab
+            labels.append(semcom_predict(
+                member_tops, semcat_ranking, weights, label_map, cfg.seed).winner)
+        return labels
 
     def can_handle(self, doc: Document) -> bool:
         kind = self.spec.kind
@@ -336,8 +406,9 @@ class _Predictor:
 
 
 class _Context:
-    """Per-experiment document analysis: each document's term vector is
-    computed once, and every feature bag is derived from it."""
+    """Per-experiment document analysis and committees: each document's
+    term vector is computed once, and every feature bag is derived from
+    it; methods with equal committee keys share one trained committee."""
 
     def __init__(self, cfg: ExperimentConfig):
         self.cfg = cfg
@@ -345,6 +416,13 @@ class _Context:
         self.term_table = TermTable.from_config(cfg.semcat, cfg.background)
         self._vectors: dict = {}
         self._bags: dict = {}
+        self._committees: dict = {}
+
+    def committee(self, key: tuple, train):
+        """The committee trained for key, trained by train() on first use."""
+        if key not in self._committees:
+            self._committees[key] = train()
+        return self._committees[key]
 
     def _term_vector(self, doc: Document):
         if doc.id not in self._vectors:
@@ -379,6 +457,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Train every configured method, evaluate on the test set (optionally
     restricted to documents every method can classify) and emit a
     deterministic report."""
+    check_experiment(cfg)
     ctx = _Context(cfg)
     predictors = [_Predictor(spec, ctx) for spec in cfg.methods]
 
@@ -409,8 +488,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     for p in predictors:
         preds, truths, doc_buckets = [], [], []
         unclassified = unclassified_by_method[p.spec.name]
-        for d in eligible:
-            label = p.predict(d)
+        for d, label in zip(eligible, p.predict_all(eligible)):
             if label is None:
                 unclassified += 1
                 continue

@@ -11,7 +11,7 @@ from dataclasses import asdict, dataclass, fields, is_dataclass
 
 from .classics import LLDAModel, NBModel, WinnowModel
 from .errors import DataError
-from .semcat import SemCatConfig
+from .semcat import SemCatConfig, check_config
 from .semcla import SemClaModel, class_vector
 from .textpipe import BackgroundStats
 
@@ -65,7 +65,9 @@ def load_model(path) -> tuple[object, Pipeline]:
         if "pipeline" not in payload:
             default = "categories" if cls is SemClaModel else "terms"
             return model, Pipeline(default, None, SemCatConfig(), None)
-        return model, decode(Pipeline, payload["pipeline"], "pipeline")
+        pipeline = decode(Pipeline, payload["pipeline"], "pipeline")
+        check_config(pipeline.semcat, "pipeline.semcat")
+        return model, pipeline
     except DataError as exc:
         raise DataError("model file %s %s" % (path, exc)) from None
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import DataError, EmptyVectorError
-from .taxonomy import Taxonomy, fold_diacritics, normalize_label, sim_page
+from .taxonomy import CATEGORY_MEASURES, Taxonomy, fold_diacritics, normalize_label, sim_page
 from .textpipe import (
     BackgroundStats,
     PhraseIndex,
@@ -47,6 +47,21 @@ class SemCatConfig:
     max_df_ratio: float = 0.5
     stopwords: frozenset[str] = frozenset()
     lemmas: dict[str, str] = field(default_factory=dict)
+
+
+def check_config(config: SemCatConfig, where: str = "semcat") -> SemCatConfig:
+    """config, when top_terms, disambig and measure are in range;
+    otherwise a DataError naming the field as where.<field>.  A caller
+    reading an experiment config raises it as a ConfigError."""
+    for name, ok, allowed in (
+        ("top_terms", config.top_terms >= 1, "at least 1"),
+        ("disambig", config.disambig in DISAMBIG_METHODS, "one of " + ", ".join(DISAMBIG_METHODS)),
+        ("measure", config.measure in CATEGORY_MEASURES, "one of " + ", ".join(CATEGORY_MEASURES)),
+    ):
+        if not ok:
+            raise DataError("has field '%s.%s' = %r, not %s"
+                            % (where, name, getattr(config, name), allowed))
+    return config
 
 
 def map_terms_to_concepts(

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.stats import rankdata
 
+from .classics import rank_order
 from .errors import CalibrationError, ConfigError, EmptyVectorError, TrainingError
 from .semcat import SemCatConfig, categorize
 from .taxonomy import Taxonomy
@@ -143,14 +144,14 @@ def semcla_fit(
 
 def semcla_score(doc_vector: dict[str, float], model: SemClaModel) -> list[tuple[str, float]]:
     """Score each class d/|d| . c, d the extended document vector and c
-    the class vector; rank by the score rounded to 9 decimals, ties by
-    label, so that scores equal in exact arithmetic tie."""
+    the class vector, and rank the classes by rank_order: by the score
+    rounded to 9 decimals, ties by label, so that scores equal in exact
+    arithmetic tie."""
     d = _unit(doc_vector)
-    scores = [
-        (label, sum((w * c.get(k, 0.0) for k, w in d.items()), 0.0))
-        for label, c in model.classes.items()
-    ]
-    return sorted(scores, key=lambda ls: (-round(ls[1], 9), ls[0]))
+    labels = sorted(model.classes)
+    scores = [sum((w * model.classes[label].get(k, 0.0) for k, w in d.items()), 0.0)
+              for label in labels]
+    return [(labels[i], scores[i]) for i in rank_order(np.array(scores)).tolist()]
 
 
 def semcla_classify(

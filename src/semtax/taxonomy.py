@@ -248,7 +248,7 @@ def sim_pirro_seco(tax: Taxonomy, k1: str, k2: str) -> float:
     return (3.0 * tax._ic[a] - tax._ic[k1] - tax._ic[k2] + 2.0) / 3.0
 
 
-_CATEGORY_MEASURES = {"lin": sim_lin, "pirro_seco": sim_pirro_seco}
+CATEGORY_MEASURES = {"lin": sim_lin, "pirro_seco": sim_pirro_seco}
 
 
 def sim_page(tax: Taxonomy, p1: str, p2: str, measure: str = "lin") -> float:
@@ -256,7 +256,7 @@ def sim_page(tax: Taxonomy, p1: str, p2: str, measure: str = "lin") -> float:
     categories the two concepts belong to."""
     tax._require_concept(p1)
     tax._require_concept(p2)
-    fn = _CATEGORY_MEASURES[measure]
+    fn = CATEGORY_MEASURES[measure]
     return max(
         fn(tax, k1, k2)
         for k1 in tax.concepts[p1].categories

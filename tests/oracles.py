@@ -4,10 +4,14 @@ These work from the raw parent map and concept->category links only and
 recompute everything by naive enumeration.  The SemCla oracles score
 against every training vector and compare every pair by its own cosine.
 The text oracles decide every token afresh and try every phrase span.
+The classical oracles score each label by its own loop over the bag,
+and the Labeled LDA oracle draws a topic for every token.
 """
 
 import math
+import random
 import re
+from collections import Counter
 
 import numpy as np
 from scipy.stats import rankdata
@@ -167,3 +171,99 @@ def brute_extract_phrases(tokens, labels):
             out.append(tokens[i])
             i += 1
     return out
+
+
+def _ranked(scores):
+    """The ranking rule: by score rounded to 9 decimals, descending, ties
+    by label."""
+    return sorted(scores.items(), key=lambda ls: (-round(ls[1], 9), ls[0]))
+
+
+def brute_nb_predict(model, bag):
+    """Per class: log P(c) + sum_w n_wd * log P(w|c) over the in-vocabulary
+    words, the smoothing floor for a word unseen in the class."""
+    scores = {}
+    for c, prior in model.priors.items():
+        s = math.log(prior)
+        lk = model.likelihoods[c]
+        for w, n in bag.items():
+            if w in model.vocabulary:
+                s += n * math.log(lk.get(w, model.floors[c]))
+        scores[c] = s
+    return _ranked(scores)
+
+
+def brute_winnow_predict(model, x):
+    """Per label: sum (w+ - w-) x_i over the known features with x_i > 0,
+    minus theta."""
+    scores = {}
+    for lab, w in model.weights.items():
+        s = 0.0
+        for f, v in x.items():
+            pair = w.get(f)
+            if pair is not None and v > 0:
+                s += (pair[0] - pair[1]) * v
+        scores[lab] = s - model.theta
+    return _ranked(scores)
+
+
+def brute_llda_predict(model, bag):
+    """Per topic: sum_w n_wd * log phi(w|topic) over the in-vocabulary
+    words."""
+    scores = {}
+    for t in model.topics:
+        s = 0.0
+        for w, n in bag.items():
+            if w in model.vocabulary:
+                s += n * math.log(model.phi[t][w])
+        scores[t] = s
+    return _ranked(scores)
+
+
+def brute_llda_phi(labeled_docs, a_doc, a_word, iterations, seed):
+    """Labeled LDA's phi by drawing every token's topic, those of
+    single-label documents included, then Gibbs sweeps over the tokens
+    of multi-label documents."""
+    docs = [(sorted(set(labels)), list(tokens)) for labels, tokens in labeled_docs]
+    topics = sorted({lab for labels, _ in docs for lab in labels})
+    vocab = sorted({w for _, tokens in docs for w in tokens})
+    vsize = len(vocab)
+    rng = random.Random(seed)
+    n_zw = {t: Counter() for t in topics}
+    n_z = Counter()
+    n_dz, assignments = [], []
+    for labels, tokens in docs:
+        dz, zs = Counter(), []
+        for w in tokens:
+            z = rng.choice(labels)
+            zs.append(z)
+            n_zw[z][w] += 1
+            n_z[z] += 1
+            dz[z] += 1
+        n_dz.append(dz)
+        assignments.append(zs)
+    for _ in range(iterations):
+        for d, (labels, tokens) in enumerate(docs):
+            if len(labels) == 1:
+                continue
+            dz, zs = n_dz[d], assignments[d]
+            for i, w in enumerate(tokens):
+                z = zs[i]
+                n_zw[z][w] -= 1
+                n_z[z] -= 1
+                dz[z] -= 1
+                probs = [(dz[t] + a_doc) * (n_zw[t][w] + a_word) / (n_z[t] + vsize * a_word)
+                         for t in labels]
+                r = rng.random() * sum(probs)
+                acc, new_z = 0.0, labels[-1]
+                for t, p in zip(labels, probs):
+                    acc += p
+                    if r < acc:
+                        new_z = t
+                        break
+                zs[i] = new_z
+                n_zw[new_z][w] += 1
+                n_z[new_z] += 1
+                dz[new_z] += 1
+    return {t: {w: (n_zw[t][w] + a_word) / (n_z[t] + vsize * a_word) for w in vocab}
+            for t in topics}

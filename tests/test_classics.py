@@ -4,8 +4,11 @@ import random
 
 import pytest
 
+from hypothesis import given, settings, strategies as st
+
 from semtax.errors import ConfigError, TrainingError
 from semtax.classics import (
+    LinearScorer,
     llda_predict,
     llda_train,
     nb_predict,
@@ -13,6 +16,7 @@ from semtax.classics import (
     winnow_predict,
     winnow_train,
 )
+from oracles import brute_llda_phi, brute_llda_predict, brute_nb_predict, brute_winnow_predict
 
 
 class TestNaiveBayes:
@@ -237,3 +241,103 @@ class TestLabeledLda:
         model = llda_train(docs, iterations=10, seed=0)
         scores = [s for _, s in llda_predict(model, {"x": 2})]
         assert scores[0] == pytest.approx(scores[1])
+
+
+FEATURES = "fghij"
+weights = st.sampled_from([0, 0.0, 0.5, 1, 2.5, 3])
+train_bags = st.lists(
+    st.tuples(st.sampled_from("abcd"),
+              st.dictionaries(st.sampled_from(FEATURES), weights, min_size=1)),
+    min_size=1, max_size=8,
+)
+# "X" and "Y" are outside every model's features; the empty bag and zero
+# weights are drawn too
+test_bags = st.lists(st.dictionaries(st.sampled_from(FEATURES + "XY"), weights), max_size=4)
+
+
+def train_all(kind, labeled):
+    if kind == "bayes":
+        return nb_train(labeled), brute_nb_predict
+    if kind == "winnow":
+        return winnow_train(labeled, epochs=3), brute_winnow_predict
+    docs = [([lab], [f for f, v in sorted(bag.items()) for _ in range(int(v))])
+            for lab, bag in labeled]
+    return llda_train(docs, iterations=2, seed=1), brute_llda_predict
+
+
+def assert_same_ranking(got, want):
+    assert [lab for lab, _ in got] == [lab for lab, _ in want]
+    for (_, g), (_, w) in zip(got, want):
+        assert g == pytest.approx(w, rel=1e-12, abs=1e-12)
+
+
+class TestLinearScorerMatchesOracle:
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(st.sampled_from(["bayes", "winnow", "llda"]), train_bags, test_bags)
+    def test_single_model(self, kind, labeled, bags):
+        model, oracle = train_all(kind, labeled)
+        predict = {"bayes": nb_predict, "winnow": winnow_predict, "llda": llda_predict}[kind]
+        for bag in bags + [{}]:
+            assert_same_ranking(predict(model, bag), oracle(model, bag))
+        for (ranking,), bag in zip(model.linear.rankings(bags), bags):
+            assert_same_ranking(ranking, oracle(model, bag))
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(["bayes", "winnow", "llda"]), train_bags),
+                    min_size=1, max_size=5),
+           test_bags, st.integers(1, 4))
+    def test_stacked_committee(self, specs, bags, depth):
+        # members trained on different samples have different label and
+        # feature sets
+        members = [train_all(kind, labeled) for kind, labeled in specs]
+        stacked = LinearScorer.stack([model.linear for model, _ in members])
+        for got, bag in zip(stacked.rankings(bags, depth), bags):
+            assert len(got) == len(members)
+            for ranking, (model, oracle) in zip(got, members):
+                assert_same_ranking(ranking, oracle(model, bag)[:depth])
+
+
+@pytest.mark.parametrize("kind", ["bayes", "winnow", "llda"])
+def test_non_positive_values_add_nothing(kind):
+    model, _ = train_all(kind, [("a", {"f": 2, "g": 1}), ("b", {"g": 3})])
+    base = model.linear.ranking({"g": 1})
+    assert model.linear.ranking({"g": 1, "f": -2.0}) == base
+    assert model.linear.ranking({"g": 1, "f": 0}) == base
+
+
+class TestLldaClosedForm:
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from("abc"),
+                              st.lists(st.sampled_from(FEATURES), max_size=6)),
+                    min_size=1, max_size=6),
+           st.integers(0, 3), st.integers(0, 2**32 - 1))
+    def test_single_label_phi_equals_sampler(self, docs, iterations, seed):
+        labeled = [([lab], tokens) for lab, tokens in docs]
+        model = llda_train(labeled, a_word=0.01, iterations=iterations, seed=seed)
+        want = brute_llda_phi(labeled, model.a_doc, 0.01, iterations, seed)
+        assert model.phi == want
+
+    def test_single_label_documents_draw_nothing(self, monkeypatch):
+        draws = []
+
+        class Counting(random.Random):
+            def choice(self, seq):
+                draws.append(seq)
+                return super().choice(seq)
+
+        monkeypatch.setattr(random, "Random", Counting)
+        llda_train([(["a"], ["x", "y"]), (["b"], ["z"] * 5)], iterations=3, seed=1)
+        assert draws == []
+        llda_train([(["a", "b"], ["x", "y"]), (["b"], ["z"] * 5)], iterations=0, seed=1)
+        assert draws == [["a", "b"]] * 2
+
+    def test_mixed_corpus_splits_multi_label_tokens(self):
+        docs = [(["a", "b"], ["x"] * 30), (["a"], ["y"] * 3), (["b"], ["z"] * 3)]
+        model = llda_train(docs, iterations=20, seed=4)
+        a = model.a_word
+        # y (z) occurs 3 times, only in a's (b's) single-label document,
+        # which fixes each topic's denominator and so its count of x
+        x_in = {t: model.phi[t]["x"] * (3 + a) / model.phi[t][w] - a
+                for t, w in (("a", "y"), ("b", "z"))}
+        assert x_in["a"] + x_in["b"] == pytest.approx(30)
+        assert x_in["a"] > 0 and x_in["b"] > 0

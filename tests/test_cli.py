@@ -381,6 +381,14 @@ def test_classify_with_old_format_semcla_model(workdir, capsys, mode):
         ' "semcat": {"top_terms": 10}}}',
         "lacks field 'pipeline.semcat.disambig'", id="pipeline-semcat-partial",
     ),
+    pytest.param(
+        '{"type": "semcla", "alpha": 0.33, "classes": {"x": {"A": 1.0}},'
+        ' "pipeline": {"features": "categories", "taxonomy": true, "background": null,'
+        ' "semcat": {"top_terms": 10, "disambig": "bogus", "measure": "lin",'
+        ' "exact_match": true, "min_df": 2, "max_df_ratio": 0.5, "stopwords": [],'
+        ' "lemmas": {}}}}',
+        "has field 'pipeline.semcat.disambig' = 'bogus'", id="pipeline-semcat-disambig-unknown",
+    ),
 ])
 def test_bad_model_file_exits_2(workdir, capsys, body, message):
     (workdir / "model.json").write_text(body, encoding="utf-8")
@@ -505,6 +513,14 @@ def test_config_echo_on_stderr(workdir, capsys):
     assert capsys.readouterr().err.startswith("# config {")
 
 
+def committee(cfg, kind="ensemble", **params):
+    """cfg with a bayes method and then a committee of two bayes members
+    with the given params, which must be rejected before any training."""
+    members = {"members": [["bayes", 2]], **params}
+    return dict(cfg, methods=[{"name": "nb", "kind": "bayes"},
+                              {"name": kind, "kind": kind, "params": members}])
+
+
 @pytest.mark.parametrize("edit, message", [
     (lambda cfg: "not json", "is not JSON"),
     (lambda cfg: [cfg], "is not a JSON object"),
@@ -513,9 +529,22 @@ def test_config_echo_on_stderr(workdir, capsys):
     (lambda cfg: dict(cfg, semcat={"top_terms": "x"}), "'semcat.top_terms' of type str, not int"),
     (lambda cfg: {k: v for k, v in cfg.items() if k != "label_categories"}, "label_categories"),
     (lambda cfg: dict(cfg, label_categories={}), "label_categories"),
+    (lambda cfg: dict(cfg, semcat={"top_terms": 0}), "'semcat.top_terms' = 0, not at least 1"),
+    (lambda cfg: dict(cfg, semcat={"disambig": "bogus"}), "'semcat.disambig' = 'bogus'"),
+    (lambda cfg: dict(cfg, semcat={"measure": "bogus"}), "'semcat.measure' = 'bogus'"),
+    (lambda cfg: committee(cfg, members=5), "members must be a non-empty list"),
+    (lambda cfg: committee(cfg, members=[["bayes", 0]]), "members must be a non-empty list"),
+    (lambda cfg: committee(cfg, aggregation="bogus"), 'aggregation must be one of'),
+    (lambda cfg: committee(cfg, level="7"), 'level must be 1, 2 or "inf", got "7"'),
+    (lambda cfg: committee(cfg, kind="semcom", semcat_weights=[]),
+     "semcat_weights must be a non-empty list of numbers"),
 ], ids=["not-json", "not-object", "method-without-kind", "unknown-semcat-key",
         "semcat-value-type",
-        "no-label-categories", "empty-label-categories"])
+        "no-label-categories", "empty-label-categories",
+        "semcat-top-terms-zero", "semcat-disambig-unknown", "semcat-measure-unknown",
+        "committee-members-int", "committee-member-count-zero",
+        "committee-aggregation-unknown", "committee-level-unknown",
+        "committee-semcat-weights-empty"])
 def test_evaluate_bad_config_exits_1(workdir, capsys, edit, message):
     cfg = {
         "taxonomy": str(workdir / "tax.tsv"),
@@ -531,3 +560,4 @@ def test_evaluate_bad_config_exits_1(workdir, capsys, edit, message):
     err = capsys.readouterr().err
     assert err.startswith("error: config: ")
     assert message in err
+    assert "Traceback" not in err

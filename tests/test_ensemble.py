@@ -3,6 +3,7 @@ from collections import Counter
 
 import pytest
 
+from semtax.classics import LinearScorer
 from semtax.corpus import Document
 from semtax.ensemble import (
     Vote,
@@ -117,11 +118,18 @@ class TestAggregate:
             assert aggregate(votes + [Vote("z", 0.0, 1)], "weighted", seed=4) == base
 
 
+def bias_only(scores):
+    """A linear scorer without features: it ranks the labels of scores
+    (label -> score) by their score for every bag."""
+    labels = sorted(scores)
+    return LinearScorer(labels, [], [scores[lab] for lab in labels], [])
+
+
 class TestBagging:
     def trainer(self, sample, seed):
         # "model" that always predicts the majority label of its sample
         majority = max(sorted(sample), key=lambda l: len(sample[l]))
-        return lambda doc: [(majority, 1.0)]
+        return bias_only({majority: 1.0})
 
     def sampler_factory(self, toy_tax, docs):
         def sampler(seed):
@@ -132,9 +140,9 @@ class TestBagging:
     def test_single_member_degenerate(self, toy_tax):
         docs = docs_with(["A", "A1", "B", "B1"])
         ens = build_bagging_ensemble([self.trainer], self.sampler_factory(toy_tax, docs), 0)
-        assert ens.predict("anything") == self.trainer(
+        assert ens.predict([{}]) == [self.trainer(
             self.sampler_factory(toy_tax, docs)(derive_seed(0, 0)), 0
-        )("anything")[0][0]
+        ).ranking({})[0][0]]
 
     def test_member_count(self, toy_tax):
         docs = docs_with(["A", "A1", "B", "B1"])
@@ -146,22 +154,22 @@ class TestBagging:
         e1 = build_bagging_ensemble([self.trainer] * 5, self.sampler_factory(toy_tax, docs), 42)
         e2 = build_bagging_ensemble([self.trainer] * 5, self.sampler_factory(toy_tax, docs), 42)
         assert e1.member_seeds == e2.member_seeds
-        assert e1.predict("doc") == e2.predict("doc")
+        assert e1.predict([{}]) == e2.predict([{}])
 
     def test_rank_is_borda_over_top_three(self):
         def fixed(order):
-            ranking = [(lab, float(len(order) - i)) for i, lab in enumerate(order)]
-            return lambda sample, seed: lambda doc: ranking
+            scorer = bias_only({lab: float(len(order) - i) for i, lab in enumerate(order)})
+            return lambda sample, seed: scorer
 
         trainers = [fixed("ACB"), fixed("ACB"), fixed("CBA"), fixed("BCA")]
         ens = build_bagging_ensemble(trainers, lambda seed: None, 0)
         # top votes A=2, B=1, C=1; Borda A=3+3+1+1, B=1+1+2+3, C=2+2+3+2
-        assert ens.predict("doc", "single_vote") == "A"
-        assert ens.predict("doc", "rank") == "C"
+        assert ens.predict([{}], "single_vote") == ["A"]
+        assert ens.predict([{}], "rank") == ["C"]
 
     def test_weighted_counts_top_labels_like_single_vote(self):
         def fixed(ranking):
-            return lambda sample, seed: lambda doc: ranking
+            return lambda sample, seed: bias_only(dict(ranking))
 
         # one member is far more confident on its own scale than the two
         # members it outvotes; weighted still counts one vote per member
@@ -171,8 +179,8 @@ class TestBagging:
             fixed([("b", 0.3), ("c", 0.29), ("a", 0.1)]),
         ]
         ens = build_bagging_ensemble(trainers, lambda seed: None, 0)
-        assert ens.predict("doc", "single_vote") == "b"
-        assert ens.predict("doc", "weighted") == "b"
+        assert ens.predict([{}], "single_vote") == ["b"]
+        assert ens.predict([{}], "weighted") == ["b"]
 
     def test_member_permutation_invariance(self):
         # permuting equal-weight members cannot change the tally

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+import semtax.evaluate
 from semtax.corpus import Document
 from semtax.errors import DataError, DegenerateInputError
 from semtax.evaluate import (
@@ -17,6 +18,7 @@ from semtax.evaluate import (
     run_experiment,
 )
 from semtax.semcat import SemCatConfig, term_vector
+from semtax.synth import make_gap_benchmark
 from semtax.taxonomy import parse_taxonomy, sim_lin
 
 
@@ -194,3 +196,52 @@ class TestRunExperiment:
         cfg = self.config(toy_tax, toy_background, [MethodSpec("sc", "semcla")])
         report = run_experiment(cfg)
         assert report.results[0].overall_precision == pytest.approx(1.0)
+
+
+class TestCommitteeSharing:
+    """An experiment trains one committee per distinct committee key, so
+    the paper's ensemble-against-SemCom comparison trains its 50 members
+    once."""
+
+    def draws(self, monkeypatch, methods):
+        bench = make_gap_benchmark(docs_per_side=30, seed=5)
+        calls = []
+        real = semtax.evaluate.draw_training_sample
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(semtax.evaluate, "draw_training_sample", counting)
+        report = run_experiment(ExperimentConfig(
+            taxonomy=bench.taxonomy, background=bench.background,
+            train_docs=bench.train_docs, test_docs=bench.test_docs,
+            methods=methods, label_categories=bench.label_categories, seed=5,
+        ))
+        return len(calls), report
+
+    def test_equal_specs_train_once(self, monkeypatch):
+        n, report = self.draws(monkeypatch, [
+            MethodSpec("ensemble", "ensemble", features="categories",
+                       params={"aggregation": "weighted"}),
+            MethodSpec("semcom", "semcom", features="categories"),
+        ])
+        assert n == 50
+        assert [r.name for r in report.results] == ["ensemble", "semcom"]
+
+    @pytest.mark.parametrize("params", [
+        {"sample_size": 100}, {"level": "inf"}, {"members": [["bayes", 50]]}, {"theta": 2.0},
+    ])
+    def test_unequal_specs_train_twice(self, monkeypatch, params):
+        n, _ = self.draws(monkeypatch, [
+            MethodSpec("ensemble", "ensemble", features="categories"),
+            MethodSpec("semcom", "semcom", features="categories", params=params),
+        ])
+        assert n == 100
+
+    def test_other_features_train_twice(self, monkeypatch):
+        n, _ = self.draws(monkeypatch, [
+            MethodSpec("ensemble", "ensemble", features="categories"),
+            MethodSpec("semcom", "semcom", features="concepts"),
+        ])
+        assert n == 100
