@@ -137,6 +137,8 @@ def nb_train(labeled_bags) -> NBModel:
         for w, n in bag.items():
             vocab.add(w)
             class_counts[label][w] += n
+    if not vocab:
+        raise TrainingError("every training bag is empty")
     total_docs = sum(ndocs.values())
     k = len(vocab)
     priors = {c: ndocs[c] / total_docs for c in ndocs}

@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 import unicodedata
 from dataclasses import dataclass
+from functools import cache, cached_property
 
 from .errors import (
     CycleError,
@@ -42,7 +43,7 @@ def fold_diacritics(s: str) -> str:
     return "".join(ch for ch in decomposed if not unicodedata.combining(ch))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Concept:
     id: str
     labels: frozenset[str]
@@ -51,7 +52,8 @@ class Concept:
 
 class Taxonomy:
     """Validated category DAG.  Derived tables (concept counts, IC,
-    ancestor bitsets, label indexes) are computed once in the constructor."""
+    ancestor bitsets, the exact label index) are computed once in the
+    constructor; the diacritic-folded label index on first use."""
 
     def __init__(
         self,
@@ -68,8 +70,7 @@ class Taxonomy:
             for p in ps:
                 self.children[p].add(child)
         order = self._children_first()
-        self._check_concepts()
-        counts = self._concept_counts = self._count_concepts(order)
+        counts = self._concept_counts = self._count_concepts(order, *self._attach_concepts())
         self.total_concepts = len(self.concepts)
         self._ic = {
             k: 1.0 - math.log(1 + s) / math.log(1 + self.total_concepts)
@@ -85,13 +86,21 @@ class Taxonomy:
             for p in self.parents[k]:
                 a |= self._anc[p]
             self._anc[k] = a
-        # label -> sorted concept ids; exact index plus a diacritic-folded one
+        # label -> sorted concept ids
         self.label_index: dict[str, list[str]] = {}
-        self.folded_label_index: dict[str, list[str]] = {}
         for cid in sorted(self.concepts):
             for lab in self.concepts[cid].labels:
                 self.label_index.setdefault(lab, []).append(cid)
-                self.folded_label_index.setdefault(fold_diacritics(lab), []).append(cid)
+
+    @cached_property
+    def folded_label_index(self) -> dict[str, list[str]]:
+        """Diacritic-folded label -> sorted distinct concept ids, built on
+        the first fuzzy lookup: labels that fold to one key pool their
+        concepts, each listed once."""
+        pooled: dict[str, set[str]] = {}
+        for lab, cids in self.label_index.items():
+            pooled.setdefault(fold_diacritics(lab), set()).update(cids)
+        return {key: sorted(cids) for key, cids in pooled.items()}
 
     # -- validation ------------------------------------------------------
 
@@ -111,19 +120,30 @@ class Taxonomy:
                         "category %s has unknown parent %s" % (child, p)
                     )
 
-    def _check_concepts(self):
+    def _attach_concepts(self) -> tuple[dict[str, int], dict[str, list[str]]]:
+        """Check every concept's labels and category links, in one pass
+        that also returns, per category, the number of concepts attached
+        to it alone and the ids of those it shares with other categories."""
         if not self.concepts:
             raise TaxonomyError("taxonomy has no concepts")
+        alone = dict.fromkeys(self.category_labels, 0)
+        shared: dict[str, list[str]] = {}
         for cid, concept in self.concepts.items():
             if not concept.labels:
                 raise EmptyLabelError("concept %s has no labels" % cid)
-            if not concept.categories:
+            cats = concept.categories
+            if not cats:
                 raise DanglingLinkError("concept %s links to no category" % cid)
-            for k in concept.categories:
-                if k not in self.category_labels:
+            for k in cats:
+                if k not in alone:
                     raise DanglingLinkError(
                         "concept %s links to missing category %s" % (cid, k)
                     )
+                if len(cats) == 1:
+                    alone[k] += 1
+                else:
+                    shared.setdefault(k, []).append(cid)
+        return alone, shared
 
     # -- derived tables --------------------------------------------------
 
@@ -152,27 +172,31 @@ class Taxonomy:
             raise CycleError("cycle detected through category %s" % k)
         return order
 
-    def _count_concepts(self, order: list[str]) -> dict[str, int]:
+    def _count_concepts(
+        self, order: list[str], alone: dict[str, int], shared: dict[str, list[str]]
+    ) -> dict[str, int]:
         """Concepts attached to each category or any descendant, each
         counted once.  A bitset over concepts is pushed from every category
         to its parents in children-first order and dropped once the
         category is counted.  The concepts a category is the first to
-        claim take the next consecutive bits."""
-        own: dict[str, list[str]] = {k: [] for k in self.category_labels}
-        for cid, concept in self.concepts.items():
-            for k in concept.categories:
-                own[k].append(cid)
-        number: dict[str, int] = {}
+        claim take the next consecutive bits: first those attached to it
+        alone, then the shared ones no descendant claimed."""
+        number: dict[str, int] = {}  # bit of each claimed shared concept
+        claimed = 0
         inbox: dict[str, int] = {}
         counts = {}
         for k in order:
             below = inbox.pop(k, 0)
-            start = len(number)
-            for cid in own[k]:
-                i = number.setdefault(cid, len(number))
-                if i < start:
+            start = claimed
+            claimed += alone[k]
+            for cid in shared.get(k, ()):
+                i = number.get(cid)
+                if i is None:
+                    number[cid] = claimed
+                    claimed += 1
+                else:
                     below |= 1 << i
-            below |= ((1 << (len(number) - start)) - 1) << start
+            below |= ((1 << (claimed - start)) - 1) << start
             counts[k] = below.bit_count()
             for p in self.parents[k]:
                 inbox[p] = inbox.get(p, 0) | below
@@ -267,49 +291,61 @@ def sim_page(tax: Taxonomy, p1: str, p2: str, measure: str = "lin") -> float:
 # -- loading -------------------------------------------------------------
 
 
-def parse_taxonomy(lines) -> Taxonomy:
+def _id_set(field: str) -> frozenset[str]:
+    ids = set(field.split(","))
+    ids.discard("")
+    return frozenset(ids)
+
+
+def _label_set(field: str) -> frozenset[str]:
+    labels = set(map(normalize_label, field.split("|")))
+    labels.discard("")
+    return frozenset(labels)
+
+
+def parse_taxonomy(lines, source=None) -> Taxonomy:
     """Parse the line-delimited taxonomy format.
 
     Records: ``C<TAB>id<TAB>label<TAB>parent[,parent...]`` (root has an
     empty parent field) and ``P<TAB>id<TAB>cat[,cat...]<TAB>label[|label...]``.
-    Order-independent; duplicate ids are a load error.
+    Blank lines and lines starting with ``#`` are skipped; empty list
+    items are dropped.  Order-independent; duplicate ids are a load
+    error.  An error in a record names its line, after `source` (the
+    file) when given.
     """
+    where = "line" if source is None else "%s line" % source
     cat_labels: dict[str, str] = {}
     parents: dict[str, frozenset[str]] = {}
     concepts: dict[str, Concept] = {}
+    # homonyms share a label field and siblings a category field: each
+    # distinct field is split and normalized once per load
+    id_set, label_set = cache(_id_set), cache(_label_set)
     for lineno, raw in enumerate(lines, 1):
-        line = raw.rstrip("\n")
-        if not line.strip() or line.startswith("#"):
-            continue
-        fields = line.split("\t")
+        fields = raw.rstrip("\n").split("\t")
         kind = fields[0]
-        if kind == "C":
+        if kind == "P":
             if len(fields) != 4:
-                raise TaxonomyError("line %d: C record needs 4 fields" % lineno)
-            _, cid, label, parent_field = fields
-            if cid in cat_labels:
-                raise DuplicateIdError("duplicate category id %s" % cid)
-            cat_labels[cid] = label
-            ps = [p for p in parent_field.split(",") if p]
-            parents[cid] = frozenset(ps)
-        elif kind == "P":
-            if len(fields) != 4:
-                raise TaxonomyError("line %d: P record needs 4 fields" % lineno)
+                raise TaxonomyError("%s %d: P record needs 4 fields" % (where, lineno))
             _, pid, cat_field, label_field = fields
             if pid in concepts:
-                raise DuplicateIdError("duplicate concept id %s" % pid)
-            cats = frozenset(c for c in cat_field.split(",") if c)
-            labels = frozenset(
-                normalize_label(l) for l in label_field.split("|") if l.strip()
-            )
+                raise DuplicateIdError("%s %d: duplicate concept id %s" % (where, lineno, pid))
+            labels = label_set(label_field)
             if not labels:
-                raise EmptyLabelError("concept %s has no labels" % pid)
-            concepts[pid] = Concept(id=pid, labels=labels, categories=cats)
-        else:
-            raise TaxonomyError("line %d: unknown record kind %r" % (lineno, kind))
+                raise EmptyLabelError("%s %d: concept %s has no labels" % (where, lineno, pid))
+            concepts[pid] = Concept(pid, labels, id_set(cat_field))
+        elif kind == "C":
+            if len(fields) != 4:
+                raise TaxonomyError("%s %d: C record needs 4 fields" % (where, lineno))
+            _, cid, label, parent_field = fields
+            if cid in cat_labels:
+                raise DuplicateIdError("%s %d: duplicate category id %s" % (where, lineno, cid))
+            cat_labels[cid] = label
+            parents[cid] = id_set(parent_field)
+        elif raw.strip() and not raw.startswith("#"):
+            raise TaxonomyError("%s %d: unknown record kind %r" % (where, lineno, kind))
     return Taxonomy(cat_labels, parents, concepts)
 
 
 def load_taxonomy(path) -> Taxonomy:
     with open(path, encoding="utf-8") as fh:
-        return parse_taxonomy(fh)
+        return parse_taxonomy(fh, path)

@@ -130,7 +130,9 @@ class PhraseIndex:
 
     @classmethod
     def from_taxonomy(cls, tax: Taxonomy) -> "PhraseIndex":
-        return cls(lab for c in tax.concepts.values() for lab in c.labels)
+        """The index of tax's distinct labels; a label that is one letter
+        run is one token, never a phrase, so it is not tokenized."""
+        return cls(lab for lab in tax.label_index if not _TOKEN_RE.fullmatch(lab))
 
 
 def extract_phrases(tokens: list[str], index: PhraseIndex) -> list[str]:

@@ -5,16 +5,28 @@ recompute everything by naive enumeration.  The SemCla oracles score
 against every training vector and compare every pair by its own cosine.
 The text oracles decide every token afresh and try every phrase span.
 The classical oracles score each label by its own loop over the bag,
-and the Labeled LDA oracle draws a topic for every token.
+and the Labeled LDA oracle draws a topic for every token.  The taxonomy
+file oracle reads one record at a time and builds both label indexes
+eagerly.
 """
 
 import math
 import random
 import re
+import unicodedata
 from collections import Counter
 
 import numpy as np
 from scipy.stats import rankdata
+
+from semtax.errors import (
+    CycleError,
+    DanglingLinkError,
+    DuplicateIdError,
+    EmptyLabelError,
+    MultipleRootsError,
+    TaxonomyError,
+)
 
 
 def brute_ancestors(parents, k):
@@ -26,6 +38,67 @@ def brute_ancestors(parents, k):
                 acc.add(p)
                 frontier.append(p)
     return acc
+
+
+def brute_parse_taxonomy(lines):
+    """The tables of taxonomy text, read one record at a time with
+    generator-built id and label sets, then checked in the loader's
+    order: roots, dangling parents, cycles, concepts.  Returns
+    category_labels, parents, concepts (id -> (labels, categories)),
+    label_index and folded_label_index, both label -> sorted distinct
+    concept ids, or raises the loader's error class."""
+    cat_labels, parents, concepts = {}, {}, {}
+    for raw in lines:
+        line = raw.rstrip("\n")
+        if not line.strip() or line.startswith("#"):
+            continue
+        fields = line.split("\t")
+        kind = fields[0]
+        if kind not in ("C", "P"):
+            raise TaxonomyError("unknown record kind %r" % kind)
+        if len(fields) != 4:
+            raise TaxonomyError("%s record needs 4 fields" % kind)
+        _, rid, third, fourth = fields
+        if kind == "C":
+            if rid in cat_labels:
+                raise DuplicateIdError(rid)
+            cat_labels[rid] = third
+            parents[rid] = frozenset(p for p in fourth.split(",") if p)
+        else:
+            if rid in concepts:
+                raise DuplicateIdError(rid)
+            labels = frozenset(
+                " ".join(lab.casefold().split()) for lab in fourth.split("|") if lab.strip()
+            )
+            if not labels:
+                raise EmptyLabelError(rid)
+            concepts[rid] = (labels, frozenset(c for c in third.split(",") if c))
+    roots = [k for k, ps in parents.items() if not ps]
+    if len(roots) != 1:
+        raise MultipleRootsError(roots)
+    if any(p not in cat_labels for ps in parents.values() for p in ps):
+        raise DanglingLinkError("parent")
+    if any(k in brute_ancestors(parents, p) for k, ps in parents.items() for p in ps):
+        raise CycleError("cycle")
+    if not concepts:
+        raise TaxonomyError("no concepts")
+    for labels, cats in concepts.values():
+        if not cats or any(k not in cat_labels for k in cats):
+            raise DanglingLinkError("category")
+    label_index, folded = {}, {}
+    for cid in sorted(concepts):
+        for lab in concepts[cid][0]:
+            label_index.setdefault(lab, []).append(cid)
+            key = "".join(ch for ch in unicodedata.normalize("NFKD", lab)
+                          if not unicodedata.combining(ch))
+            folded.setdefault(key, set()).add(cid)
+    return {
+        "category_labels": cat_labels,
+        "parents": parents,
+        "concepts": concepts,
+        "label_index": label_index,
+        "folded_label_index": {key: sorted(cids) for key, cids in folded.items()},
+    }
 
 
 def brute_concept_set(parents, concept_cats, k):

@@ -47,6 +47,10 @@ class TestNaiveBayes:
         with pytest.raises(TrainingError):
             nb_train([])
 
+    def test_all_bags_empty(self):
+        with pytest.raises(TrainingError, match="every training bag is empty"):
+            nb_train([("a", {}), ("b", {})])
+
     def test_empty_doc_ranks_by_priors(self):
         model = nb_train([("c", {"x": 1})] + [("d", {"y": 1})] * 3)
         ranking = nb_predict(model, {})

@@ -252,6 +252,22 @@ def test_classify_taxonomy_mismatch_exits_1(workdir, capsys, train_with, classif
     assert captured.err.startswith("error: config: the model was trained with")
 
 
+def test_default_categorize_never_folds_labels(workdir, monkeypatch, capsys):
+    loaded = []
+    real = semtax.cli.load_taxonomy
+
+    def load(path):
+        loaded.append(real(path))
+        return loaded[-1]
+
+    monkeypatch.setattr(semtax.cli, "load_taxonomy", load)
+    rc = main(["categorize", "--taxonomy", str(workdir / "tax.tsv"),
+               "--corpus", str(workdir / "corpus.jsonl")])
+    assert rc == 0
+    assert len(loaded) == 1
+    assert "folded_label_index" not in vars(loaded[0])
+
+
 def test_categorize_builds_one_phrase_index(workdir, monkeypatch, capsys):
     builds = []
     build = PhraseIndex.from_taxonomy.__func__
@@ -432,9 +448,18 @@ def test_categorize_without_background_counts_df_as_build_index_does(tmp_path, c
     ("--lemmas", "lemmas.tsv", "cars\tcar\n\nboats\n", "lemmas.tsv line 3"),
     ("--corpus", "bad.jsonl", '{"id": "d1", "text": "alpha"}\n5\n', "bad.jsonl line 2"),
     ("--corpus", "bad.jsonl", '{"id": "d1", "text": 5}\n', "bad.jsonl line 1"),
+    ("--taxonomy", "bad.tsv", TOY_TAXONOMY + "P\tc1\tA1\tagain\n",
+     "bad.tsv line 14: duplicate concept id c1"),
+    ("--taxonomy", "bad.tsv", TOY_TAXONOMY + "P\tc8\tA1\t | \n",
+     "bad.tsv line 14: concept c8 has no labels"),
+    ("--taxonomy", "bad.tsv", "#\n\nC\tR\tRoot\n", "bad.tsv line 3: C record needs 4 fields"),
+    ("--taxonomy", "bad.tsv", TOY_TAXONOMY + "X\tc8\tA1\tx\n",
+     "bad.tsv line 14: unknown record kind 'X'"),
 ], ids=["background-no-tab", "background-df-not-int", "background-no-docs",
         "background-df-zero", "lemmas-no-tab",
-        "corpus-not-object", "corpus-text-not-string"])
+        "corpus-not-object", "corpus-text-not-string",
+        "taxonomy-duplicate-id", "taxonomy-empty-labels", "taxonomy-field-count",
+        "taxonomy-unknown-kind"])
 def test_bad_input_file_exits_2(workdir, capsys, flag, name, body, where):
     (workdir / name).write_text(body, encoding="utf-8")
     paths = {"--taxonomy": workdir / "tax.tsv", "--corpus": workdir / "corpus.jsonl"}

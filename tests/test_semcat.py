@@ -15,7 +15,7 @@ from semtax.semcat import (
     top_n_categories,
 )
 from semtax.synth import random_taxonomy, random_term_vector
-from semtax.taxonomy import sim_page
+from semtax.taxonomy import parse_taxonomy, sim_page
 
 
 class TestMapping:
@@ -38,6 +38,15 @@ class TestMapping:
         assert unamb.entries == [("álphá", "c1", 0.5)]
         strict, _ = map_terms_to_concepts({"álphá": 0.5}, toy_tax, exact_match=True)
         assert strict.unresolved == ["álphá"]
+
+    def test_labels_folding_together_give_one_candidate(self):
+        tax = parse_taxonomy([
+            "C\tr\troot\t", "C\ta\tA\tr", "P\tp1\ta\tcafé|cafe", "P\tp2\ta\tother",
+        ])
+        assert tax.folded_label_index["cafe"] == ["p1"]
+        unamb, amb = map_terms_to_concepts({"cafè": 1.0}, tax, exact_match=False)
+        assert unamb.entries == [("cafè", "p1", 1.0)]
+        assert not amb
 
 
 class TestDisambiguate:

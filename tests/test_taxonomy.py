@@ -13,6 +13,7 @@ from semtax.errors import (
     CycleError,
     DanglingLinkError,
     DuplicateIdError,
+    EmptyLabelError,
     MultipleRootsError,
     TaxonomyError,
     UnknownCategoryError,
@@ -30,6 +31,7 @@ from semtax.taxonomy import (
     sim_page,
     sim_pirro_seco,
 )
+from semtax.textpipe import PhraseIndex
 
 from conftest import TOY_TAXONOMY, chain_taxonomy
 from oracles import (
@@ -37,8 +39,10 @@ from oracles import (
     brute_concept_set,
     brute_ic,
     brute_msca,
+    brute_parse_taxonomy,
     brute_sim,
     brute_sim_page,
+    brute_tokenize,
     links,
 )
 
@@ -306,3 +310,102 @@ class TestRandomDagProperties:
                     s = fn(tax, k1, k2)
                     assert 0.0 <= s <= 1.0 + 1e-12
                     assert s == pytest.approx(fn(tax, k2, k1))
+
+
+# label items: case and whitespace variants, diacritics (precomposed and
+# combining), a ligature, punctuation inside multi-word labels, and
+# blank items
+LABEL_ITEMS = (
+    "jaguar", "Jaguar", "café", "cafe", "CAFÉ", "cafe\u0301", "naïve bayes",
+    "naive  Bayes", "black hole", " black hole ", "new-york city", "rock'n'roll band",
+    "C++ code", "ﬁle", "file", "straße", "x", "", " ", "  ",
+)
+SKIPPED_LINES = ("", "# a comment", "#C\tk0\tcommented\t", "   ", " \t \t \t ")
+MALFORMED_LINES = (
+    "C\tk9\tsecond root\t",
+    "C\tk9\tthree fields",
+    "P\tp9\tk0\tx\textra",
+    "Q\tk9\tunknown\tk0",
+    " C\tk9\tleading space\tk0",
+    "P\tp9\tk0\t | ",
+    "P\tp9\t,\tx",
+    "P\tp9\tzz\tx",
+    "C\tk9\tdangling\tzz",
+    "C\tk9\tself loop\tk0,k9",
+)
+
+
+@st.composite
+def taxonomy_texts(draw):
+    """Taxonomy text with shuffled records, skipped lines, empty and
+    repeated list items, labels shared by several concepts, and now and
+    then malformed lines, repeated records or a cycle."""
+    n = draw(st.integers(1, 6))
+    lines = ["C\tk0\troot\t" + draw(st.sampled_from(("", ",", ",,")))]
+    for i in range(1, n):
+        ps = draw(st.lists(st.integers(0, i - 1), min_size=1, max_size=3))
+        sep = draw(st.sampled_from((",", ",,")))
+        lines.append("C\tk%d\tcategory %d\t%s" % (i, i, sep.join("k%d" % j for j in ps)))
+    for j in range(draw(st.integers(0, 6))):
+        cats = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3))
+        labels = draw(st.lists(st.sampled_from(LABEL_ITEMS), min_size=1, max_size=4))
+        lines.append("P\tp%d\t%s\t%s" % (j, ",".join("k%d" % k for k in cats), "|".join(labels)))
+    lines += draw(st.lists(st.sampled_from(SKIPPED_LINES), max_size=3))
+    if lines[1:] and draw(st.integers(0, 5)) == 0:
+        lines.append(draw(st.sampled_from(lines[1:])))
+    bad = draw(st.integers(0, 3 * len(MALFORMED_LINES)))
+    lines += MALFORMED_LINES[bad : bad + 1]
+    lines = draw(st.permutations(lines))
+    return "".join(line + "\n" for line in lines)
+
+
+class TestLoaderMatchesOracle:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(taxonomy_texts())
+    def test_tables_indexes_and_errors(self, text):
+        try:
+            want = brute_parse_taxonomy(io.StringIO(text))
+        except TaxonomyError as exc:
+            with pytest.raises(TaxonomyError) as got:
+                parse_taxonomy(io.StringIO(text))
+            assert type(got.value) is type(exc)
+            return
+        tax = parse_taxonomy(io.StringIO(text))
+        assert tax.category_labels == want["category_labels"]
+        assert tax.parents == want["parents"]
+        assert {c.id: (c.labels, c.categories) for c in tax.concepts.values()} == want["concepts"]
+        assert all(cid == c.id for cid, c in tax.concepts.items())
+        assert tax.label_index == want["label_index"]
+        assert tax.folded_label_index == want["folded_label_index"]
+        index = PhraseIndex.from_taxonomy(tax)
+        phrases = {tuple(brute_tokenize(lab)) for labs, _ in want["concepts"].values() for lab in labs}
+        phrases = {p for p in phrases if len(p) >= 2}
+        assert index.phrases == phrases
+        longest = {}
+        for p in phrases:
+            longest[p[0]] = max(longest.get(p[0], 0), len(p))
+        assert index.longest == longest
+        concept_cats = {cid: cats for cid, (_, cats) in want["concepts"].items()}
+        for k in want["category_labels"]:
+            assert tax.ancestors(k) == brute_ancestors(want["parents"], k)
+            assert information_content(tax, k) == brute_ic(want["parents"], concept_cats, k)
+
+
+class TestLoadErrorsNameTheLine:
+    @pytest.mark.parametrize("line, error, message", [
+        ("P\tc1\tA1\tagain", DuplicateIdError, "duplicate concept id c1"),
+        ("C\tA\tA again\tR", DuplicateIdError, "duplicate category id A"),
+        ("P\tc8\tA1\t | ", EmptyLabelError, "concept c8 has no labels"),
+        ("P\tc8\tA1", TaxonomyError, "P record needs 4 fields"),
+        ("C\tA3\tA3\tA\tx", TaxonomyError, "C record needs 4 fields"),
+        ("X\tc8\tA1\tx", TaxonomyError, "unknown record kind 'X'"),
+    ])
+    def test_record_errors(self, line, error, message):
+        text = "# toy\n\n" + TOY_TAXONOMY + line + "\n"
+        lineno = text.count("\n")
+        with pytest.raises(error) as exc:
+            parse_taxonomy(io.StringIO(text))
+        assert str(exc.value) == "line %d: %s" % (lineno, message)
+        with pytest.raises(error) as exc:
+            parse_taxonomy(io.StringIO(text), "tax.tsv")
+        assert str(exc.value) == "tax.tsv line %d: %s" % (lineno, message)
