@@ -70,6 +70,7 @@ def map_terms_to_concepts(
     """Match each term against concept labels.  Exactly one match ->
     unambiguous; several -> ambiguous candidates; none -> unresolved.
     With exact_match off, a diacritic-folded lookup is tried as fallback.
+    Both label indexes hold sorted, distinct concept ids.
     """
     unambiguous = ConceptAssignment()
     ambiguous: dict[str, list[str]] = {}
@@ -83,7 +84,7 @@ def map_terms_to_concepts(
         elif len(candidates) == 1:
             unambiguous.entries.append((term, candidates[0], v[term]))
         else:
-            ambiguous[term] = sorted(set(candidates))
+            ambiguous[term] = list(candidates)
     return unambiguous, ambiguous
 
 
