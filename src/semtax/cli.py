@@ -17,19 +17,9 @@ from dataclasses import fields
 from . import evaluate as ev
 from .corpus import load_corpus
 from .errors import ConfigError, DataError, EmptyVectorError
-from .classics import (
-    LLDAModel,
-    NBModel,
-    WinnowModel,
-    llda_predict,
-    llda_train,
-    nb_predict,
-    nb_train,
-    winnow_predict,
-    winnow_train,
-)
+from .classics import LLDAModel, NBModel, WinnowModel, llda_predict, nb_predict, winnow_predict
 from .models import Pipeline, decode, load_model, save_model
-from .semcat import SemCatConfig, categorize, ranked_categories
+from .semcat import Analyzer, SemCatConfig, categorize, ranked_categories
 from .semcla import (
     DEFAULT_ALPHA_GRID,
     SemClaConfig,
@@ -41,7 +31,6 @@ from .semcla import (
 )
 from .taxonomy import load_taxonomy
 from .textpipe import (
-    PhraseIndex,
     TermTable,
     build_background,
     load_background,
@@ -124,13 +113,12 @@ def cmd_categorize(args):
     tax = load_taxonomy(_require_path(args.taxonomy, "taxonomy"))
     docs = load_corpus(_require_path(args.corpus, "corpus"))
     stats = _load_background_or_build(args, docs, config)
-    index = PhraseIndex.from_taxonomy(tax)
-    table = TermTable.from_config(config, stats)
+    analyzer = Analyzer(tax, stats, config)
     out = _out_stream(args.out)
     _echo_config(args)
     for d in docs:
         try:
-            cats = categorize(d.text, tax, stats, config, index, table)
+            cats = categorize(d.text, tax, stats, config, analyzer.index, analyzer.table)
         except EmptyVectorError:
             out.write("%s\t%s\t-\n" % (d.id, config.disambig))
             continue
@@ -143,26 +131,12 @@ def cmd_categorize(args):
     return 0
 
 
-def _feature_bags(docs, features, tax, stats, config):
-    """(document, feature bag) for each document, the bag None when the
-    document has no features.  train builds its bags here and records
-    features, taxonomy use, config and background in the model's
-    pipeline; classify builds its bags here from that pipeline, so a model
-    is applied with the preprocessing it was trained with.  Without a
-    taxonomy, `terms` is the tf-idf term vector with no phrase matching."""
-    index = PhraseIndex.from_taxonomy(tax) if tax is not None else PhraseIndex(())
-    table = TermTable.from_config(config, stats)
-    out = []
-    for d in docs:
-        try:
-            bag = ev.extract_features(d.text, features, tax, stats, config, index, table)
-        except EmptyVectorError:
-            bag = None
-        out.append((d, bag))
-    return out
-
-
 def cmd_train(args):
+    """Train a model on the corpus's feature bags and record in the model
+    file the pipeline that built them (features, taxonomy use, config and
+    background), so that classify builds its bags the same way."""
+    if args.model == "llda" and args.seed is None:
+        raise ConfigError("--seed is mandatory for llda")
     semcat = _semcat_config(args)
     docs = load_corpus(_require_path(args.corpus, "corpus"))
     for d in docs:
@@ -173,23 +147,15 @@ def cmd_train(args):
     if args.taxonomy or features != "terms":
         tax = load_taxonomy(_require_path(args.taxonomy, "taxonomy"))
     stats = _load_background_or_build(args, docs, semcat)
-    bags = [(d.label, bag) for d, bag in _feature_bags(docs, features, tax, stats, semcat)]
+    analyzer = Analyzer(tax, stats, semcat)
+    bags = [(d.label, analyzer.bag(d.text, features)) for d in docs]
     if args.model == "semcla":
         model = semcla_fit(bags, tax, SemClaConfig(alpha=args.alpha, mode=args.mode))
     else:
-        bags = [(lab, bag) for lab, bag in bags if bag is not None]
-        if args.model == "bayes":
-            model = nb_train(bags)
-        elif args.model == "winnow":
-            model = winnow_train(
-                bags, theta=args.theta, alpha=args.winnow_alpha,
-                beta=args.winnow_beta, epochs=args.epochs,
-            )
-        else:
-            if args.seed is None:
-                raise ConfigError("--seed is mandatory for llda")
-            labeled = [([lab], ev.bag_to_tokens(bag)) for lab, bag in bags]
-            model = llda_train(labeled, iterations=args.iterations, seed=args.seed)
+        params = {"theta": args.theta, "alpha": args.winnow_alpha, "beta": args.winnow_beta,
+                  "epochs": args.epochs, "iterations": args.iterations}
+        model = ev.train_learner(args.model, [(lab, bag) for lab, bag in bags if bag is not None],
+                                 params, args.seed)
     save_model(model, Pipeline(features, tax is not None, semcat, stats), args.out)
     _echo_config(args, features=features)
     return 0
@@ -224,9 +190,11 @@ def cmd_classify(args):
         LLDAModel: llda_predict,
         SemClaModel: lambda m, bag: semcla_score(extend_vector(bag, tax, m.alpha), m),
     }[type(model)]
+    analyzer = Analyzer(tax, stats, pipeline.semcat)
     out = _out_stream(args.out)
     _echo_config(args)
-    for d, bag in _feature_bags(docs, pipeline.features, tax, stats, pipeline.semcat):
+    for d in docs:
+        bag = analyzer.bag(d.text, pipeline.features)
         _write_ranking(out, d.id, None if bag is None else predict(model, bag))
     if out is not sys.stdout:
         out.close()
@@ -245,8 +213,15 @@ def cmd_evaluate(args):
     if not isinstance(semcat_raw, dict) or not set(semcat_raw) <= set(ev.SEMCAT_KEYS):
         raise ConfigError("semcat must be an object with keys among %s, got %s"
                           % (", ".join(ev.SEMCAT_KEYS), json.dumps(semcat_raw)))
-    hints = typing.get_type_hints(SemCatConfig)
+    seed = args.seed if args.seed is not None else raw.get("seed")
+    if seed is None:
+        raise ConfigError("seed is mandatory (config or --seed)")
+    # checked, not converted, so that the report echoes them as given
+    given = dict({k: raw[k] for k in ("common_subset", "buckets", "alpha") if k in raw}, seed=seed)
+    top_hints, hints = typing.get_type_hints(ev.ExperimentConfig), typing.get_type_hints(SemCatConfig)
     try:
+        for k, v in given.items():
+            decode(top_hints[k], v, k)
         semcat = SemCatConfig(
             **{k: decode(hints[k], v, "semcat." + k) for k, v in semcat_raw.items()})
     except DataError as exc:
@@ -268,9 +243,6 @@ def cmd_evaluate(args):
         stats = load_background(_require_path(raw["background"], "background"))
     else:
         stats = _background(train_docs + test_docs, semcat)
-    seed = args.seed if args.seed is not None else raw.get("seed")
-    if seed is None:
-        raise ConfigError("seed is mandatory (config or --seed)")
     cfg = ev.ExperimentConfig(
         taxonomy=tax,
         background=stats,

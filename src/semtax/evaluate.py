@@ -20,24 +20,27 @@ from .ensemble import (
     project_category_to_label,
     semcom_predict,
 )
-from .errors import ConfigError, DataError, DegenerateInputError, EmptyVectorError
+from .errors import ConfigError, DataError, DegenerateInputError
+from .models import decode
 from .semcat import (
+    FEATURE_MODES,
+    Analyzer,
     SemCatConfig,
-    assign_concepts,
-    categorize_vector,
     check_config,
     ranked_categories,
     term_vector,
+    vector_features,
 )
 from .semcla import SemClaConfig, extend_vector, semcla_fit, semcla_score
 from .taxonomy import Taxonomy, sim_lin
-from .textpipe import BackgroundStats, PhraseIndex, TermTable
+from .textpipe import BackgroundStats
 
-FEATURE_MODES = ("terms", "categories", "concepts")
 CLASSICAL_KINDS = ("bayes", "winnow", "llda")
 METHOD_KINDS = CLASSICAL_KINDS + ("semcat", "semcla", "ensemble", "semcom")
-# the params a committee passes on to its members' learners
-LEARNER_PARAMS = ("theta", "alpha", "beta", "epochs", "a_word", "iterations")
+# the classical learners' params and their types; a committee passes them
+# on to its members' learners
+LEARNER_PARAMS = {"theta": float, "alpha": float, "beta": float, "epochs": int,
+                  "a_word": float, "iterations": int}
 SAMPLE_LEVELS = {1: "1", "1": "1", 2: "2", "2": "2", "inf": "inf", float("inf"): "inf"}
 # the SemCatConfig fields an experiment config may set, echoed in its report
 SEMCAT_KEYS = ("top_terms", "disambig", "measure", "exact_match", "min_df", "max_df_ratio")
@@ -110,36 +113,12 @@ def paired_t_test(a: list, b: list) -> tuple[float, float]:
 
 
 def extract_features(
-    text: str,
-    mode: str,
-    tax: Taxonomy,
-    stats: BackgroundStats,
-    config: SemCatConfig,
-    phrase_index: PhraseIndex | None = None,
-    term_table: TermTable | None = None,
+    text: str, mode: str, tax: Taxonomy, stats: BackgroundStats, config: SemCatConfig
 ) -> dict[str, float]:
-    """terms: the tf-idf term vector; categories: SemCat category weights;
-    concepts: disambiguated concept ids weighted by share."""
-    v = term_vector(text, tax, stats, config, phrase_index, term_table)
-    return vector_features(v, mode, tax, config)
-
-
-def vector_features(
-    v: dict[str, float], mode: str, tax: Taxonomy, config: SemCatConfig
-) -> dict[str, float]:
-    """The `mode` feature bag of a document's term vector `v` (see
-    extract_features)."""
-    if mode not in FEATURE_MODES:
-        raise ConfigError("unknown feature mode %r" % mode)
-    if mode == "terms":
-        return v
-    if mode == "categories":
-        return categorize_vector(v, tax, config)
-    assignment = assign_concepts(v, tax, config)
-    bag: dict[str, float] = {}
-    for _, cid, w in assignment.entries:
-        bag[cid] = bag.get(cid, 0.0) + w
-    return bag
+    """The `mode` feature bag of one text (see semcat.vector_features);
+    EmptyVectorError when it has none.  Over many texts, semcat.Analyzer
+    shares one phrase index and term table."""
+    return vector_features(term_vector(text, tax, stats, config), mode, tax, config)
 
 
 def bag_to_tokens(bag: dict[str, float], scale: int = 100) -> list[str]:
@@ -148,6 +127,21 @@ def bag_to_tokens(bag: dict[str, float], scale: int = 100) -> list[str]:
     for f in sorted(bag):
         tokens.extend([f] * max(1, round(bag[f] * scale)))
     return tokens
+
+
+def train_learner(kind: str, bags: list, params: dict, seed: int):
+    """The classical learner of kind (bayes, winnow or llda) trained on
+    (label, bag) pairs.  params holds LEARNER_PARAMS hyperparameters; one
+    that is absent keeps the learner's default.  seed seeds llda."""
+    def given(*names):
+        return {k: params[k] for k in names if k in params}
+
+    if kind == "bayes":
+        return nb_train(bags)
+    if kind == "winnow":
+        return winnow_train(bags, **given("theta", "alpha", "beta", "epochs"))
+    labeled = [([lab], bag_to_tokens(bag)) for lab, bag in bags]
+    return llda_train(labeled, **given("a_word", "iterations"), seed=seed)
 
 
 # -- experiment runner ---------------------------------------------------
@@ -261,7 +255,8 @@ def committee_key(spec: MethodSpec) -> tuple:
 
 def check_experiment(cfg: ExperimentConfig):
     """ConfigError for a SemCat setting out of range, an unknown method
-    kind or feature mode, or a bad committee param, before any training."""
+    kind or feature mode, a learner param of the wrong type or a bad
+    committee param, before any training."""
     try:
         check_config(cfg.semcat)
     except DataError as exc:
@@ -274,6 +269,12 @@ def check_experiment(cfg: ExperimentConfig):
                               % (spec.name, _shown(spec.features)))
         if not isinstance(spec.params, dict):
             raise ConfigError("method %s: params must be an object" % spec.name)
+        for name, tp in LEARNER_PARAMS.items():
+            if name in spec.params:
+                try:
+                    decode(tp, spec.params[name], "params." + name)
+                except DataError as exc:
+                    raise ConfigError("method %s %s" % (spec.name, exc)) from None
         if spec.kind in ("ensemble", "semcom"):
             committee_key(spec)
 
@@ -288,28 +289,11 @@ class _Predictor:
         self._build()
 
     def _train_classical(self, kind, docs, seed):
-        params = self.spec.params
         features = self.spec.features
         bags = [(d.label, bag) for d in docs if (bag := self.ctx.bag(d, features)) is not None]
         if not bags:
             raise DataError("no usable training documents for %s" % self.spec.name)
-        if kind == "bayes":
-            return nb_train(bags)
-        if kind == "winnow":
-            return winnow_train(
-                bags,
-                theta=params.get("theta", 1.0),
-                alpha=params.get("alpha", 1.1),
-                beta=params.get("beta", 0.9),
-                epochs=params.get("epochs", 50),
-            )
-        labeled = [([lab], bag_to_tokens(bag)) for lab, bag in bags]
-        return llda_train(
-            labeled,
-            a_word=params.get("a_word", 0.01),
-            iterations=params.get("iterations", 200),
-            seed=seed,
-        )
+        return train_learner(kind, bags, self.spec.params, seed)
 
     def _build(self):
         cfg = self.ctx.cfg
@@ -412,8 +396,7 @@ class _Context:
 
     def __init__(self, cfg: ExperimentConfig):
         self.cfg = cfg
-        self.phrase_index = PhraseIndex.from_taxonomy(cfg.taxonomy)
-        self.term_table = TermTable.from_config(cfg.semcat, cfg.background)
+        self.analyzer = Analyzer(cfg.taxonomy, cfg.background, cfg.semcat)
         self._vectors: dict = {}
         self._bags: dict = {}
         self._committees: dict = {}
@@ -424,29 +407,13 @@ class _Context:
             self._committees[key] = train()
         return self._committees[key]
 
-    def _term_vector(self, doc: Document):
-        if doc.id not in self._vectors:
-            try:
-                self._vectors[doc.id] = term_vector(
-                    doc.text, self.cfg.taxonomy, self.cfg.background,
-                    self.cfg.semcat, self.phrase_index, self.term_table,
-                )
-            except EmptyVectorError:
-                self._vectors[doc.id] = None
-        return self._vectors[doc.id]
-
     def bag(self, doc: Document, mode: str):
         """The document's `mode` feature bag, None when it has none."""
         key = (doc.id, mode)
         if key not in self._bags:
-            v = self._term_vector(doc)
-            try:
-                self._bags[key] = (
-                    None if v is None
-                    else vector_features(v, mode, self.cfg.taxonomy, self.cfg.semcat)
-                )
-            except EmptyVectorError:
-                self._bags[key] = None
+            if doc.id not in self._vectors:
+                self._vectors[doc.id] = self.analyzer.vector(doc.text)
+            self._bags[key] = self.analyzer.features(self._vectors[doc.id], mode)
         return self._bags[key]
 
     def categorized(self, doc: Document):

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import DataError, EmptyVectorError
+from .errors import ConfigError, DataError, EmptyVectorError
 from .taxonomy import CATEGORY_MEASURES, Taxonomy, fold_diacritics, normalize_label, sim_page
 from .textpipe import (
     BackgroundStats,
@@ -21,6 +21,7 @@ from .textpipe import (
 )
 
 DISAMBIG_METHODS = ("nearest", "rank_half", "rank_inv", "uniform")
+FEATURE_MODES = ("terms", "categories", "concepts")
 
 
 @dataclass
@@ -211,6 +212,60 @@ def categorize(
     config = config or SemCatConfig()
     v = term_vector(text, tax, stats, config, phrase_index, term_table)
     return categorize_vector(v, tax, config)
+
+
+def vector_features(
+    v: dict[str, float], mode: str, tax: Taxonomy, config: SemCatConfig
+) -> dict[str, float]:
+    """The `mode` feature bag of a document's term vector `v`.  terms: the
+    tf-idf term vector; categories: SemCat category weights; concepts:
+    disambiguated concept ids weighted by share."""
+    if mode not in FEATURE_MODES:
+        raise ConfigError("unknown feature mode %r" % mode)
+    if mode == "terms":
+        return v
+    if mode == "categories":
+        return categorize_vector(v, tax, config)
+    assignment = assign_concepts(v, tax, config)
+    bag: dict[str, float] = {}
+    for _, cid, w in assignment.entries:
+        bag[cid] = bag.get(cid, 0.0) + w
+    return bag
+
+
+class Analyzer:
+    """Text to feature bags through one phrase index of tax and one term
+    table of (config, stats), shared by every document analysed.  Without
+    a taxonomy (tax None) there is no phrase matching, and only `terms`
+    bags can be built.  Each method returns None for a document with no
+    features: no terms, all tf-idf weights zero, or (categories and
+    concepts) no term that maps to a concept."""
+
+    def __init__(self, tax: Taxonomy | None, stats: BackgroundStats, config: SemCatConfig):
+        self.tax = tax
+        self.stats = stats
+        self.config = config
+        self.index = PhraseIndex.from_taxonomy(tax) if tax is not None else PhraseIndex(())
+        self.table = TermTable.from_config(config, stats)
+
+    def vector(self, text: str) -> dict[str, float] | None:
+        """The document's top-n tf-idf term vector."""
+        try:
+            return term_vector(text, self.tax, self.stats, self.config, self.index, self.table)
+        except EmptyVectorError:
+            return None
+
+    def features(self, v: dict[str, float] | None, mode: str) -> dict[str, float] | None:
+        """The `mode` bag of term vector v (see vector_features)."""
+        if v is None:
+            return None
+        try:
+            return vector_features(v, mode, self.tax, self.config)
+        except EmptyVectorError:
+            return None
+
+    def bag(self, text: str, mode: str) -> dict[str, float] | None:
+        return self.features(self.vector(text), mode)
 
 
 def top_n_categories(v: dict[str, float], n: int) -> list[tuple[str, float]]:

@@ -13,10 +13,10 @@ import numpy as np
 from scipy.stats import rankdata
 
 from .classics import rank_order
-from .errors import CalibrationError, ConfigError, EmptyVectorError, TrainingError
-from .semcat import SemCatConfig, categorize
+from .errors import CalibrationError, ConfigError, TrainingError
+from .semcat import Analyzer, SemCatConfig, categorize
 from .taxonomy import Taxonomy
-from .textpipe import BackgroundStats, PhraseIndex, TermTable
+from .textpipe import BackgroundStats
 
 log = logging.getLogger(__name__)
 
@@ -102,20 +102,12 @@ def semcla_train(
     tax: Taxonomy,
     stats: BackgroundStats,
     config: SemClaConfig | None = None,
-    phrase_index: PhraseIndex | None = None,
 ) -> SemClaModel:
     """docs: iterable of (label, text).  Categorizes each text and trains
     with semcla_fit."""
     config = config or SemClaConfig()
-    index = phrase_index if phrase_index is not None else PhraseIndex.from_taxonomy(tax)
-    table = TermTable.from_config(config.semcat, stats)
-    pairs = []
-    for label, text in docs:
-        try:
-            cats = categorize(text, tax, stats, config.semcat, index, table)
-        except EmptyVectorError:
-            cats = None
-        pairs.append((label, cats))
+    analyzer = Analyzer(tax, stats, config.semcat)
+    pairs = [(label, analyzer.bag(text, "categories")) for label, text in docs]
     return semcla_fit(pairs, tax, config)
 
 
@@ -160,11 +152,10 @@ def semcla_classify(
     tax: Taxonomy,
     stats: BackgroundStats,
     semcat_config: SemCatConfig | None = None,
-    phrase_index: PhraseIndex | None = None,
 ) -> list[tuple[str, float]]:
     """Categorize and extend the text, then rank the classes with
     semcla_score.  Categorization failures propagate."""
-    cats = categorize(text, tax, stats, semcat_config or SemCatConfig(), phrase_index)
+    cats = categorize(text, tax, stats, semcat_config or SemCatConfig())
     doc_vector = extend_vector(cats, tax, model.alpha)
     return semcla_score(doc_vector, model)
 
@@ -198,24 +189,26 @@ def calibrate_alpha(
     stats: BackgroundStats,
     grid=DEFAULT_ALPHA_GRID,
     semcat_config: SemCatConfig | None = None,
-    phrase_index: PhraseIndex | None = None,
 ) -> float:
     """Pick the grid alpha maximizing group separation (ties by smaller
-    alpha).  groups: label -> list of document texts."""
+    alpha).  groups: label -> list of document texts, each of which must
+    categorize."""
     if len(groups) < 2:
         raise CalibrationError("need at least two groups")
     if not grid:
         raise CalibrationError("empty alpha grid")
-    config = semcat_config or SemCatConfig()
-    index = phrase_index if phrase_index is not None else PhraseIndex.from_taxonomy(tax)
-    table = TermTable.from_config(config, stats)
+    analyzer = Analyzer(tax, stats, semcat_config or SemCatConfig())
     base = []
     for label in sorted(groups):
         docs = groups[label]
         if len(docs) < 2:
             raise CalibrationError("group %s has fewer than two documents" % label)
-        for text in docs:
-            base.append((label, categorize(text, tax, stats, config, index, table)))
+        for position, text in enumerate(docs, 1):
+            cats = analyzer.bag(text, "categories")
+            if cats is None:
+                raise CalibrationError("document %d of group %s has no categories"
+                                       % (position, label))
+            base.append((label, cats))
     # rank_separation rounds its similarities, so equal separations are
     # bit-identical and max, which keeps the first maximum, picks the smaller alpha
     return max(sorted(grid), key=lambda alpha: rank_separation(base, tax, alpha))

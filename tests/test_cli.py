@@ -4,6 +4,7 @@ import pathlib
 import pytest
 
 import semtax.cli
+import semtax.evaluate
 from semtax.cli import main
 from semtax.textpipe import PhraseIndex
 from conftest import TOY_TAXONOMY, chain_label, chain_taxonomy
@@ -153,7 +154,7 @@ def test_train_and_classify_roundtrip(workdir, capsys):
 def test_classify_scores_the_bags_train_fitted(workdir, monkeypatch, capsys, taxonomy, features):
     flags = ["--taxonomy", str(workdir / "tax.tsv")] if taxonomy else []
     fitted, scored = [], []
-    real_train, real_predict = semtax.cli.nb_train, semtax.cli.nb_predict
+    real_train, real_predict = semtax.evaluate.nb_train, semtax.cli.nb_predict
 
     def train(bags):
         fitted.extend(bag for _, bag in bags)
@@ -163,7 +164,7 @@ def test_classify_scores_the_bags_train_fitted(workdir, monkeypatch, capsys, tax
         scored.append(bag)
         return real_predict(model, bag)
 
-    monkeypatch.setattr(semtax.cli, "nb_train", train)
+    monkeypatch.setattr(semtax.evaluate, "nb_train", train)
     monkeypatch.setattr(semtax.cli, "nb_predict", predict)
     model = workdir / "nb.json"
     corpus = ["--corpus", str(workdir / "corpus.jsonl")]
@@ -174,16 +175,16 @@ def test_classify_scores_the_bags_train_fitted(workdir, monkeypatch, capsys, tax
     assert scored == fitted
 
 
-def _record(monkeypatch, name, calls, bags):
-    """Wrap semtax.cli.<name> to log into calls the bags that bags(*args)
+def _record(monkeypatch, name, calls, bags, module=semtax.cli):
+    """Wrap module.<name> to log into calls the bags that bags(*args)
     picks from each call's arguments."""
-    real = getattr(semtax.cli, name)
+    real = getattr(module, name)
 
     def wrapper(*args):
         calls.extend(bags(*args))
         return real(*args)
 
-    monkeypatch.setattr(semtax.cli, name, wrapper)
+    monkeypatch.setattr(module, name, wrapper)
 
 
 @pytest.mark.parametrize("kind", ["bayes", "semcla"])
@@ -196,7 +197,8 @@ def test_classify_applies_the_pipeline_train_recorded(workdir, monkeypatch, caps
     )
     fitted, scored = [], []
     if kind == "bayes":
-        _record(monkeypatch, "nb_train", fitted, lambda bags: [b for _, b in bags])
+        _record(monkeypatch, "nb_train", fitted, lambda bags: [b for _, b in bags],
+                semtax.evaluate)
         _record(monkeypatch, "nb_predict", scored, lambda model, bag: [bag])
     else:
         _record(monkeypatch, "semcla_fit", fitted, lambda pairs, tax, config: [b for _, b in pairs])
@@ -528,6 +530,46 @@ def test_calibrate_alpha_prints_grid_member(workdir, capsys):
     assert float(out.strip().split("=")[1]) in (0.0, 0.1)
 
 
+def test_evaluate_echoes_config_as_given(workdir, capsys):
+    cfg = {
+        "taxonomy": str(workdir / "tax.tsv"),
+        "corpus_train": str(workdir / "corpus.jsonl"),
+        "corpus_test": str(workdir / "corpus.jsonl"),
+        "label_categories": {"x": "A", "z": "B"},
+        "buckets": False,
+        "alpha": 1,
+        "seed": 3,
+        "methods": [{"name": "wn", "kind": "winnow", "params": {"theta": 1, "epochs": 5}}],
+    }
+    (workdir / "exp.json").write_text(json.dumps(cfg))
+    out = workdir / "report.json"
+    assert main(["evaluate", "--config", str(workdir / "exp.json"), "--out", str(out)]) == 0
+    echo = json.loads(out.read_text())["config"]
+    assert (echo["alpha"], echo["seed"], echo["buckets"]) == (1, 3, False)
+    assert echo["methods"][0]["params"] == {"theta": 1, "epochs": 5}
+    # an int, not the float 1.0 that decoding would have made of it
+    assert type(echo["alpha"]) is int and type(echo["methods"][0]["params"]["theta"]) is int
+
+
+def test_train_llda_without_seed_exits_1(workdir, capsys):
+    rc = main(["train", "--model", "llda", "--corpus", str(workdir / "corpus.jsonl"),
+               "--out", str(workdir / "llda.json")])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: config: --seed is mandatory for llda\n"
+    assert not (workdir / "llda.json").exists()
+
+
+def test_calibrate_alpha_uncategorizable_document_exits_2(workdir, capsys):
+    with open(workdir / "corpus.jsonl", "a", encoding="utf-8") as fh:
+        fh.write(json.dumps({"id": "d5", "text": "zulu yankee", "label": "z"}) + "\n")
+    rc = main(["calibrate-alpha", "--taxonomy", str(workdir / "tax.tsv"),
+               "--corpus", str(workdir / "corpus.jsonl")])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: data: document 3 of group z has no categories\n"
+
+
 def test_config_echo_on_stderr(workdir, capsys):
     rc = main([
         "categorize",
@@ -544,6 +586,11 @@ def committee(cfg, kind="ensemble", **params):
     members = {"members": [["bayes", 2]], **params}
     return dict(cfg, methods=[{"name": "nb", "kind": "bayes"},
                               {"name": kind, "kind": kind, "params": members}])
+
+
+def learner(cfg, kind, **params):
+    """cfg with one method m of kind with the given params."""
+    return dict(cfg, methods=[{"name": "m", "kind": kind, "params": params}])
 
 
 @pytest.mark.parametrize("edit, message", [
@@ -563,13 +610,32 @@ def committee(cfg, kind="ensemble", **params):
     (lambda cfg: committee(cfg, level="7"), 'level must be 1, 2 or "inf", got "7"'),
     (lambda cfg: committee(cfg, kind="semcom", semcat_weights=[]),
      "semcat_weights must be a non-empty list of numbers"),
+    (lambda cfg: dict(cfg, seed="abc"), "'seed' of type str, not int"),
+    (lambda cfg: dict(cfg, seed=1.5), "'seed' of type float, not int"),
+    (lambda cfg: dict(cfg, alpha="x"), "'alpha' of type str, not float"),
+    (lambda cfg: dict(cfg, common_subset="no"), "'common_subset' of type str, not bool"),
+    (lambda cfg: dict(cfg, buckets=0), "'buckets' of type int, not bool"),
+    (lambda cfg: learner(cfg, "llda", iterations="3"),
+     "method m has field 'params.iterations' of type str, not int"),
+    (lambda cfg: learner(cfg, "winnow", theta="q"),
+     "method m has field 'params.theta' of type str, not float"),
+    (lambda cfg: learner(cfg, "winnow", epochs=2.5), "'params.epochs' of type float, not int"),
+    (lambda cfg: learner(cfg, "winnow", alpha=True), "'params.alpha' of type bool, not float"),
+    (lambda cfg: learner(cfg, "llda", a_word=None), "'params.a_word' of type NoneType, not float"),
+    (lambda cfg: committee(cfg, beta="0.9"), "'params.beta' of type str, not float"),
+    (lambda cfg: committee(cfg, kind="semcom", iterations=False),
+     "'params.iterations' of type bool, not int"),
 ], ids=["not-json", "not-object", "method-without-kind", "unknown-semcat-key",
         "semcat-value-type",
         "no-label-categories", "empty-label-categories",
         "semcat-top-terms-zero", "semcat-disambig-unknown", "semcat-measure-unknown",
         "committee-members-int", "committee-member-count-zero",
         "committee-aggregation-unknown", "committee-level-unknown",
-        "committee-semcat-weights-empty"])
+        "committee-semcat-weights-empty",
+        "seed-str", "seed-float", "alpha-str", "common-subset-str", "buckets-int",
+        "llda-iterations-str", "winnow-theta-str", "winnow-epochs-float",
+        "winnow-alpha-bool", "llda-a-word-null", "committee-beta-str",
+        "semcom-iterations-bool"])
 def test_evaluate_bad_config_exits_1(workdir, capsys, edit, message):
     cfg = {
         "taxonomy": str(workdir / "tax.tsv"),

@@ -5,7 +5,7 @@ import pytest
 
 import semtax.evaluate
 from semtax.corpus import Document
-from semtax.errors import DataError, DegenerateInputError
+from semtax.errors import DataError, DegenerateInputError, EmptyVectorError
 from semtax.evaluate import (
     ExperimentConfig,
     MethodSpec,
@@ -17,7 +17,8 @@ from semtax.evaluate import (
     precision,
     run_experiment,
 )
-from semtax.semcat import SemCatConfig, term_vector
+from semtax.semcat import FEATURE_MODES, Analyzer, SemCatConfig, term_vector
+from semtax.textpipe import BackgroundStats
 from semtax.synth import make_gap_benchmark
 from semtax.taxonomy import parse_taxonomy, sim_lin
 
@@ -124,16 +125,34 @@ class TestPairedT:
             paired_t_test([1.0], [1.0, 2.0])
 
 
+def check_analyzer(text, tax, stats, config):
+    """Analyzer.bag, through one shared phrase index and term table, is
+    extract_features in every mode, and None where it raises
+    EmptyVectorError.  Returns the modes that raised."""
+    analyzer = Analyzer(tax, stats, config)
+    failed = []
+    for mode in FEATURE_MODES:
+        try:
+            expected = extract_features(text, mode, tax, stats, config)
+        except EmptyVectorError as exc:
+            failed.append((mode, str(exc)))
+            expected = None
+        assert analyzer.bag(text, mode) == expected
+    return failed
+
+
 class TestExtractFeatures:
     def test_terms_mode_passthrough(self, toy_tax, toy_background):
         text = "alpha echo golf"
         config = SemCatConfig()
         got = extract_features(text, "terms", toy_tax, toy_background, config)
         assert got == term_vector(text, toy_tax, toy_background, config)
+        assert check_analyzer(text, toy_tax, toy_background, config) == []
 
     def test_concepts_mode_single_concept(self, toy_tax, toy_background):
         got = extract_features("alpha", "concepts", toy_tax, toy_background, SemCatConfig())
         assert got == {"c1": pytest.approx(1.0)}
+        assert check_analyzer("alpha", toy_tax, toy_background, SemCatConfig()) == []
 
     def test_categories_mode_conserves_weight(self, toy_tax, toy_background):
         config = SemCatConfig()
@@ -141,6 +160,20 @@ class TestExtractFeatures:
         v = term_vector(text, toy_tax, toy_background, config)
         got = extract_features(text, "categories", toy_tax, toy_background, config)
         assert sum(got.values()) == pytest.approx(sum(v.values()), abs=1e-9)
+        assert check_analyzer(text, toy_tax, toy_background, config) == []
+
+    @pytest.mark.parametrize("text, modes, reason", [
+        ("42 -- 7", FEATURE_MODES, "no terms to weight"),
+        ("omega omega", FEATURE_MODES, "all term weights are zero"),
+        ("zulu yankee", ("categories", "concepts"), "no term maps to any concept"),
+    ], ids=["no-tokens", "weights-zero", "no-concept"])
+    def test_analyzer_is_none_where_extraction_fails(
+        self, toy_tax, toy_background, text, modes, reason
+    ):
+        # omega is in every background document: kept by max_df_ratio 1, idf 0
+        stats = BackgroundStats(100, dict(toy_background.doc_freq, omega=100))
+        failed = check_analyzer(text, toy_tax, stats, SemCatConfig(max_df_ratio=1.0))
+        assert failed == [(mode, reason) for mode in modes]
 
     def test_bag_to_tokens(self):
         got = bag_to_tokens({"a": 0.02, "b": 0.05}, scale=100)

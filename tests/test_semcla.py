@@ -191,6 +191,14 @@ class TestCalibration:
         with pytest.raises(CalibrationError):
             calibrate_alpha({"X": ["alpha", "bravo"]}, toy_tax, toy_background)
 
+    def test_uncategorizable_document_is_named(self, toy_tax, toy_background):
+        groups = {
+            "X": ["alpha bravo", "charlie delta"],
+            "Y": ["echo foxtrot", "zulu yankee", "golf echo"],
+        }
+        with pytest.raises(CalibrationError, match="^document 2 of group Y has no categories$"):
+            calibrate_alpha(groups, toy_tax, toy_background)
+
     def test_exhaustive_grid_oracle(self):
         tax, stats, groups = make_calibration_groups()
         from semtax.semcat import SemCatConfig, categorize
