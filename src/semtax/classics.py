@@ -279,6 +279,8 @@ def llda_train(
     A single-label document has no sampling freedom: its tokens are
     counted for its label without a draw.  Deterministic for a fixed
     seed."""
+    if not (a_word > 0 and iterations >= 0):
+        raise ConfigError("llda needs a_word > 0, iterations >= 0")
     docs = [(sorted(set(labels)), list(tokens)) for labels, tokens in labeled_docs]
     if not docs:
         raise TrainingError("empty training set")

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import ConfigError, DataError, EmptyVectorError
-from .taxonomy import CATEGORY_MEASURES, Taxonomy, fold_diacritics, normalize_label, sim_page
+from .taxonomy import CATEGORY_MEASURES, Taxonomy, fold_diacritics, mean_sim_page, normalize_label
 from .textpipe import (
     BackgroundStats,
     PhraseIndex,
@@ -117,26 +117,20 @@ def disambiguate(
     Candidates are scored by mean sim_page to the context concepts and
     sorted descending (ties by concept id); the method then splits the
     term's weight over ranks.  `nearest` with an empty context falls back
-    to `uniform`.
+    to `uniform`.  One taxonomy.mean_sim_page call scores the candidates
+    of every term.
     """
     if method not in DISAMBIG_METHODS:
         raise DataError("unknown disambiguation method %r" % method)
-    ctx = context.context_concepts()
     result = ConceptAssignment()
+    if not ambiguous:
+        return result
+    ctx = context.context_concepts()
+    pool = sorted({c for candidates in ambiguous.values() for c in candidates})
+    rank = {c: (-s, c) for c, s in zip(pool, mean_sim_page(tax, pool, ctx, measure))}
+    effective = "uniform" if method == "nearest" and not ctx else method
     for term in sorted(ambiguous):
-        candidates = ambiguous[term]
-        if ctx:
-            scored = sorted(
-                candidates,
-                key=lambda c: (
-                    -sum(sim_page(tax, c, x, measure) for x in ctx) / len(ctx),
-                    c,
-                ),
-            )
-            effective = method
-        else:
-            scored = sorted(candidates)
-            effective = "uniform" if method == "nearest" else method
+        scored = sorted(ambiguous[term], key=rank.__getitem__)
         props = _rank_proportions(effective, len(scored))
         w = weights[term]
         for c, p in zip(scored, props):

@@ -52,8 +52,9 @@ class Concept:
 
 class Taxonomy:
     """Validated category DAG.  Derived tables (concept counts, IC,
-    ancestor bitsets, the exact label index) are computed once in the
-    constructor; the diacritic-folded label index on first use."""
+    ancestor bitsets and the similarity rows built from them, the exact
+    label index) are computed once in the constructor; the
+    diacritic-folded label index on first use."""
 
     def __init__(
         self,
@@ -79,6 +80,7 @@ class Taxonomy:
         # bit i of an ancestor set is _by_bit[i]: bits run in (IC ascending,
         # id descending) order, so the highest one has the largest IC
         self._by_bit = sorted(counts, key=lambda k: (counts[k], k), reverse=True)
+        self._ic_by_bit = [self._ic[k] for k in self._by_bit]
         bit = {k: i for i, k in enumerate(self._by_bit)}
         self._anc: dict[str, int] = {}
         for k in reversed(order):
@@ -86,6 +88,8 @@ class Taxonomy:
             for p in self.parents[k]:
                 a |= self._anc[p]
             self._anc[k] = a
+        # category -> (id, ancestor bitset, IC), the rows of mean_sim_page
+        self._row = {k: (k, self._anc[k], self._ic[k]) for k in self._anc}
         # label -> sorted concept ids
         self.label_index: dict[str, list[str]] = {}
         for cid in sorted(self.concepts):
@@ -208,10 +212,6 @@ class Taxonomy:
         if k not in self.category_labels:
             raise UnknownCategoryError("unknown category %s" % k)
 
-    def _require_concept(self, p: str):
-        if p not in self.concepts:
-            raise UnknownConceptError("unknown concept %s" % p)
-
     def ancestors(self, k: str) -> frozenset[str]:
         """Categories reachable upward from k, including k."""
         self._require_category(k)
@@ -255,37 +255,101 @@ def msca(tax: Taxonomy, k1: str, k2: str) -> str:
     return tax._by_bit[common.bit_length() - 1]
 
 
-def sim_lin(tax: Taxonomy, k1: str, k2: str) -> float:
-    """Lin similarity: 2*IC(msca) / (IC(k1) + IC(k2)).  Zero denominator
-    (both arguments carry the root's IC of 0) yields 1 for identical
-    arguments and 0 otherwise."""
-    a = msca(tax, k1, k2)
-    denom = tax._ic[k1] + tax._ic[k2]
+def lin(ic_m: float, ic1: float, ic2: float, same: bool) -> float:
+    """Lin similarity of two categories of IC ic1 and ic2 whose msca has
+    IC ic_m: 2*ic_m / (ic1 + ic2).  A zero denominator (both categories
+    carry the root's IC of 0) yields 1 for one category (same) and 0 for
+    two."""
+    denom = ic1 + ic2
     if denom == 0.0:
-        return 1.0 if k1 == k2 else 0.0
-    return 2.0 * tax._ic[a] / denom
+        return 1.0 if same else 0.0
+    return 2.0 * ic_m / denom
+
+
+def pirro_seco(ic_m: float, ic1: float, ic2: float, same: bool) -> float:
+    """Pirro-Seco similarity of two categories of IC ic1 and ic2 whose
+    msca has IC ic_m: (3*ic_m - ic1 - ic2 + 2) / 3."""
+    return (3.0 * ic_m - ic1 - ic2 + 2.0) / 3.0
+
+
+# measure name -> its formula on IC values
+CATEGORY_MEASURES = {"lin": lin, "pirro_seco": pirro_seco}
+
+
+def _measure(tax: Taxonomy, formula, k1: str, k2: str) -> float:
+    ic = tax._ic
+    return formula(ic[msca(tax, k1, k2)], ic[k1], ic[k2], k1 == k2)
+
+
+def sim_lin(tax: Taxonomy, k1: str, k2: str) -> float:
+    """Lin similarity of categories k1 and k2 (see lin)."""
+    return _measure(tax, lin, k1, k2)
 
 
 def sim_pirro_seco(tax: Taxonomy, k1: str, k2: str) -> float:
-    """Pirro-Seco similarity: (3*IC(msca) - IC(k1) - IC(k2) + 2) / 3."""
-    a = msca(tax, k1, k2)
-    return (3.0 * tax._ic[a] - tax._ic[k1] - tax._ic[k2] + 2.0) / 3.0
+    """Pirro-Seco similarity of categories k1 and k2 (see pirro_seco)."""
+    return _measure(tax, pirro_seco, k1, k2)
 
 
-CATEGORY_MEASURES = {"lin": sim_lin, "pirro_seco": sim_pirro_seco}
+def mean_sim_page(
+    tax: Taxonomy, candidates: list[str], context: list[str], measure: str = "lin"
+) -> list[float]:
+    """For each candidate concept, its mean sim_page to the context
+    concepts: the best category-pair measure against each context
+    concept, summed in context order and divided by the context size.
+    Every mean is 0.0 when the context is empty.
+
+    Each category of the concepts is one row (id, ancestor bitset, IC),
+    and each context category is scored against every candidate row in
+    one pass.  The IC of the msca of two categories is the IC at the
+    highest set bit of the AND of their bitsets."""
+    formula = CATEGORY_MEASURES[measure]
+    row, concepts, ic_by_bit = tax._row, tax.concepts, tax._ic_by_bit
+    try:
+        categories = [concepts[c].categories for c in candidates]
+        context_rows = [list(map(row.__getitem__, concepts[x].categories)) for x in context]
+    except KeyError as exc:
+        raise UnknownConceptError("unknown concept %s" % exc.args[0]) from None
+    if not context:
+        return [0.0] * len(candidates)
+    # rows[i] is the first category of candidate i for i < m, and
+    # rows[m + j] another category of candidate owners[j]
+    rows, more, owners = [], [], []
+    for i, ks in enumerate(categories):
+        k, *others = ks
+        rows.append(row[k])
+        for k in others:
+            more.append(row[k])
+            owners.append(i)
+    m = len(rows)
+    rows += more
+    bests = []  # per context concept, the best measure of each candidate
+    for xrows in context_rows:
+        by_row = [
+            [
+                formula(ic_by_bit[(a1 & a2).bit_length() - 1], ic1, ic2, k1 == k2)
+                for k1, a1, ic1 in rows
+            ]
+            for k2, a2, ic2 in xrows
+        ]
+        # the best of each row against this context concept's categories,
+        # then of each candidate over its rows
+        scores = by_row[0] if len(by_row) == 1 else list(map(max, *by_row))
+        best = scores[:m]
+        for j, i in enumerate(owners, m):
+            if scores[j] > best[i]:
+                best[i] = scores[j]
+        bests.append(best)
+    n = len(context)
+    # the builtin sum, in context order: Python 3.12 compensates its float
+    # additions, and a running += would round differently there
+    return [sum(column) / n for column in zip(*bests)]
 
 
 def sim_page(tax: Taxonomy, p1: str, p2: str, measure: str = "lin") -> float:
     """Concept similarity: max of the category measure over all pairs of
-    categories the two concepts belong to."""
-    tax._require_concept(p1)
-    tax._require_concept(p2)
-    fn = CATEGORY_MEASURES[measure]
-    return max(
-        fn(tax, k1, k2)
-        for k1 in tax.concepts[p1].categories
-        for k2 in tax.concepts[p2].categories
-    )
+    categories the two concepts belong to (mean_sim_page of one pair)."""
+    return mean_sim_page(tax, [p1], [p2], measure)[0]
 
 
 # -- loading -------------------------------------------------------------

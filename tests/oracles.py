@@ -7,7 +7,8 @@ The text oracles decide every token afresh and try every phrase span.
 The classical oracles score each label by its own loop over the bag,
 and the Labeled LDA oracle draws a topic for every token.  The taxonomy
 file oracle reads one record at a time and builds both label indexes
-eagerly.
+eagerly.  The disambiguation oracle scores each candidate by its own
+brute_sim_page against every context concept.
 """
 
 import math
@@ -142,6 +143,47 @@ def brute_sim_page(parents, concept_cats, sim_fn, p1, p2):
             if best is None or s > best:
                 best = s
     return best
+
+
+def brute_disambiguate(parents, concept_cats, ambiguous, context, weights, method, measure):
+    """The entries (term, concept, share) of the ambiguous terms resolved
+    against the context concept ids: each term's candidates sorted by
+    their mean brute_sim_page to the sorted distinct context, descending,
+    ties by id, one brute_sim_page per candidate and context concept.
+    The method then splits the term's weight over the ranks; nearest
+    with an empty context falls back to uniform."""
+    ctx = sorted(set(context))
+    sim = lambda k1, k2: brute_sim(parents, concept_cats, measure, k1, k2)
+    entries = []
+    for term in sorted(ambiguous):
+        candidates = ambiguous[term]
+        if ctx:
+            scored = sorted(
+                candidates,
+                key=lambda c: (
+                    -sum(brute_sim_page(parents, concept_cats, sim, c, x) for x in ctx) / len(ctx),
+                    c,
+                ),
+            )
+            effective = method
+        else:
+            scored = sorted(candidates)
+            effective = "uniform" if method == "nearest" else method
+        m = len(scored)
+        if effective == "nearest":
+            props = [1.0] + [0.0] * (m - 1)
+        else:
+            raw = {
+                "rank_half": [1.0 / 2**i for i in range(1, m + 1)],
+                "rank_inv": [1.0 / i for i in range(1, m + 1)],
+                "uniform": [1.0] * m,
+            }[effective]
+            props = [r / sum(raw) for r in raw]
+        w = weights[term]
+        for c, p in zip(scored, props):
+            if p > 0.0:
+                entries.append((term, c, w * p))
+    return entries
 
 
 def links(tax):

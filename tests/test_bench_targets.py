@@ -1,9 +1,11 @@
 """The benchmark's tracer wraps library functions by name (bench/tracer.py
 TARGETS).  Each name must still resolve, so that a refactor that renames
 or deletes a traced function fails here rather than only under
-`bench/run.py --trace 1`."""
+`bench/run.py --trace 1`.  The tracer's BEFORE hooks also bind some
+parameters by name, so those names must stay too."""
 
 import importlib.util
+import inspect
 import pathlib
 
 import pytest
@@ -25,3 +27,21 @@ tracer = _load_tracer()
 def test_traced_name_resolves(target):
     *_, fn = tracer._resolve(target)
     assert callable(fn)
+
+
+# the parameters each BEFORE hook binds by name
+HOOKED_PARAMETERS = {
+    "semcat.term_vector": ("text",),
+    "semcat.disambiguate": ("ambiguous", "context", "method"),
+    "classics.llda_train": ("labeled_docs", "iterations"),
+}
+
+
+def test_every_hook_is_listed():
+    assert set(tracer.BEFORE) == set(HOOKED_PARAMETERS)
+
+
+@pytest.mark.parametrize("target", sorted(HOOKED_PARAMETERS))
+def test_hooked_parameters_exist(target):
+    *_, fn = tracer._resolve(target)
+    assert set(HOOKED_PARAMETERS[target]) <= set(inspect.signature(fn).parameters)

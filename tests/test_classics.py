@@ -228,6 +228,12 @@ class TestLabeledLda:
         with pytest.raises(TrainingError):
             llda_train([([], ["x"])])
 
+    @pytest.mark.parametrize("params", [{"a_word": 0}, {"a_word": -1.0}, {"iterations": -1}])
+    def test_out_of_range_params_are_config_errors(self, params):
+        docs = [(["x"], ["a", "b"]), (["y"], ["c"])]
+        with pytest.raises(ConfigError, match="llda needs a_word > 0, iterations >= 0"):
+            llda_train(docs, **params)
+
     def test_predict_prefers_own_vocabulary(self):
         docs = [(["a"], ["x", "x"]), (["b"], ["y", "y"])]
         model = llda_train(docs, iterations=20, seed=0)

@@ -622,6 +622,9 @@ def learner(cfg, kind, **params):
     (lambda cfg: learner(cfg, "winnow", epochs=2.5), "'params.epochs' of type float, not int"),
     (lambda cfg: learner(cfg, "winnow", alpha=True), "'params.alpha' of type bool, not float"),
     (lambda cfg: learner(cfg, "llda", a_word=None), "'params.a_word' of type NoneType, not float"),
+    (lambda cfg: learner(cfg, "llda", a_word=0), "llda needs a_word > 0, iterations >= 0"),
+    (lambda cfg: learner(cfg, "llda", a_word=-1.0), "llda needs a_word > 0, iterations >= 0"),
+    (lambda cfg: learner(cfg, "llda", iterations=-1), "llda needs a_word > 0, iterations >= 0"),
     (lambda cfg: committee(cfg, beta="0.9"), "'params.beta' of type str, not float"),
     (lambda cfg: committee(cfg, kind="semcom", iterations=False),
      "'params.iterations' of type bool, not int"),
@@ -634,7 +637,8 @@ def learner(cfg, kind, **params):
         "committee-semcat-weights-empty",
         "seed-str", "seed-float", "alpha-str", "common-subset-str", "buckets-int",
         "llda-iterations-str", "winnow-theta-str", "winnow-epochs-float",
-        "winnow-alpha-bool", "llda-a-word-null", "committee-beta-str",
+        "winnow-alpha-bool", "llda-a-word-null", "llda-a-word-zero", "llda-a-word-negative",
+        "llda-iterations-negative", "committee-beta-str",
         "semcom-iterations-bool"])
 def test_evaluate_bad_config_exits_1(workdir, capsys, edit, message):
     cfg = {

@@ -1,8 +1,9 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from semtax.errors import DataError, EmptyVectorError
+from semtax.errors import DataError, EmptyVectorError, UnknownConceptError
 from semtax.semcat import (
     ConceptAssignment,
     SemCatConfig,
@@ -15,7 +16,9 @@ from semtax.semcat import (
     top_n_categories,
 )
 from semtax.synth import random_taxonomy, random_term_vector
-from semtax.taxonomy import parse_taxonomy, sim_page
+from semtax.taxonomy import Concept, Taxonomy, mean_sim_page, parse_taxonomy, sim_page
+
+from oracles import brute_disambiguate, brute_sim, brute_sim_page, links
 
 
 class TestMapping:
@@ -113,12 +116,83 @@ class TestDisambiguate:
         )
         assert out.entries == [("jaguar", "c2", 1.0)]
 
+    @pytest.mark.parametrize("context", [[], [("alpha", "c1", 0.5)]], ids=["empty", "context"])
+    def test_unknown_candidate(self, toy_tax, context):
+        with pytest.raises(UnknownConceptError):
+            disambiguate(
+                {"jaguar": ["c2", "nope"]}, ConceptAssignment(entries=context), toy_tax,
+                {"jaguar": 1.0},
+            )
+
+
+@st.composite
+def homonym_cases(draw):
+    """A random DAG like test_taxonomy's small_taxonomies whose concepts,
+    of 1-3 categories each, share a few labels, so that most labels are
+    homonyms.  A concept often takes the categories of an earlier one, so
+    candidates tie and the id tie-break decides.  Returns the taxonomy,
+    the ambiguous terms with their candidates, context concept ids (maybe
+    none) and a weight per term."""
+    n = draw(st.integers(2, 8))
+    ids = draw(st.permutations(["k%d" % i for i in range(n)]))
+    parents = {ids[0]: frozenset()}
+    for i in range(1, n):
+        ps = draw(st.lists(st.integers(0, i - 1), min_size=1, max_size=3, unique=True))
+        parents[ids[i]] = frozenset(ids[j] for j in ps)
+    n_concepts = draw(st.integers(2, 9))
+    pids = draw(st.permutations(["p%d" % j for j in range(n_concepts)]))
+    n_labels = draw(st.integers(1, 3))
+    concepts, drawn = {}, []
+    for pid in pids:
+        if drawn and draw(st.booleans()):
+            cats = draw(st.sampled_from(drawn))
+        else:
+            cats = frozenset(draw(st.lists(st.sampled_from(ids), min_size=1, max_size=3, unique=True)))
+            drawn.append(cats)
+        label = "w%d" % draw(st.integers(0, n_labels - 1))
+        concepts[pid] = Concept(pid, frozenset({label}), cats)
+    tax = Taxonomy({k: k for k in ids}, parents, concepts)
+    # in any order: the ranking must not lean on the label index's sorting
+    ambiguous = {lab: draw(st.permutations(cids))
+                 for lab, cids in tax.label_index.items() if len(cids) > 1}
+    context = draw(st.lists(st.sampled_from(sorted(concepts)), max_size=4))
+    weights = {lab: draw(st.floats(0.01, 1.0)) for lab in ambiguous}
+    return tax, ambiguous, context, weights
+
+
+class TestMatchesOracle:
+    @pytest.mark.parametrize("measure", ["lin", "pirro_seco"])
+    @pytest.mark.parametrize("method", ["nearest", "rank_half", "rank_inv", "uniform"])
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(case=homonym_cases())
+    def test_disambiguate(self, method, measure, case):
+        tax, ambiguous, context, weights = case
+        parents, concept_cats = links(tax)
+        assignment = ConceptAssignment(entries=[("t%d" % i, c, 1.0) for i, c in enumerate(context)])
+        got = disambiguate(ambiguous, assignment, tax, weights, method, measure)
+        assert got.entries == brute_disambiguate(
+            parents, concept_cats, ambiguous, context, weights, method, measure
+        )
+
+    @pytest.mark.parametrize("measure", ["lin", "pirro_seco"])
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(case=homonym_cases())
+    def test_mean_sim_page(self, measure, case):
+        tax, _, context, _ = case
+        parents, concept_cats = links(tax)
+        ctx = sorted(set(context))
+        concepts = sorted(concept_cats)
+        sim = lambda k1, k2: brute_sim(parents, concept_cats, measure, k1, k2)
+        assert mean_sim_page(tax, concepts, ctx, measure) == [
+            sum(brute_sim_page(parents, concept_cats, sim, c, x) for x in ctx) / len(ctx)
+            if ctx else 0.0
+            for c in concepts
+        ]
+
 
 class TestProjection:
     def test_proportional_split(self, toy_tax):
         assignment = ConceptAssignment(entries=[("t", "cx", 0.6)])
-        from semtax.taxonomy import Concept, Taxonomy
-
         tax = Taxonomy(
             {"R": "r", "A1": "", "A2": ""},
             {"R": frozenset(), "A1": frozenset(["R"]), "A2": frozenset(["R"])},
