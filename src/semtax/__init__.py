@@ -33,7 +33,6 @@ from .semcla import (
     extend_vector,
     cosine,
     semcla_train,
-    semcla_classify,
     calibrate_alpha,
 )
 from .classics import (

@@ -104,11 +104,23 @@ class LinearScorer:
 # -- Naive Bayes ---------------------------------------------------------
 
 
+def _smoothed(counts: dict[str, Counter], vocab, a: float) -> dict[str, dict[str, float]]:
+    """label -> word -> (a + n_cw) / (a·k + n_c) for every word w of the
+    k-word vocabulary, where n_cw counts w under label c and n_c counts
+    all of c's words: additive smoothing, add-one (a = 1) for Naive Bayes
+    and a_word for Labeled LDA."""
+    k = len(vocab)
+    smoothed = {}
+    for c, n in counts.items():
+        denominator = a * k + sum(n.values())
+        smoothed[c] = {w: (a + n[w]) / denominator for w in vocab}
+    return smoothed
+
+
 @dataclass
 class NBModel:
     priors: dict[str, float]
-    likelihoods: dict[str, dict[str, float]]  # label -> word -> P(w|c)
-    floors: dict[str, float]  # label -> smoothed probability of unseen vocab word
+    likelihoods: dict[str, dict[str, float]]  # label -> word -> P(w|c) over the vocabulary
     vocabulary: frozenset[str]
 
     @cached_property
@@ -116,8 +128,7 @@ class NBModel:
         """bias log P(c), weights log P(w|c) over the vocabulary."""
         labels = sorted(self.priors)
         features = sorted(self.vocabulary)
-        weights = [[self.likelihoods[c].get(w, self.floors[c]) for w in features]
-                   for c in labels]
+        weights = [[self.likelihoods[c][w] for w in features] for c in labels]
         return LinearScorer(labels, features, np.log([self.priors[c] for c in labels]),
                             np.log(weights))
 
@@ -126,32 +137,20 @@ def nb_train(labeled_bags) -> NBModel:
     """labeled_bags: iterable of (label, bag).  P(c) is the class document
     fraction; P(w|c) = (1 + count_wc) / (k + total_c) with k the
     vocabulary size (add-one smoothing)."""
-    labeled_bags = list(labeled_bags)
-    if not labeled_bags:
-        raise TrainingError("empty training set")
-    vocab = set()
-    class_counts: dict[str, Counter] = defaultdict(Counter)
+    counts: dict[str, Counter] = defaultdict(Counter)
     ndocs: Counter = Counter()
     for label, bag in labeled_bags:
         ndocs[label] += 1
-        for w, n in bag.items():
-            vocab.add(w)
-            class_counts[label][w] += n
+        counts[label].update(bag)
+    if not ndocs:
+        raise TrainingError("empty training set")
+    vocab = {w for n in counts.values() for w in n}
     if not vocab:
         raise TrainingError("every training bag is empty")
     total_docs = sum(ndocs.values())
-    k = len(vocab)
-    priors = {c: ndocs[c] / total_docs for c in ndocs}
-    likelihoods = {}
-    floors = {}
-    for c in ndocs:
-        total = sum(class_counts[c].values())
-        likelihoods[c] = {w: (1 + class_counts[c][w]) / (k + total) for w in vocab}
-        floors[c] = 1 / (k + total)
     return NBModel(
-        priors=priors,
-        likelihoods=likelihoods,
-        floors=floors,
+        priors={c: ndocs[c] / total_docs for c in ndocs},
+        likelihoods=_smoothed(counts, vocab, 1),
         vocabulary=frozenset(vocab),
     )
 
@@ -250,10 +249,7 @@ def winnow_predict(model: WinnowModel, x: Bag) -> list[tuple[str, float]]:
 class LLDAModel:
     topics: list[str]  # == label set
     phi: dict[str, dict[str, float]]  # topic -> word -> probability
-    a_doc: float
     a_word: float
-    iterations: int
-    seed: int
     vocabulary: frozenset[str]
 
     @cached_property
@@ -273,40 +269,57 @@ def llda_train(
     iterations: int = 200,
     seed: int = 0,
 ) -> LLDAModel:
-    """Collapsed Gibbs sampling with each token's topic restricted to the
-    document's labels.  labeled_docs: iterable of (labels, tokens) where
-    labels is a list (single- or multi-label) and tokens a word sequence.
-    A single-label document has no sampling freedom: its tokens are
-    counted for its label without a draw.  Deterministic for a fixed
+    """Labeled LDA (Ramage et al. 2009).  labeled_docs: iterable of
+    (labels, tokens), where labels lists the document's labels and tokens
+    is a word sequence.  A single-label document's tokens all take its
+    label, so on single-label documents, all that semtax itself trains
+    on, phi(w|t) = (a_word + n_tw) / (a_word·V + n_t) in closed form:
+    Naive Bayes' likelihood with a_word for 1, whatever a_doc, iterations
+    and seed.  The tokens of multi-label documents take their topics by
+    collapsed Gibbs sampling (_gibbs_counts), deterministic for a fixed
     seed."""
     if not (a_word > 0 and iterations >= 0):
         raise ConfigError("llda needs a_word > 0, iterations >= 0")
-    docs = [(sorted(set(labels)), list(tokens)) for labels, tokens in labeled_docs]
-    if not docs:
-        raise TrainingError("empty training set")
-    for labels, _ in docs:
+    counts: dict[str, Counter] = defaultdict(Counter)
+    multi_label = []
+    for labels, tokens in labeled_docs:
+        labels = sorted(set(labels))
         if not labels:
             raise TrainingError("document with empty label set")
-    topics = sorted({lab for labels, _ in docs for lab in labels})
-    if a_doc is None:
-        a_doc = 50.0 / len(topics)
-    vocab = sorted({w for _, tokens in docs for w in tokens})
-    vsize = len(vocab)
-    rng = random.Random(seed)
+        if len(labels) == 1:
+            counts[labels[0]].update(tokens)
+            continue
+        multi_label.append((labels, list(tokens)))
+        for lab in labels:
+            counts[lab]  # every label is a topic, with or without tokens
+    if not counts:
+        raise TrainingError("empty training set")
+    topics = sorted(counts)
+    vocab = sorted({w for n in counts.values() for w in n}
+                   | {w for _, tokens in multi_label for w in tokens})
+    if multi_label:
+        _gibbs_counts(multi_label, counts, 50.0 / len(topics) if a_doc is None else a_doc,
+                      a_word, len(vocab), iterations, random.Random(seed))
+    return LLDAModel(
+        topics=topics,
+        phi=_smoothed(counts, vocab, a_word),
+        a_word=a_word,
+        vocabulary=frozenset(vocab),
+    )
 
-    n_zw: dict[str, Counter] = {t: Counter() for t in topics}
-    n_z: Counter = Counter()
-    # (labels, tokens, topic counts, topic per token) of each multi-label
-    # document; a single-label document's tokens all take its label
+
+def _gibbs_counts(docs, counts, a_doc, a_word, vsize, iterations, rng):
+    """Add to counts (topic -> word -> count) the tokens of docs, a list of
+    (labels, tokens) with several labels each: each token is drawn a
+    topic among its document's labels, then `iterations` sweeps of
+    collapsed Gibbs sampling redraw each one."""
+    n_z = Counter({t: sum(n.values()) for t, n in counts.items()})
+    # (labels, tokens, topic counts, topic per token) of each document
     sampled = []
     for labels, tokens in docs:
-        if len(labels) == 1:
-            n_zw[labels[0]].update(tokens)
-            n_z[labels[0]] += len(tokens)
-            continue
         zs = [rng.choice(labels) for _ in tokens]
         for w, z in zip(tokens, zs):
-            n_zw[z][w] += 1
+            counts[z][w] += 1
         n_z.update(zs)
         sampled.append((labels, tokens, Counter(zs), zs))
 
@@ -314,15 +327,11 @@ def llda_train(
         for labels, tokens, dz, zs in sampled:
             for i, w in enumerate(tokens):
                 z = zs[i]
-                n_zw[z][w] -= 1
+                counts[z][w] -= 1
                 n_z[z] -= 1
                 dz[z] -= 1
-                probs = []
-                for t in labels:
-                    p = (dz[t] + a_doc) * (n_zw[t][w] + a_word) / (
-                        n_z[t] + vsize * a_word
-                    )
-                    probs.append(p)
+                probs = [(dz[t] + a_doc) * (counts[t][w] + a_word) / (n_z[t] + vsize * a_word)
+                         for t in labels]
                 r = rng.random() * sum(probs)
                 acc = 0.0
                 new_z = labels[-1]
@@ -332,23 +341,9 @@ def llda_train(
                         new_z = t
                         break
                 zs[i] = new_z
-                n_zw[new_z][w] += 1
+                counts[new_z][w] += 1
                 n_z[new_z] += 1
                 dz[new_z] += 1
-
-    phi = {
-        t: {w: (n_zw[t][w] + a_word) / (n_z[t] + vsize * a_word) for w in vocab}
-        for t in topics
-    }
-    return LLDAModel(
-        topics=topics,
-        phi=phi,
-        a_doc=a_doc,
-        a_word=a_word,
-        iterations=iterations,
-        seed=seed,
-        vocabulary=frozenset(vocab),
-    )
 
 
 def llda_predict(model: LLDAModel, bag: Bag) -> list[tuple[str, float]]:

@@ -142,7 +142,7 @@ def build_bagging_ensemble(
 ) -> BaggingEnsemble:
     """Train one member per trainer, each on an independently drawn
     sample.  `sampler` maps a member seed to training material; a trainer
-    maps (sample, seed) to a LinearScorer.  Member i's seed is
+    maps that sample to a LinearScorer.  Member i's seed is
     derive_seed(master_seed, i)."""
     if not trainers:
         raise DataError("ensemble needs at least one member")
@@ -152,7 +152,7 @@ def build_bagging_ensemble(
         seed = derive_seed(master_seed, i)
         seeds.append(seed)
         try:
-            members.append(trainer(sampler(seed), seed))
+            members.append(trainer(sampler(seed)))
         except DataError as exc:
             raise TrainingError("member %d failed: %s" % (i, exc)) from exc
     return BaggingEnsemble(members=members, master_seed=master_seed, member_seeds=seeds)

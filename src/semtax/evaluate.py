@@ -40,7 +40,7 @@ METHOD_KINDS = CLASSICAL_KINDS + ("semcat", "semcla", "ensemble", "semcom")
 # the classical learners' params and their types; a committee passes them
 # on to its members' learners
 LEARNER_PARAMS = {"theta": float, "alpha": float, "beta": float, "epochs": int,
-                  "a_word": float, "iterations": int}
+                  "a_word": float}
 SAMPLE_LEVELS = {1: "1", "1": "1", 2: "2", "2": "2", "inf": "inf", float("inf"): "inf"}
 # the SemCatConfig fields an experiment config may set, echoed in its report
 SEMCAT_KEYS = ("top_terms", "disambig", "measure", "exact_match", "min_df", "max_df_ratio")
@@ -129,10 +129,10 @@ def bag_to_tokens(bag: dict[str, float], scale: int = 100) -> list[str]:
     return tokens
 
 
-def train_learner(kind: str, bags: list, params: dict, seed: int):
+def train_learner(kind: str, bags: list, params: dict):
     """The classical learner of kind (bayes, winnow or llda) trained on
     (label, bag) pairs.  params holds LEARNER_PARAMS hyperparameters; one
-    that is absent keeps the learner's default.  seed seeds llda."""
+    that is absent keeps the learner's default."""
     def given(*names):
         return {k: params[k] for k in names if k in params}
 
@@ -141,7 +141,7 @@ def train_learner(kind: str, bags: list, params: dict, seed: int):
     if kind == "winnow":
         return winnow_train(bags, **given("theta", "alpha", "beta", "epochs"))
     labeled = [([lab], bag_to_tokens(bag)) for lab, bag in bags]
-    return llda_train(labeled, **given("a_word", "iterations"), seed=seed)
+    return llda_train(labeled, **given("a_word"))
 
 
 # -- experiment runner ---------------------------------------------------
@@ -288,18 +288,18 @@ class _Predictor:
         self.ctx = ctx
         self._build()
 
-    def _train_classical(self, kind, docs, seed):
+    def _train_classical(self, kind, docs):
         features = self.spec.features
         bags = [(d.label, bag) for d in docs if (bag := self.ctx.bag(d, features)) is not None]
         if not bags:
             raise DataError("no usable training documents for %s" % self.spec.name)
-        return train_learner(kind, bags, self.spec.params, seed)
+        return train_learner(kind, bags, self.spec.params)
 
     def _build(self):
         cfg = self.ctx.cfg
         kind = self.spec.kind
         if kind in CLASSICAL_KINDS:
-            self._model = self._train_classical(kind, cfg.train_docs, cfg.seed)
+            self._model = self._train_classical(kind, cfg.train_docs)
         elif kind == "semcla":
             sc = SemClaConfig(
                 alpha=self.spec.params.get("alpha", cfg.alpha),
@@ -326,7 +326,7 @@ class _Predictor:
             return [docs_by_id[i] for ids in sample.values() for i in ids]
 
         def trainer(kind):
-            return lambda docs, seed: self._train_classical(kind, docs, seed).linear
+            return lambda docs: self._train_classical(kind, docs).linear
 
         trainers = [trainer(kind) for kind, count in members for _ in range(count)]
         return build_bagging_ensemble(trainers, sampler, cfg.seed)

@@ -1,6 +1,6 @@
 """Model persistence: one JSON file per model, holding its type, every
-field of the model (hyperparameters and seed included) and the pipeline
-that turns text into the model's features."""
+field of the model (hyperparameters included) and the pipeline that
+turns text into the model's features."""
 
 from __future__ import annotations
 
@@ -45,7 +45,8 @@ def save_model(model, pipeline: Pipeline, path):
 
 def load_model(path) -> tuple[object, Pipeline]:
     """The (model, pipeline) saved at path; DataError when the file is not
-    a JSON object of a known type whose fields have the declared types."""
+    a JSON object of a known type whose fields have the declared types,
+    or its probabilities fail check_probabilities."""
     with open(path, encoding="utf-8") as fh:
         try:
             payload = json.load(fh)
@@ -62,6 +63,7 @@ def load_model(path) -> tuple[object, Pipeline]:
             vectors = decode(dict[str, list[dict[str, float]]], payload["classes"], "classes")
             payload["classes"] = {lab: class_vector(vs, mode) for lab, vs in vectors.items()}
         model = decode(cls, payload, "")
+        check_probabilities(model)
         if "pipeline" not in payload:
             default = "categories" if cls is SemClaModel else "terms"
             return model, Pipeline(default, None, SemCatConfig(), None)
@@ -70,6 +72,28 @@ def load_model(path) -> tuple[object, Pipeline]:
         return model, pipeline
     except DataError as exc:
         raise DataError("model file %s %s" % (path, exc)) from None
+
+
+def check_probabilities(model):
+    """DataError unless the scorer of a bayes or llda model can take the
+    log of every probability it reads: each label's prior, and its
+    P(w|label) for every vocabulary word."""
+    if isinstance(model, NBModel):
+        labels, rows, name = model.priors, model.likelihoods, "likelihoods"
+        for lab, p in model.priors.items():
+            if not p > 0:
+                raise DataError("has field 'priors.%s' = %r, not a positive probability" % (lab, p))
+    elif isinstance(model, LLDAModel):
+        labels, rows, name = model.topics, model.phi, "phi"
+    else:
+        return
+    vocabulary = sorted(model.vocabulary)
+    for lab in labels:
+        row = rows.get(lab, {})
+        for w in vocabulary:
+            if not row.get(w, 0.0) > 0:
+                raise DataError("has field '%s.%s' without a positive probability for %r"
+                                % (name, lab, w))
 
 
 def decode(tp, value, where):

@@ -199,12 +199,13 @@ def categorize(
     stats: BackgroundStats,
     config: SemCatConfig | None = None,
     phrase_index: PhraseIndex | None = None,
-    term_table: TermTable | None = None,
 ) -> dict[str, float]:
     """Full pipeline: preprocess -> phrases -> tfidf -> top-n -> concepts
-    -> disambiguate -> categories.  Deterministic for a fixed config."""
+    -> disambiguate -> categories.  Deterministic for a fixed config.
+    Over many texts, Analyzer.bag(text, "categories") shares one phrase
+    index and one term table."""
     config = config or SemCatConfig()
-    v = term_vector(text, tax, stats, config, phrase_index, term_table)
+    v = term_vector(text, tax, stats, config, phrase_index)
     return categorize_vector(v, tax, config)
 
 

@@ -14,7 +14,8 @@ from scipy.stats import rankdata
 
 from .classics import rank_order
 from .errors import CalibrationError, ConfigError, TrainingError
-from .semcat import Analyzer, SemCatConfig, categorize
+from .semcat import Analyzer, SemCatConfig
+from .semcat import categorize  # noqa: F401  bench/tests checks that the tracer rebinds it here
 from .taxonomy import Taxonomy
 from .textpipe import BackgroundStats
 
@@ -144,20 +145,6 @@ def semcla_score(doc_vector: dict[str, float], model: SemClaModel) -> list[tuple
     scores = [sum((w * model.classes[label].get(k, 0.0) for k, w in d.items()), 0.0)
               for label in labels]
     return [(labels[i], scores[i]) for i in rank_order(np.array(scores)).tolist()]
-
-
-def semcla_classify(
-    text: str,
-    model: SemClaModel,
-    tax: Taxonomy,
-    stats: BackgroundStats,
-    semcat_config: SemCatConfig | None = None,
-) -> list[tuple[str, float]]:
-    """Categorize and extend the text, then rank the classes with
-    semcla_score.  Categorization failures propagate."""
-    cats = categorize(text, tax, stats, semcat_config or SemCatConfig())
-    doc_vector = extend_vector(cats, tax, model.alpha)
-    return semcla_score(doc_vector, model)
 
 
 def rank_separation(

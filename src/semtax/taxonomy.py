@@ -23,6 +23,7 @@ from functools import cache, cached_property
 from .errors import (
     CycleError,
     DanglingLinkError,
+    DataError,
     DuplicateIdError,
     EmptyLabelError,
     MultipleRootsError,
@@ -303,7 +304,9 @@ def mean_sim_page(
     and each context category is scored against every candidate row in
     one pass.  The IC of the msca of two categories is the IC at the
     highest set bit of the AND of their bitsets."""
-    formula = CATEGORY_MEASURES[measure]
+    formula = CATEGORY_MEASURES.get(measure)
+    if formula is None:
+        raise DataError("unknown similarity measure %r" % (measure,))
     row, concepts, ic_by_bit = tax._row, tax.concepts, tax._ic_by_bit
     try:
         categories = [concepts[c].categories for c in candidates]

@@ -296,14 +296,14 @@ def _ranked(scores):
 
 def brute_nb_predict(model, bag):
     """Per class: log P(c) + sum_w n_wd * log P(w|c) over the in-vocabulary
-    words, the smoothing floor for a word unseen in the class."""
+    words."""
     scores = {}
     for c, prior in model.priors.items():
         s = math.log(prior)
         lk = model.likelihoods[c]
         for w, n in bag.items():
             if w in model.vocabulary:
-                s += n * math.log(lk.get(w, model.floors[c]))
+                s += n * math.log(lk[w])
         scores[c] = s
     return _ranked(scores)
 

@@ -167,7 +167,7 @@ def test_criterion_4_classifier_sanity():
 
     # LLDA single-label == smoothed relative frequency, exactly
     docs_l = [(["a"], ["x", "x", "y"]), (["a"], ["z"]), (["b"], ["y", "y"])]
-    llda = llda_train(docs_l, a_word=0.01, iterations=30, seed=3)
+    llda = llda_train(docs_l, a_word=0.01)
     vocab = ["x", "y", "z"]
     for lab, toks in ((("a"), ["x", "x", "y", "z"]), (("b"), ["y", "y"])):
         counts = Counter(toks)

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -198,7 +199,7 @@ class TestLabeledLda:
             (["a"], ["y"]),
             (["b"], ["z", "z"]),
         ]
-        model = llda_train(docs, a_word=0.01, iterations=50, seed=5)
+        model = llda_train(docs, a_word=0.01)
         expected = self.closed_form_phi(docs, 0.01)
         for lab in expected:
             for w in expected[lab]:
@@ -236,19 +237,19 @@ class TestLabeledLda:
 
     def test_predict_prefers_own_vocabulary(self):
         docs = [(["a"], ["x", "x"]), (["b"], ["y", "y"])]
-        model = llda_train(docs, iterations=20, seed=0)
+        model = llda_train(docs)
         assert llda_predict(model, {"x": 3})[0][0] == "a"
         assert llda_predict(model, {"y": 3})[0][0] == "b"
 
     def test_empty_doc_label_order(self):
         docs = [(["b"], ["y"]), (["a"], ["x"])]
-        model = llda_train(docs, iterations=10, seed=0)
+        model = llda_train(docs)
         ranking = llda_predict(model, {})
         assert ranking == [("a", 0.0), ("b", 0.0)]
 
     def test_uniform_phi_all_equal(self):
         docs = [(["a"], ["x"]), (["b"], ["x"])]
-        model = llda_train(docs, iterations=10, seed=0)
+        model = llda_train(docs)
         scores = [s for _, s in llda_predict(model, {"x": 2})]
         assert scores[0] == pytest.approx(scores[1])
 
@@ -272,7 +273,7 @@ def train_all(kind, labeled):
         return winnow_train(labeled, epochs=3), brute_winnow_predict
     docs = [([lab], [f for f, v in sorted(bag.items()) for _ in range(int(v))])
             for lab, bag in labeled]
-    return llda_train(docs, iterations=2, seed=1), brute_llda_predict
+    return llda_train(docs), brute_llda_predict
 
 
 def assert_same_ranking(got, want):
@@ -316,16 +317,28 @@ def test_non_positive_values_add_nothing(kind):
 
 
 class TestLldaClosedForm:
+    docs = st.lists(
+        st.tuples(st.sampled_from("abc"), st.lists(st.sampled_from(FEATURES), max_size=6)),
+        min_size=1, max_size=6)
+
     @settings(max_examples=100, derandomize=True, deadline=None)
-    @given(st.lists(st.tuples(st.sampled_from("abc"),
+    @given(docs, st.floats(0.1, 50.0), st.integers(0, 3), st.integers(0, 2**32 - 1))
+    def test_single_label_phi_equals_sampler(self, docs, a_doc, iterations, seed):
+        # the sampler draws nothing but each document's one label
+        labeled = [([lab], tokens) for lab, tokens in docs]
+        model = llda_train(labeled, a_doc=a_doc, a_word=0.01, iterations=iterations, seed=seed)
+        assert model.phi == brute_llda_phi(labeled, a_doc, 0.01, iterations, seed)
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(st.lists(st.tuples(st.sets(st.sampled_from("abc"), min_size=2),
                               st.lists(st.sampled_from(FEATURES), max_size=6)),
                     min_size=1, max_size=6),
-           st.integers(0, 3), st.integers(0, 2**32 - 1))
-    def test_single_label_phi_equals_sampler(self, docs, iterations, seed):
-        labeled = [([lab], tokens) for lab, tokens in docs]
-        model = llda_train(labeled, a_word=0.01, iterations=iterations, seed=seed)
-        want = brute_llda_phi(labeled, model.a_doc, 0.01, iterations, seed)
-        assert model.phi == want
+           st.floats(0.1, 50.0), st.integers(0, 3), st.integers(0, 2**32 - 1))
+    def test_multi_label_phi_equals_sampler(self, docs, a_doc, iterations, seed):
+        # with no single-label document both draw the same topics
+        labeled = [(sorted(labels), tokens) for labels, tokens in docs]
+        model = llda_train(labeled, a_doc=a_doc, a_word=0.01, iterations=iterations, seed=seed)
+        assert model.phi == brute_llda_phi(labeled, a_doc, 0.01, iterations, seed)
 
     def test_single_label_documents_draw_nothing(self, monkeypatch):
         draws = []
@@ -351,3 +364,11 @@ class TestLldaClosedForm:
                 for t, w in (("a", "y"), ("b", "z"))}
         assert x_in["a"] + x_in["b"] == pytest.approx(30)
         assert x_in["a"] > 0 and x_in["b"] > 0
+
+    @settings(max_examples=50, derandomize=True, deadline=None)
+    @given(docs)
+    def test_unit_a_word_is_naive_bayes(self, docs):
+        model = llda_train([([lab], tokens) for lab, tokens in docs], a_word=1.0)
+        if model.vocabulary:
+            nb = nb_train([(lab, Counter(tokens)) for lab, tokens in docs])
+            assert model.phi == nb.likelihoods

@@ -1,7 +1,10 @@
+import contextlib
+import io
 import json
 import pathlib
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import semtax.cli
 import semtax.evaluate
@@ -376,6 +379,50 @@ def test_classify_with_old_format_semcla_model(workdir, capsys, mode):
     assert capsys.readouterr().out.splitlines() == OLD_FORMAT_LINES[mode]
 
 
+# Bayes, Winnow and Labeled LDA model files written by `semtax train
+# --model <kind>` (LLDA with --seed 3) on the workdir fixture's corpus, by
+# the version whose files still carried NB's smoothing floors and LLDA's
+# a_doc, iterations and seed.  The expected lines are what that version's
+# `classify` printed with them on MIXED_CORPUS.
+CLASSICAL_OLD_FORMAT_LINES = {
+    "bayes": [
+        "m1\tz:-2.283835 x:-2.408008",
+        "m2\tz:-2.179525 x:-2.639057",
+        "m3\tx:-1.110735 z:-1.341784",
+        "m4\tz:-1.647560 x:-1.722064",
+        "m5\tx:-2.292484 z:-2.335989",
+        "m6\tx:-0.693147 z:-0.693147",
+    ],
+    "winnow": [
+        "m1\tz:-0.075967 x:-0.287983",
+        "m2\tz:0.136050 x:-0.500000",
+        "m3\tx:-0.621317 z:-0.833333",
+        "m4\tz:-0.445580 x:-0.572790",
+        "m5\tx:-0.181975 z:-0.181975",
+        "m6\tx:-1.000000 z:-1.000000",
+    ],
+    "llda": [
+        "m1\tz:-4.002087 x:-6.833591",
+        "m2\tz:-1.232941 x:-9.903738",
+        "m3\tx:-0.231099 z:-3.299575",
+        "m4\tz:-2.401252 x:-4.100154",
+        "m5\tx:-5.298517 z:-5.386661",
+        "m6\tx:0.000000 z:0.000000",
+    ],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(CLASSICAL_OLD_FORMAT_LINES))
+def test_classify_with_old_format_classical_model(workdir, capsys, kind):
+    with open(workdir / "mixed.jsonl", "w", encoding="utf-8") as fh:
+        for doc_id, text in MIXED_CORPUS:
+            fh.write(json.dumps({"id": doc_id, "text": text}) + "\n")
+    rc = main(["classify", "--model", str(DATA / ("%s_old_format.json" % kind)),
+               "--corpus", str(workdir / "mixed.jsonl")])
+    assert rc == 0
+    assert capsys.readouterr().out.splitlines() == CLASSICAL_OLD_FORMAT_LINES[kind]
+
+
 @pytest.mark.parametrize("body, message", [
     ("not json", "is not JSON"),
     ('{"type": "semcla"}', "lacks field 'classes'"),
@@ -387,6 +434,27 @@ def test_classify_with_old_format_semcla_model(workdir, capsys, mode):
         '{"type": "bayes", "priors": {"x": 1.0}, "likelihoods": {"x": {}},'
         ' "floors": {"x": 0.5}, "vocabulary": 3}',
         "has field 'vocabulary' of type int, not frozenset", id="bayes-vocabulary-int",
+    ),
+    pytest.param(
+        '{"type": "bayes", "priors": {"x": 1.0}, "likelihoods": {"x": {}}, "vocabulary": ["alpha"]}',
+        "has field 'likelihoods.x' without a positive probability for 'alpha'",
+        id="bayes-likelihoods-lack-word",
+    ),
+    pytest.param(
+        '{"type": "bayes", "priors": {"x": 0.5, "y": 0.5}, "likelihoods": {"x": {"alpha": 1.0}},'
+        ' "vocabulary": ["alpha"]}',
+        "has field 'likelihoods.y' without a positive probability for 'alpha'",
+        id="bayes-likelihoods-lack-label",
+    ),
+    pytest.param(
+        '{"type": "bayes", "priors": {"x": 0.0}, "likelihoods": {"x": {"alpha": 1.0}},'
+        ' "vocabulary": ["alpha"]}',
+        "has field 'priors.x' = 0.0, not a positive probability", id="bayes-prior-zero",
+    ),
+    pytest.param(
+        '{"type": "llda", "topics": ["x"], "phi": {"x": {"alpha": 0.0}}, "a_word": 0.01,'
+        ' "vocabulary": ["alpha"]}',
+        "has field 'phi.x' without a positive probability for 'alpha'", id="llda-phi-zero",
     ),
     pytest.param(
         '{"type": "semcla", "alpha": 0.33, "classes": {"x": {"A": 1.0}},'
@@ -473,6 +541,80 @@ def test_bad_input_file_exits_2(workdir, capsys, flag, name, body, where):
     assert where in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["categorize", "--taxonomy", "{w}/latin1.tsv", "--corpus", "{w}/corpus.jsonl"],
+     "can't decode byte 0xe9"),
+    (["categorize", "--taxonomy", "{w}/tax.tsv", "--corpus", "{w}/latin1.jsonl"],
+     "can't decode byte 0xe9"),
+    (["categorize", "--taxonomy", "{w}/tax.tsv", "--corpus", "{w}/corpus.jsonl",
+      "--stopwords", "{w}"], "Is a directory"),
+    (["categorize", "--taxonomy", "{w}/tax.tsv", "--corpus", "{w}/corpus.jsonl",
+      "--out", "{w}/missing/out.tsv"], "No such file or directory"),
+    (["build-index", "--corpus", "{w}/corpus.jsonl", "--out", "{w}/missing/bg.tsv"],
+     "No such file or directory"),
+    (["train", "--model", "bayes", "--corpus", "{w}/corpus.jsonl",
+      "--out", "{w}/missing/nb.json"], "No such file or directory"),
+], ids=["taxonomy-not-utf8", "corpus-not-utf8", "stopwords-directory",
+        "categorize-out-missing-dir", "build-index-out-missing-dir", "train-out-missing-dir"])
+def test_unreadable_or_unwritable_file_exits_2(workdir, capsys, argv, message):
+    (workdir / "latin1.tsv").write_bytes((TOY_TAXONOMY + "P\tc8\tA1\tcafé\n").encode("latin-1"))
+    (workdir / "latin1.jsonl").write_bytes('{"id": "d1", "text": "café"}\n'.encode("latin-1"))
+    rc = main([arg.format(w=workdir) for arg in argv])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: data: ")
+    assert message in err
+
+
+def fuzzed_inputs(w):
+    """Each input file in directory w: its valid content and the command
+    that reads it."""
+    config = {"taxonomy": "%s/tax.tsv" % w, "corpus_train": "%s/corpus.jsonl" % w,
+              "corpus_test": "%s/corpus.jsonl" % w, "label_categories": {"x": "A"},
+              "methods": [{"name": "nb", "kind": "bayes"}], "seed": 1}
+    return {
+        "tax.tsv": (TOY_TAXONOMY, "categorize"),
+        "corpus.jsonl": ('{"id": "d1", "text": "alpha bravo", "label": "x"}\n'
+                         '{"id": "d2", "text": "echo golf", "label": "z"}\n', "categorize"),
+        "stopwords.txt": ("the\nof\n", "categorize"),
+        "lemmas.tsv": ("cars\tcar\n", "categorize"),
+        "bg.tsv": ("#docs=4\nalpha\t2\necho\t2\n", "categorize"),
+        "model.json": ((DATA / "bayes_old_format.json").read_text(encoding="utf-8"), "classify"),
+        "exp.json": (json.dumps(config), "evaluate"),
+    }
+
+
+COMMANDS = {
+    "categorize": ("categorize --taxonomy {w}/tax.tsv --corpus {w}/corpus.jsonl --stopwords "
+                   "{w}/stopwords.txt --lemmas {w}/lemmas.tsv --background {w}/bg.tsv "
+                   "--out {w}/out.tsv").split(),
+    "classify": "classify --model {w}/model.json --corpus {w}/corpus.jsonl --out {w}/out.tsv".split(),
+    "evaluate": "evaluate --config {w}/exp.json --out {w}/out.json".split(),
+}
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.sampled_from(sorted(fuzzed_inputs("."))), st.data())
+def test_random_bytes_in_an_input_file_end_in_a_clean_exit(tmp_path_factory, name, data):
+    """A prefix of a valid input file followed by random bytes: the
+    command that reads it exits 0, 1 or 2 and prints no traceback."""
+    # one directory for every example, so that the valid texts keep their length
+    workdir = tmp_path_factory.getbasetemp() / "fuzz"
+    workdir.mkdir(exist_ok=True)
+    inputs = fuzzed_inputs(workdir)
+    for other, (text, _) in inputs.items():
+        (workdir / other).write_text(text, encoding="utf-8")
+    text, command = inputs[name]
+    valid = text.encode("utf-8")
+    cut = data.draw(st.integers(0, len(valid)))
+    (workdir / name).write_bytes(valid[:cut] + data.draw(st.binary(max_size=24)))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        rc = main([arg.format(w=workdir) for arg in COMMANDS[command]])
+    assert rc in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+
+
 def test_calibrate_alpha_bad_grid_exits_1(workdir, capsys):
     rc = main([
         "calibrate-alpha",
@@ -551,12 +693,13 @@ def test_evaluate_echoes_config_as_given(workdir, capsys):
     assert type(echo["alpha"]) is int and type(echo["methods"][0]["params"]["theta"]) is int
 
 
-def test_train_llda_without_seed_exits_1(workdir, capsys):
+def test_train_llda_without_seed(workdir, capsys):
     rc = main(["train", "--model", "llda", "--corpus", str(workdir / "corpus.jsonl"),
                "--out", str(workdir / "llda.json")])
-    assert rc == 1
-    assert capsys.readouterr().err == "error: config: --seed is mandatory for llda\n"
-    assert not (workdir / "llda.json").exists()
+    assert rc == 0
+    payload = json.loads((workdir / "llda.json").read_text())
+    assert payload["type"] == "llda"
+    assert not {"a_doc", "iterations", "seed"} & set(payload)
 
 
 def test_calibrate_alpha_uncategorizable_document_exits_2(workdir, capsys):
@@ -615,8 +758,6 @@ def learner(cfg, kind, **params):
     (lambda cfg: dict(cfg, alpha="x"), "'alpha' of type str, not float"),
     (lambda cfg: dict(cfg, common_subset="no"), "'common_subset' of type str, not bool"),
     (lambda cfg: dict(cfg, buckets=0), "'buckets' of type int, not bool"),
-    (lambda cfg: learner(cfg, "llda", iterations="3"),
-     "method m has field 'params.iterations' of type str, not int"),
     (lambda cfg: learner(cfg, "winnow", theta="q"),
      "method m has field 'params.theta' of type str, not float"),
     (lambda cfg: learner(cfg, "winnow", epochs=2.5), "'params.epochs' of type float, not int"),
@@ -624,10 +765,7 @@ def learner(cfg, kind, **params):
     (lambda cfg: learner(cfg, "llda", a_word=None), "'params.a_word' of type NoneType, not float"),
     (lambda cfg: learner(cfg, "llda", a_word=0), "llda needs a_word > 0, iterations >= 0"),
     (lambda cfg: learner(cfg, "llda", a_word=-1.0), "llda needs a_word > 0, iterations >= 0"),
-    (lambda cfg: learner(cfg, "llda", iterations=-1), "llda needs a_word > 0, iterations >= 0"),
     (lambda cfg: committee(cfg, beta="0.9"), "'params.beta' of type str, not float"),
-    (lambda cfg: committee(cfg, kind="semcom", iterations=False),
-     "'params.iterations' of type bool, not int"),
 ], ids=["not-json", "not-object", "method-without-kind", "unknown-semcat-key",
         "semcat-value-type",
         "no-label-categories", "empty-label-categories",
@@ -636,10 +774,9 @@ def learner(cfg, kind, **params):
         "committee-aggregation-unknown", "committee-level-unknown",
         "committee-semcat-weights-empty",
         "seed-str", "seed-float", "alpha-str", "common-subset-str", "buckets-int",
-        "llda-iterations-str", "winnow-theta-str", "winnow-epochs-float",
+        "winnow-theta-str", "winnow-epochs-float",
         "winnow-alpha-bool", "llda-a-word-null", "llda-a-word-zero", "llda-a-word-negative",
-        "llda-iterations-negative", "committee-beta-str",
-        "semcom-iterations-bool"])
+        "committee-beta-str"])
 def test_evaluate_bad_config_exits_1(workdir, capsys, edit, message):
     cfg = {
         "taxonomy": str(workdir / "tax.tsv"),

@@ -126,7 +126,7 @@ def bias_only(scores):
 
 
 class TestBagging:
-    def trainer(self, sample, seed):
+    def trainer(self, sample):
         # "model" that always predicts the majority label of its sample
         majority = max(sorted(sample), key=lambda l: len(sample[l]))
         return bias_only({majority: 1.0})
@@ -141,7 +141,7 @@ class TestBagging:
         docs = docs_with(["A", "A1", "B", "B1"])
         ens = build_bagging_ensemble([self.trainer], self.sampler_factory(toy_tax, docs), 0)
         assert ens.predict([{}]) == [self.trainer(
-            self.sampler_factory(toy_tax, docs)(derive_seed(0, 0)), 0
+            self.sampler_factory(toy_tax, docs)(derive_seed(0, 0))
         ).ranking({})[0][0]]
 
     def test_member_count(self, toy_tax):
@@ -159,7 +159,7 @@ class TestBagging:
     def test_rank_is_borda_over_top_three(self):
         def fixed(order):
             scorer = bias_only({lab: float(len(order) - i) for i, lab in enumerate(order)})
-            return lambda sample, seed: scorer
+            return lambda sample: scorer
 
         trainers = [fixed("ACB"), fixed("ACB"), fixed("CBA"), fixed("BCA")]
         ens = build_bagging_ensemble(trainers, lambda seed: None, 0)
@@ -169,7 +169,7 @@ class TestBagging:
 
     def test_weighted_counts_top_labels_like_single_vote(self):
         def fixed(ranking):
-            return lambda sample, seed: bias_only(dict(ranking))
+            return lambda sample: bias_only(dict(ranking))
 
         # one member is far more confident on its own scale than the two
         # members it outvotes; weighted still counts one vote per member

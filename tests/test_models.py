@@ -12,7 +12,7 @@ BAGS = [("x", {"a": 0.5, "b": 0.5}), ("y", {"c": 1.0}), ("x", {"a": 1.0})]
 MODELS = {
     "bayes": lambda: nb_train(BAGS),
     "winnow": lambda: winnow_train(BAGS, epochs=3),
-    "llda": lambda: llda_train([([lab], sorted(bag)) for lab, bag in BAGS], iterations=3, seed=1),
+    "llda": lambda: llda_train([([lab], sorted(bag)) for lab, bag in BAGS]),
     "semcla": lambda: SemClaModel(classes={"x": {"A": 0.6, "R": 0.2}, "y": {"B": 1.0}}, alpha=0.33),
 }
 PIPELINE = Pipeline(

@@ -105,6 +105,12 @@ class TestDisambiguate:
         with pytest.raises(DataError):
             disambiguate({}, ConceptAssignment(), toy_tax, {}, method="wat")
 
+    @pytest.mark.parametrize("method", ["nearest", "uniform"])
+    def test_unknown_measure(self, toy_tax, method):
+        with pytest.raises(DataError, match="unknown similarity measure 'bogus'"):
+            disambiguate({"jaguar": ["c2", "c5"]}, self.context(toy_tax), toy_tax,
+                         {"jaguar": 0.4}, method=method, measure="bogus")
+
     def test_nearest_prefers_shared_branch(self, toy_tax):
         # c2 shares category A1 with context concept c1; c5 meets context
         # only at root

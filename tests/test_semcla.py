@@ -11,7 +11,6 @@ from semtax.semcla import (
     cosine,
     extend_vector,
     rank_separation,
-    semcla_classify,
     semcla_fit,
     semcla_score,
     semcla_train,
@@ -144,11 +143,11 @@ class TestTrainClassify:
         model = semcla_train(
             [("X", "alpha"), ("Y", "echo")], toy_tax, toy_background, config
         )
-        ranking = semcla_classify("alpha bravo", model, toy_tax, toy_background)
-        # oracle: raw category-vector cosine nearest neighbor
         from semtax.semcat import categorize
 
         doc_v = categorize("alpha bravo", toy_tax, toy_background)
+        ranking = semcla_score(extend_vector(doc_v, toy_tax, model.alpha), model)
+        # oracle: raw category-vector cosine nearest neighbor
         x_v = categorize("alpha", toy_tax, toy_background)
         y_v = categorize("echo", toy_tax, toy_background)
         assert dict(ranking)["X"] == pytest.approx(cosine(doc_v, x_v))

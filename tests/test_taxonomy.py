@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from semtax.errors import (
     CycleError,
     DanglingLinkError,
+    DataError,
     DuplicateIdError,
     EmptyLabelError,
     MultipleRootsError,
@@ -25,6 +26,7 @@ from semtax.taxonomy import (
     Taxonomy,
     concept_count,
     information_content,
+    mean_sim_page,
     msca,
     parse_taxonomy,
     sim_lin,
@@ -238,6 +240,15 @@ class TestSimPage:
     def test_unknown_concept(self, toy_tax):
         with pytest.raises(UnknownConceptError):
             sim_page(toy_tax, "c1", "nope")
+
+    @pytest.mark.parametrize("score", [
+        lambda tax: mean_sim_page(tax, ["c1", "c2"], ["c3"], "bogus"),
+        lambda tax: mean_sim_page(tax, ["c1"], [], "bogus"),
+        lambda tax: sim_page(tax, "c1", "c3", "bogus"),
+    ], ids=["mean_sim_page", "mean_sim_page-empty-context", "sim_page"])
+    def test_unknown_measure(self, toy_tax, score):
+        with pytest.raises(DataError, match="unknown similarity measure 'bogus'"):
+            score(toy_tax)
 
     def test_matches_double_loop(self, toy_tax):
         parents, concept_cats = links(toy_tax)
