@@ -22,7 +22,9 @@ class Document:
 
 def parse_corpus(lines, source) -> list[Document]:
     """The documents on `lines`; DataError naming `source` and the line
-    for a line that is not a JSON object with an id and a string text."""
+    for a line that is not a JSON object with an id and a string text,
+    whose label is not a string or whose categories are not a list of
+    strings."""
     docs = []
     seen = set()
     for lineno, raw in enumerate(lines, 1):
@@ -35,6 +37,12 @@ def parse_corpus(lines, source) -> list[Document]:
             raise DataError("%s line %d: invalid JSON (%s)" % (source, lineno, exc))
         if not isinstance(rec, dict) or "id" not in rec or not isinstance(rec.get("text"), str):
             raise DataError("%s line %d: record needs an id and a string text" % (source, lineno))
+        label = rec.get("label")
+        if label is not None and not isinstance(label, str):
+            raise DataError("%s line %d: label must be a string" % (source, lineno))
+        categories = rec.get("categories", [])
+        if not isinstance(categories, list) or not all(isinstance(c, str) for c in categories):
+            raise DataError("%s line %d: categories must be a list of strings" % (source, lineno))
         doc_id = str(rec["id"])
         if doc_id in seen:
             raise DataError("%s line %d: duplicate document id %s" % (source, lineno, doc_id))
@@ -43,8 +51,8 @@ def parse_corpus(lines, source) -> list[Document]:
             Document(
                 id=doc_id,
                 text=rec["text"],
-                label=rec.get("label"),
-                categories=tuple(rec.get("categories", ())),
+                label=label,
+                categories=tuple(categories),
             )
         )
     return docs

@@ -147,6 +147,54 @@ def semcla_score(doc_vector: dict[str, float], model: SemClaModel) -> list[tuple
     return [(labels[i], scores[i]) for i in rank_order(np.array(scores)).tolist()]
 
 
+def rank_separations(
+    base_vectors: list[tuple[str, dict[str, float]]],
+    tax: Taxonomy,
+    grid,
+) -> list[float]:
+    """rank_separation at every alpha of grid, in grid order.
+
+    extend_vector is v + alpha*u, u the parent mass v sends at alpha 1,
+    so with V and U the rows of the v's and u's the Gram matrix of the
+    extended vectors is G0 + alpha*(G1 + G1^T) + alpha^2*G2, G0 = V V^T,
+    G1 = V U^T and G2 = U U^T.  Their pair entries and diagonals are
+    read once; each alpha combines them in place."""
+    groups = np.array([group for group, _ in base_vectors], dtype=object)
+    i, j = np.triu_indices(len(groups), k=1)
+    same = groups[i] == groups[j]
+    if not same.any() or same.all():
+        raise CalibrationError("need at least one same-group and one different-group pair")
+    keys = {k for _, v in base_vectors for k in v}
+    column = {k: c for c, k in enumerate(sorted(keys.union(*(tax.parents[k] for k in keys))))}
+    V = np.zeros((len(groups), len(column)))
+    U = np.zeros_like(V)
+    for row, (_, v) in enumerate(base_vectors):
+        for k, w in v.items():
+            V[row, column[k]] = w
+            parents = tax.parents[k]
+            for p in parents:
+                U[row, column[p]] += w / len(parents)
+    G = V @ V.T
+    pair0, diag0 = G[i, j], G.diagonal().copy()
+    G = V @ U.T
+    pair1, diag1 = G[i, j] + G[j, i], 2.0 * G.diagonal()
+    G = U @ U.T
+    pair2, diag2 = G[i, j], G.diagonal().copy()
+    del G
+    separations = []
+    for alpha in grid:
+        norm = np.sqrt(diag0 + alpha * (diag1 + alpha * diag2))
+        norm[norm == 0.0] = 1.0  # an all-zero vector has cosine 0 with every vector
+        sims = pair2 * alpha
+        sims += pair1
+        sims *= alpha
+        sims += pair0
+        sims /= norm[i] * norm[j]
+        ranks = rankdata(-np.round(sims, 9, out=sims), method="average")
+        separations.append(float(np.mean(ranks[~same]) - np.mean(ranks[same])))
+    return separations
+
+
 def rank_separation(
     base_vectors: list[tuple[str, dict[str, float]]],
     tax: Taxonomy,
@@ -156,18 +204,9 @@ def rank_separation(
     pairs, where rank 1 is the most similar pair.  Ties in similarity get
     tie-averaged (fractional) ranks, so identical groups separate by
     exactly 0.  Similarities are the cosines of the extended vectors
-    rounded to 9 decimals, so that pairs equal in exact arithmetic tie."""
-    groups = np.array([group for group, _ in base_vectors], dtype=object)
-    i, j = np.triu_indices(len(groups), k=1)
-    same = groups[i] == groups[j]
-    if not same.any() or same.all():
-        raise CalibrationError("need at least one same-group and one different-group pair")
-    unit = [_unit(extend_vector(v, tax, alpha)) for _, v in base_vectors]
-    keys = sorted({k for u in unit for k in u})
-    rows = np.array([[u.get(k, 0.0) for k in keys] for u in unit])
-    sims = np.round(rows @ rows.T, 9)[i, j]
-    ranks = rankdata(-sims, method="average")
-    return float(np.mean(ranks[~same]) - np.mean(ranks[same]))
+    rounded to 9 decimals, so that pairs equal in exact arithmetic tie.
+    The one-alpha case of rank_separations."""
+    return rank_separations(base_vectors, tax, [alpha])[0]
 
 
 def calibrate_alpha(
@@ -196,6 +235,8 @@ def calibrate_alpha(
                 raise CalibrationError("document %d of group %s has no categories"
                                        % (position, label))
             base.append((label, cats))
-    # rank_separation rounds its similarities, so equal separations are
-    # bit-identical and max, which keeps the first maximum, picks the smaller alpha
-    return max(sorted(grid), key=lambda alpha: rank_separation(base, tax, alpha))
+    # rank_separations rounds its similarities, so equal separations are
+    # bit-identical and index, which finds the first maximum, picks the smaller alpha
+    grid = sorted(grid)
+    separations = rank_separations(base, tax, grid)
+    return grid[separations.index(max(separations))]

@@ -20,6 +20,9 @@ if TYPE_CHECKING:
 
 # Unicode letter runs only: language-neutral tokenization.
 _TOKEN_RE = re.compile(r"[^\W\d_]+", re.UNICODE)
+# On ASCII text the letter runs are the runs of [A-Za-z]; every other
+# ASCII character, whitespace included, separates them.
+_ASCII_GAPS = str.maketrans({chr(c): " " for c in range(128) if not chr(c).isalpha()})
 
 
 @dataclass(frozen=True)
@@ -44,8 +47,16 @@ def build_background(token_docs) -> BackgroundStats:
     return BackgroundStats(doc_count=max(n, 1), doc_freq=dict(df))
 
 
+def _letter_runs(text: str) -> list[str]:
+    """text's letter runs, in order: ASCII text is translated and split
+    in C, any other text goes through _TOKEN_RE."""
+    if text.isascii():
+        return text.translate(_ASCII_GAPS).split()
+    return _TOKEN_RE.findall(text)
+
+
 def tokenize(text: str) -> list[str]:
-    return [s.lower() for s in _TOKEN_RE.findall(text)]
+    return [s.lower() for s in _letter_runs(text)]
 
 
 class TermTable:
@@ -95,7 +106,7 @@ class TermTable:
 
     def terms(self, text: str) -> list[str]:
         """The kept terms of text's letter-run tokens, in text order."""
-        surfaces = _TOKEN_RE.findall(text)
+        surfaces = _letter_runs(text)
         table = self._terms
         for s in set(surfaces).difference(table):
             table[s] = self._decide(s)

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 import semtax.cli
 import semtax.evaluate
 from semtax.cli import main
+from semtax.corpus import parse_corpus
 from semtax.textpipe import PhraseIndex
 from conftest import TOY_TAXONOMY, chain_label, chain_taxonomy
 
@@ -539,6 +540,36 @@ def test_bad_input_file_exits_2(workdir, capsys, flag, name, body, where):
     err = capsys.readouterr().err
     assert err.startswith("error: data: ")
     assert where in err
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("categories", 5, "categories must be a list of strings"),
+    ("categories", "abc", "categories must be a list of strings"),
+    ("categories", ["A", 1], "categories must be a list of strings"),
+    ("categories", None, "categories must be a list of strings"),
+    ("label", ["x"], "label must be a string"),
+    ("label", 5, "label must be a string"),
+], ids=["categories-int", "categories-string", "categories-non-string-member", "categories-null",
+        "label-list", "label-int"])
+@pytest.mark.parametrize("command", [
+    ["categorize", "--taxonomy", "{w}/tax.tsv"],
+    ["train", "--model", "bayes", "--out", "{w}/nb.json"],
+], ids=["categorize", "train-bayes"])
+def test_corpus_record_fields_are_checked(workdir, capsys, command, field, value, message):
+    bad = workdir / "bad.jsonl"
+    bad.write_text('{"id": "d0", "text": "alpha", "label": "x", "categories": ["A"]}\n'
+                   + json.dumps({"id": "d1", "text": "alpha", field: value}) + "\n",
+                   encoding="utf-8")
+    argv = [a.format(w=workdir) for a in command] + ["--corpus", str(bad)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: data: %s line 2: %s\n" % (bad, message)
+    assert not (workdir / "nb.json").exists()
+
+
+def test_corpus_categories_are_kept_in_order():
+    lines = ['{"id": "d1", "text": "alpha", "categories": ["B", "A"]}',
+             '{"id": "d2", "text": "alpha", "categories": []}', '{"id": "d3", "text": "alpha"}']
+    assert [d.categories for d in parse_corpus(lines, "c.jsonl")] == [("B", "A"), (), ()]
 
 
 @pytest.mark.parametrize("argv, message", [

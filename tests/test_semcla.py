@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from semtax.errors import CalibrationError, ConfigError, TrainingError
 from semtax.semcla import (
@@ -11,6 +11,7 @@ from semtax.semcla import (
     cosine,
     extend_vector,
     rank_separation,
+    rank_separations,
     semcla_fit,
     semcla_score,
     semcla_train,
@@ -214,6 +215,17 @@ class TestCalibration:
         candidates = [a for a in sorted(grid) if seps[a] == seps[best]]
         assert calibrate_alpha(groups, tax, stats, grid=grid) == candidates[0]
 
+    def test_unsorted_grid_picks_the_smallest_best_alpha(self, toy_tax, toy_background):
+        from semtax.semcat import SemCatConfig, categorize
+
+        groups = {"X": ["alpha bravo", "charlie delta"], "Y": ["echo foxtrot", "golf echo"]}
+        base = [(label, categorize(text, toy_tax, toy_background, SemCatConfig()))
+                for label in sorted(groups) for text in groups[label]]
+        grid = (0.5, 0.3, 0.0, 0.1)
+        # alpha 0 separates the groups less than the other three, which tie
+        assert rank_separations(base, toy_tax, grid) == [3.0, 3.0, 1.5, 3.0]
+        assert calibrate_alpha(groups, toy_tax, toy_background, grid=grid) == 0.1
+
 
 @st.composite
 def grouped_vectors(draw):
@@ -262,3 +274,17 @@ class TestMatchesOracles:
         assert rank_separation(pairs, toy_tax, alpha) == brute_rank_separation(
             toy_tax.parents, pairs, alpha
         )
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(grouped_vectors())
+    @example([("X", {"R": 0.0}), ("X", {"R": 0.0}), ("Y", {"R": 0.0})])
+    def test_rank_separations(self, toy_tax, pairs):
+        grid = (0.0, 0.1, 0.33, 0.5, 0.05)
+        groups = [g for g, _ in pairs]
+        if len(set(groups)) == len(groups) or len(set(groups)) == 1:
+            with pytest.raises(CalibrationError):
+                rank_separations(pairs, toy_tax, grid)
+            return
+        assert rank_separations(pairs, toy_tax, grid) == [
+            brute_rank_separation(toy_tax.parents, pairs, a) for a in grid
+        ]

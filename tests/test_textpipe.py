@@ -14,6 +14,7 @@ from semtax.textpipe import (
     l1_normalize,
     preprocess,
     tfidf_weights,
+    tokenize,
     top_n_terms,
 )
 
@@ -122,6 +123,22 @@ class TestTermTableMatchesOracle:
             assert table.terms(text) == expected
             for tokens in (brute_tokenize(text), expected):
                 assert extract_phrases(tokens, index) == brute_extract_phrases(tokens, labels)
+
+
+class TestAsciiTokenizerMatchesOracle:
+    """ASCII text is split by translate-and-split, any other text by the
+    letter-run pattern; both equal the per-token oracle."""
+
+    @settings(derandomize=True, max_examples=500)
+    @given(st.text(st.characters(max_codepoint=127), max_size=40))
+    @example("a_b1c\x1fd")
+    @example("İstanbul")
+    @example("")
+    @example("The café opens at nine, Tuesdays\tto\x0bFridays.")
+    def test_matches_oracle(self, text):
+        assert tokenize(text) == brute_tokenize(text)
+        stopwords, lemmas = frozenset({"the", "b"}), {"istanbul": "city", "d": "a"}
+        assert TermTable(stopwords, lemmas).terms(text) == brute_preprocess(text, stopwords, lemmas)
 
 
 class TestTfidf:
