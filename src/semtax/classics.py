@@ -6,6 +6,7 @@ scores every member with one matrix product.
 
 from __future__ import annotations
 
+import math
 import random
 from collections import Counter, defaultdict
 from dataclasses import dataclass
@@ -77,17 +78,27 @@ class LinearScorer:
         x[rows, at] = vals
         return x @ self.weights_t[used] + self.bias
 
+    def top_rows(self, bags: list[Bag], depth: int | None = None):
+        """For each BATCH of bags, its scores and its top rows: one row
+        of row indices per bag, each group's top `depth` rows by
+        rank_order side by side, group after group."""
+        for first in range(0, len(bags), self.BATCH):
+            scores = self.scores(bags[first:first + self.BATCH])
+            yield scores, np.concatenate(
+                [rank_order(scores[:, a:b])[:, :depth] + a for a, b in self.groups], axis=1)
+
+    def widths(self, depth: int | None = None) -> list[int]:
+        """How many top rows each group gives at `depth`."""
+        return [len(range(a, b)[:depth]) for a, b in self.groups]
+
     def rankings(self, bags: list[Bag], depth: int | None = None) -> list:
         """For each bag, each group's (label, score) ranking of it, cut
         to `depth` labels; scores are not rounded."""
         labels = self.labels
+        # the column where each group's top rows end
+        cuts = np.cumsum([0] + self.widths(depth)).tolist()
         out = []
-        for first in range(0, len(bags), self.BATCH):
-            scores = self.scores(bags[first:first + self.BATCH])
-            # each group's ranked rows side by side, and the column where each group ends
-            picked = [rank_order(scores[:, a:b])[:, :depth] + a for a, b in self.groups]
-            cuts = np.cumsum([0] + [p.shape[1] for p in picked]).tolist()
-            rows = np.concatenate(picked, axis=1)
+        for scores, rows in self.top_rows(bags, depth):
             kept = np.take_along_axis(scores, rows, axis=1).tolist()
             out.extend(
                 [[(labels[i], s) for i, s in zip(r[a:b], k[a:b])] for a, b in zip(cuts, cuts[1:])]
@@ -185,15 +196,6 @@ class WinnowModel:
         return LinearScorer(labels, features, [-self.theta] * len(labels), weights)
 
 
-def _winnow_margin(w: dict[str, tuple[float, float]], x: Bag, theta: float) -> float:
-    s = 0.0
-    for f, v in x.items():
-        pair = w.get(f)
-        if pair is not None and v > 0:
-            s += (pair[0] - pair[1]) * v
-    return s - theta
-
-
 def winnow_train(
     labeled_vectors,
     theta: float = 1.0,
@@ -206,29 +208,37 @@ def winnow_train(
     sum_i (w+ - w-) x_i > theta.  Weights change only on mistakes and only
     for active features (x_i > 0): false negative promotes (w+ *= alpha,
     w- *= beta), false positive demotes (w+ *= beta, w- *= alpha)."""
-    if not (alpha > 1 and 0 < beta < 1 and epochs >= 1):
-        raise ConfigError("winnow needs alpha > 1, 0 < beta < 1, epochs >= 1")
+    if not (alpha > 1 and 0 < beta < 1 and epochs >= 1
+            and math.isfinite(theta) and math.isfinite(alpha)):
+        raise ConfigError("winnow needs alpha > 1, 0 < beta < 1, epochs >= 1, "
+                          "theta and alpha finite")
     labeled_vectors = list(labeled_vectors)
     if not labeled_vectors:
         raise TrainingError("empty training set")
     features = frozenset(f for _, x in labeled_vectors for f in x)
     labels = sorted({lab for lab, _ in labeled_vectors})
     weights = {lab: {f: init for f in features} for lab in labels}
+    # each bag's active (feature, value) pairs, in bag order
+    active = [(lab, [(f, v) for f, v in x.items() if v > 0]) for lab, x in labeled_vectors]
     for _ in range(epochs):
         mistakes = 0
-        for lab, x in labeled_vectors:
+        for lab, x in active:
             for target in labels:
                 w = weights[target]
                 positive = lab == target
-                predicted_positive = _winnow_margin(w, x, theta) > 0
-                if predicted_positive == positive:
+                # a running +=, as the margin always was: Python 3.12's
+                # builtin sum compensates float additions
+                s = 0.0
+                for f, v in x:
+                    wp, wn = w[f]
+                    s += (wp - wn) * v
+                if (s - theta > 0) == positive:
                     continue
                 mistakes += 1
                 up, down = (alpha, beta) if positive else (beta, alpha)
-                for f, v in x.items():
-                    if v > 0 and f in w:
-                        wp, wn = w[f]
-                        w[f] = (wp * up, wn * down)
+                for f, _ in x:
+                    wp, wn = w[f]
+                    w[f] = (wp * up, wn * down)
         if mistakes == 0:
             break
     return WinnowModel(
@@ -278,8 +288,8 @@ def llda_train(
     and seed.  The tokens of multi-label documents take their topics by
     collapsed Gibbs sampling (_gibbs_counts), deterministic for a fixed
     seed."""
-    if not (a_word > 0 and iterations >= 0):
-        raise ConfigError("llda needs a_word > 0, iterations >= 0")
+    if not (0 < a_word < math.inf and iterations >= 0):
+        raise ConfigError("llda needs a_word > 0, iterations >= 0, a_word finite")
     counts: dict[str, Counter] = defaultdict(Counter)
     multi_label = []
     for labels, tokens in labeled_docs:

@@ -8,6 +8,8 @@ import random
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
+import numpy as np
+
 from .classics import LinearScorer
 from .errors import DataError, TrainingError
 from .taxonomy import Taxonomy, sim_lin
@@ -96,6 +98,8 @@ def aggregate(votes: list[Vote], mode: str = "single_vote", seed: int = 0) -> st
         raise DataError("no rank-1 votes to count")
     best = max(tally.values())
     winners = sorted(lab for lab, s in tally.items() if s == best)
+    if not winners:
+        raise DataError("no label attains the best tally %r" % best)
     if len(winners) == 1:
         return winners[0]
     return random.Random(seed).choice(winners)
@@ -104,8 +108,9 @@ def aggregate(votes: list[Vote], mode: str = "single_vote", seed: int = 0) -> st
 @dataclass
 class BaggingEnsemble:
     """Trained members, each a LinearScorer.  Their rows are stacked into
-    one scorer, so a document is scored for every member with one matrix
-    product and every member's ranking read off one score vector."""
+    one scorer, so a batch of documents is scored for every member with
+    one matrix product and the members' votes are counted per label in
+    one array pass."""
 
     members: list
     master_seed: int
@@ -114,25 +119,40 @@ class BaggingEnsemble:
     def __post_init__(self):
         self._stacked = LinearScorer.stack(self.members)
 
-    def member_rankings(self, bags, depth: int | None = None) -> list:
-        """For each bag, each member's ranking of it, cut to `depth`
-        labels."""
-        return self._stacked.rankings(bags, depth)
+    def vote_counts(self, bags, depth: int = 1) -> tuple[list[str], np.ndarray]:
+        """The sorted union of the members' labels, and each bag's points
+        per label, one row per bag.  Every member gives Borda points
+        D - rank + 1 to each label of its top `depth`, where D is the
+        deepest rank any member gives, so that at depth 1 a label's points
+        count the members whose top label it is."""
+        stacked = self._stacked
+        labels = sorted(set(stacked.labels))
+        label_column = np.searchsorted(labels, stacked.labels)
+        widths = stacked.widths(depth)
+        deepest = max(widths)
+        # the points of each top-row position
+        points = np.concatenate([deepest - np.arange(w, dtype=float) for w in widths])
+        n = len(labels)
+        tallies = [np.zeros((0, n))]
+        for _, rows in stacked.top_rows(bags, depth):
+            cells = label_column[rows] + n * np.arange(len(rows))[:, None]
+            tallies.append(np.bincount(cells.ravel(), np.broadcast_to(points, rows.shape).ravel(),
+                                       len(rows) * n).reshape(-1, n))
+        return labels, np.concatenate(tallies)
 
     def predict(self, bags, mode: str = "single_vote", rank_depth: int = 3) -> list[str]:
         """The committee's label for each bag.  single_vote and weighted:
         each member casts one weight-1 vote for its top label, so weighted
         counts top labels exactly as single_vote does until member weights
         are defined; rank: Borda over each member's top `rank_depth`
-        labels.  Ties are broken with the master seed."""
-        depth = rank_depth if mode == "rank" else 1
-        return [
-            aggregate([Vote(lab, 1.0, i)
-                       for ranking in rankings
-                       for i, (lab, _) in enumerate(ranking, 1)],
-                      mode, seed=self.master_seed)
-            for rankings in self.member_rankings(bags, depth)
-        ]
+        labels.  aggregate tallies each label's points, and ties are
+        broken with the master seed."""
+        if mode not in AGGREGATION_MODES:
+            raise DataError("unknown aggregation mode %r" % mode)
+        labels, points = self.vote_counts(bags, rank_depth if mode == "rank" else 1)
+        return [aggregate([Vote(lab, p) for lab, p in zip(labels, row) if p], "weighted",
+                          seed=self.master_seed)
+                for row in points.tolist()]
 
 
 def build_bagging_ensemble(
@@ -184,19 +204,21 @@ class CommitteeDecision:
 
 
 def semcom_predict(
-    member_rankings: list,
+    member_votes: dict[str, float],
     semcat_ranking: list | None,
     weight_vector,
-    label_map: dict[str, str],
+    label_map: dict[str, str | None],
     seed: int = 0,
 ) -> CommitteeDecision:
-    """Members cast weight-1 votes for their top label; SemCat's top
+    """member_votes maps each label to the number of members whose top
+    label it is, and those votes are counted first; SemCat's top
     categories (one per weight-vector entry) are mapped through label_map
-    and cast weighted votes.  Categories outside the map are dropped.  A
-    SemCat failure (None ranking) leaves the plain member vote, flagged."""
+    and cast weighted votes.  Categories outside the map, or mapped to
+    None, are dropped.  A SemCat failure (None ranking) leaves the plain
+    member vote, flagged."""
     if not weight_vector:
         raise DataError("empty SemCat weight vector")
-    votes = [Vote(ranking[0][0], 1.0, 1) for ranking in member_rankings]
+    votes = [Vote(label, float(count)) for label, count in member_votes.items()]
     semcat_used = False
     if semcat_ranking is not None:
         for i, (category, _) in enumerate(semcat_ranking[: len(weight_vector)]):

@@ -4,6 +4,7 @@ and the seeded experiment runner.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field, asdict
@@ -240,9 +241,11 @@ def committee_key(spec: MethodSpec) -> tuple:
                           % (spec.name, ", ".join(AGGREGATION_MODES), _shown(aggregation)))
     weights = params.get("semcat_weights", (14.0, 10.0, 6.0))
     if not isinstance(weights, (list, tuple)) or not weights or not all(
-        isinstance(w, (int, float)) and not isinstance(w, bool) for w in weights
+        isinstance(w, (int, float)) and not isinstance(w, bool) and math.isfinite(w)
+        for w in weights
     ):
-        raise ConfigError("method %s: semcat_weights must be a non-empty list of numbers, got %s"
+        raise ConfigError("method %s: semcat_weights must be a non-empty list of numbers, "
+                          "all finite, got %s"
                           % (spec.name, _shown(weights)))
     return (
         tuple((kind, count) for kind, count in members),
@@ -255,8 +258,8 @@ def committee_key(spec: MethodSpec) -> tuple:
 
 def check_experiment(cfg: ExperimentConfig):
     """ConfigError for a SemCat setting out of range, an unknown method
-    kind or feature mode, a learner param of the wrong type or a bad
-    committee param, before any training."""
+    kind or feature mode, a learner param of the wrong type or not
+    finite, or a bad committee param, before any training."""
     try:
         check_config(cfg.semcat)
     except DataError as exc:
@@ -272,9 +275,12 @@ def check_experiment(cfg: ExperimentConfig):
         for name, tp in LEARNER_PARAMS.items():
             if name in spec.params:
                 try:
-                    decode(tp, spec.params[name], "params." + name)
+                    value = decode(tp, spec.params[name], "params." + name)
                 except DataError as exc:
                     raise ConfigError("method %s %s" % (spec.name, exc)) from None
+                if not math.isfinite(value):
+                    raise ConfigError("method %s: params.%s must be finite, got %s"
+                                      % (spec.name, name, _shown(value)))
         if spec.kind in ("ensemble", "semcom"):
             committee_key(spec)
 
@@ -348,8 +354,7 @@ class _Predictor:
         if cats is None:
             return None
         if self.spec.kind == "semcat":
-            top = ranked_categories(cats)[0][0]
-            return project_category_to_label(cfg.taxonomy, top, cfg.label_categories)
+            return self.ctx.label_of(ranked_categories(cats)[0][0])
         ext = extend_vector(cats, cfg.taxonomy, self._semcla.alpha)
         return semcla_score(ext, self._semcla)[0][0]
 
@@ -359,23 +364,23 @@ class _Predictor:
         cfg = self.ctx.cfg
         bags = [bag for _, bag in known]
         if kind in CLASSICAL_KINDS:
-            return [ranking[0][0] for (ranking,) in self._model.linear.rankings(bags, 1)]
+            linear = self._model.linear
+            return [linear.labels[i] for _, rows in linear.top_rows(bags, 1)
+                    for i in rows[:, 0].tolist()]
         if kind == "ensemble":
             return self._ensemble.predict(bags, self.spec.params.get("aggregation", "single_vote"))
         # semcom: weighted committee with SemCat injection
         weights = tuple(self.spec.params.get("semcat_weights", (14.0, 10.0, 6.0)))
+        member_labels, counts = self._ensemble.vote_counts(bags)
         labels = []
-        for (doc, _), member_tops in zip(known, self._ensemble.member_rankings(bags, 1)):
+        for (doc, _), row in zip(known, counts.tolist()):
             cats = self.ctx.categorized(doc)
             semcat_ranking = None if cats is None else ranked_categories(cats)
-            label_map = {}
-            if semcat_ranking is not None:
-                for category, _ in semcat_ranking[: len(weights)]:
-                    lab = project_category_to_label(cfg.taxonomy, category, cfg.label_categories)
-                    if lab is not None:
-                        label_map[category] = lab
+            # semcom_predict drops a category whose label is None
+            label_map = {c: self.ctx.label_of(c) for c, _ in (semcat_ranking or ())[:len(weights)]}
+            member_votes = {lab: n for lab, n in zip(member_labels, row) if n}
             labels.append(semcom_predict(
-                member_tops, semcat_ranking, weights, label_map, cfg.seed).winner)
+                member_votes, semcat_ranking, weights, label_map, cfg.seed).winner)
         return labels
 
     def can_handle(self, doc: Document) -> bool:
@@ -390,9 +395,10 @@ class _Predictor:
 
 
 class _Context:
-    """Per-experiment document analysis and committees: each document's
-    term vector is computed once, and every feature bag is derived from
-    it; methods with equal committee keys share one trained committee."""
+    """Per-experiment document analysis, category projection and
+    committees: each document's term vector is computed once, and every
+    feature bag is derived from it; each category is projected to a label
+    once; methods with equal committee keys share one trained committee."""
 
     def __init__(self, cfg: ExperimentConfig):
         self.cfg = cfg
@@ -400,6 +406,9 @@ class _Context:
         self._vectors: dict = {}
         self._bags: dict = {}
         self._committees: dict = {}
+        # the task label of a category, None for none
+        self.label_of = functools.cache(lambda category: project_category_to_label(
+            cfg.taxonomy, category, cfg.label_categories))
 
     def committee(self, key: tuple, train):
         """The committee trained for key, trained by train() on first use."""

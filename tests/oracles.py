@@ -5,9 +5,10 @@ recompute everything by naive enumeration.  The SemCla oracles score
 against every training vector and compare every pair by its own cosine.
 The text oracles decide every token afresh and try every phrase span.
 The classical oracles score each label by its own loop over the bag,
-and the Labeled LDA oracle draws a topic for every token.  The taxonomy
-file oracle reads one record at a time and builds both label indexes
-eagerly.  The disambiguation oracle scores each candidate by its own
+and the Labeled LDA oracle draws a topic for every token.  The committee
+oracle has each member rank each bag on its own and casts one vote per
+ranked label.  The taxonomy file oracle reads one record at a time and
+builds both label indexes eagerly.  The disambiguation oracle scores each candidate by its own
 brute_sim_page against every context concept.
 """
 
@@ -20,6 +21,7 @@ from collections import Counter
 import numpy as np
 from scipy.stats import rankdata
 
+from semtax.ensemble import Vote, aggregate
 from semtax.errors import (
     CycleError,
     DanglingLinkError,
@@ -382,3 +384,18 @@ def brute_llda_phi(labeled_docs, a_doc, a_word, iterations, seed):
                 dz[new_z] += 1
     return {t: {w: (n_zw[t][w] + a_word) / (n_z[t] + vsize * a_word) for w in vocab}
             for t in topics}
+
+
+def brute_committee_predict(members, bags, mode, rank_depth, seed):
+    """A committee's label for each bag, from per-member vote lists: each
+    member (a LinearScorer) ranks the bag on its own and casts one Vote
+    per label of its top rank_depth (rank) or its top label (otherwise),
+    and aggregate counts them."""
+    depth = rank_depth if mode == "rank" else 1
+    return [
+        aggregate([Vote(lab, 1.0, i)
+                   for member in members
+                   for i, (lab, _) in enumerate(member.ranking(bag)[:depth], 1)],
+                  mode, seed=seed)
+        for bag in bags
+    ]

@@ -254,6 +254,22 @@ class TestLabeledLda:
         assert scores[0] == pytest.approx(scores[1])
 
 
+@pytest.mark.parametrize("train, params", [
+    (winnow_train, {"theta": math.nan}),
+    (winnow_train, {"theta": -math.inf}),
+    (winnow_train, {"alpha": math.inf}),
+    (winnow_train, {"alpha": math.nan}),
+    (winnow_train, {"beta": math.nan}),
+    (llda_train, {"a_word": math.inf}),
+    (llda_train, {"a_word": math.nan}),
+])
+def test_non_finite_hyperparameters_are_config_errors(train, params):
+    docs = ([("a", {"f": 1.0}), ("b", {"g": 1.0})] if train is winnow_train
+            else [(["a"], ["f"]), (["b"], ["g"])])
+    with pytest.raises(ConfigError):
+        train(docs, **params)
+
+
 FEATURES = "fghij"
 weights = st.sampled_from([0, 0.0, 0.5, 1, 2.5, 3])
 train_bags = st.lists(

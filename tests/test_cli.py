@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import pathlib
 
 import pytest
@@ -733,6 +734,18 @@ def test_train_llda_without_seed(workdir, capsys):
     assert not {"a_doc", "iterations", "seed"} & set(payload)
 
 
+@pytest.mark.parametrize("hyperparameter", [["--theta", "nan"], ["--winnow-alpha", "inf"]])
+def test_train_winnow_non_finite_hyperparameter_exits_1(workdir, capsys, hyperparameter):
+    out = workdir / "winnow.json"
+    rc = main(["train", "--model", "winnow", "--corpus", str(workdir / "corpus.jsonl"),
+               "--out", str(out), *hyperparameter])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: config: winnow needs")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_calibrate_alpha_uncategorizable_document_exits_2(workdir, capsys):
     with open(workdir / "corpus.jsonl", "a", encoding="utf-8") as fh:
         fh.write(json.dumps({"id": "d5", "text": "zulu yankee", "label": "z"}) + "\n")
@@ -797,6 +810,14 @@ def learner(cfg, kind, **params):
     (lambda cfg: learner(cfg, "llda", a_word=0), "llda needs a_word > 0, iterations >= 0"),
     (lambda cfg: learner(cfg, "llda", a_word=-1.0), "llda needs a_word > 0, iterations >= 0"),
     (lambda cfg: committee(cfg, beta="0.9"), "'params.beta' of type str, not float"),
+    (lambda cfg: committee(cfg, kind="semcom", semcat_weights=[math.nan]),
+     "semcat_weights must be a non-empty list of numbers, all finite, got [NaN]"),
+    (lambda cfg: committee(cfg, kind="semcom", semcat_weights=[math.inf, -math.inf]),
+     "semcat_weights must be a non-empty list of numbers, all finite, got [Infinity, -Infinity]"),
+    (lambda cfg: learner(cfg, "winnow", theta=math.nan),
+     "method m: params.theta must be finite, got NaN"),
+    (lambda cfg: committee(cfg, a_word=math.inf),
+     "method ensemble: params.a_word must be finite, got Infinity"),
 ], ids=["not-json", "not-object", "method-without-kind", "unknown-semcat-key",
         "semcat-value-type",
         "no-label-categories", "empty-label-categories",
@@ -807,7 +828,8 @@ def learner(cfg, kind, **params):
         "seed-str", "seed-float", "alpha-str", "common-subset-str", "buckets-int",
         "winnow-theta-str", "winnow-epochs-float",
         "winnow-alpha-bool", "llda-a-word-null", "llda-a-word-zero", "llda-a-word-negative",
-        "committee-beta-str"])
+        "committee-beta-str", "semcom-weight-nan", "semcom-weights-inf",
+        "winnow-theta-nan", "committee-a-word-inf"])
 def test_evaluate_bad_config_exits_1(workdir, capsys, edit, message):
     cfg = {
         "taxonomy": str(workdir / "tax.tsv"),

@@ -1,11 +1,15 @@
+import math
 import random
 from collections import Counter
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from semtax.classics import LinearScorer
 from semtax.corpus import Document
 from semtax.ensemble import (
+    AGGREGATION_MODES,
+    BaggingEnsemble,
     Vote,
     aggregate,
     build_bagging_ensemble,
@@ -16,6 +20,8 @@ from semtax.ensemble import (
 )
 from semtax.errors import DataError, TrainingError
 from semtax.synth import random_taxonomy
+from oracles import brute_committee_predict
+from test_classics import test_bags, train_all, train_bags
 
 
 def docs_with(annotations):
@@ -95,6 +101,12 @@ class TestAggregate:
     def test_unknown_mode(self):
         with pytest.raises(DataError):
             aggregate([Vote("A")], "wat")
+
+    @pytest.mark.parametrize("weights", [[math.nan], [math.inf, -math.inf], [1.0, math.nan]])
+    def test_no_best_tally_is_a_data_error(self, weights):
+        # NaN equals nothing, so no label attains a NaN maximum
+        with pytest.raises(DataError, match="no label attains the best tally"):
+            aggregate([Vote("A", w) for w in weights], "weighted")
 
     def test_brute_force_tally_oracle(self):
         labels = list("abcde")
@@ -194,9 +206,62 @@ class TestBagging:
             )
 
 
+class TestCommitteeMatchesOracle:
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(["bayes", "winnow", "llda"]), train_bags),
+                    min_size=1, max_size=6),
+           test_bags, st.sampled_from(AGGREGATION_MODES), st.integers(1, 4),
+           st.integers(0, 2**32 - 1))
+    # Borda's D is the deepest rank over all members, not each member's own
+    @example([("bayes", [("a", {"f": 1}), ("b", {"g": 1})]),
+              ("bayes", [("b", {"f": 1}), ("c", {"g": 1}), ("d", {"h": 1})])],
+             [{"f": 1}], "rank", 3, 0)
+    def test_predict(self, specs, bags, mode, rank_depth, seed):
+        # members trained on different samples have different label sets
+        members = [model.linear for model, _ in (train_all(kind, labeled)
+                                                 for kind, labeled in specs)]
+        ens = BaggingEnsemble(members=members, master_seed=seed, member_seeds=[])
+        assert ens.predict(bags, mode, rank_depth) == brute_committee_predict(
+            members, bags, mode, rank_depth, seed)
+
+    def test_exact_tie_takes_the_seeded_draw(self):
+        members = [bias_only({"A": 1.0}), bias_only({"B": 1.0})]
+        ens = BaggingEnsemble(members=members, master_seed=0, member_seeds=[])
+        # random.Random(0).choice(["A", "B"]) is "B"
+        for mode in AGGREGATION_MODES:
+            assert ens.predict([{}, {"f": 1.0}], mode) == ["B", "B"]
+            assert brute_committee_predict(members, [{}], mode, 3, 0) == ["B"]
+
+
+# kA and kA2 project to one label, kN to no label, and kX is outside the map
+LABEL_MAP = {"kA": "A", "kA2": "A", "kB": "B", "kD": "D", "kN": None}
+
+
+class TestSemComMatchesAggregate:
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(st.lists(st.sampled_from("ABC"), min_size=1, max_size=6),
+           st.none() | st.lists(st.tuples(st.sampled_from(["kA", "kA2", "kB", "kD", "kN", "kX"]),
+                                          st.floats(0, 1)),
+                                unique_by=lambda cs: cs[0], max_size=4),
+           st.lists(st.sampled_from([0.0, -0.0, -1.5, -14.0, 0.1, 0.2, 0.7, 1.2, 6.0, 14.0]),
+                    min_size=1, max_size=4),
+           st.integers(0, 50))
+    # member votes are counted before SemCat's: 1 + 0.1 + 0.1 is not 1.2,
+    # but 0.1 + 0.1 + 1 is, and ties B's 1.2
+    @example(["A"], [("kA", 0.5), ("kA2", 0.4), ("kB", 0.3)], [0.1, 0.1, 1.2], 0)
+    def test_tally(self, tops, semcat, weights, seed):
+        votes = [Vote(top) for top in tops]
+        if semcat is not None:
+            votes += [Vote(LABEL_MAP[c], w, i) for i, ((c, _), w) in enumerate(zip(semcat, weights), 1)
+                      if LABEL_MAP.get(c) is not None]
+        decision = semcom_predict(Counter(tops), semcat, weights, LABEL_MAP, seed)
+        assert decision.winner == aggregate(votes, "weighted", seed=seed)
+        assert decision.semcat_used == (len(votes) > len(tops))
+
+
 class TestSemCom:
     def test_hand_tally(self):
-        members = [[("A", 1.0)], [("B", 1.0)]]
+        members = {"A": 1, "B": 1}
         semcat = [("kB", 0.5), ("kC", 0.3), ("kA", 0.2)]
         label_map = {"kA": "A", "kB": "B", "kC": "C"}
         decision = semcom_predict(members, semcat, (7, 5, 3), label_map, seed=0)
@@ -204,20 +269,20 @@ class TestSemCom:
         assert decision.semcat_used
 
     def test_zero_weight_vector_reduces_to_member_vote(self):
-        members = [[("A", 1.0)], [("A", 1.0)], [("B", 1.0)]]
+        members = {"A": 2, "B": 1}
         semcat = [("kB", 0.9)]
         decision = semcom_predict(members, semcat, (0.0,), {"kB": "B"}, seed=0)
         assert decision.winner == "A"
 
     def test_unmapped_category_dropped(self):
-        members = [[("A", 1.0)], [("B", 1.0)]]
+        members = {"A": 1, "B": 1}
         semcat = [("unmapped", 0.9), ("kC", 0.5)]
         decision = semcom_predict(members, semcat, (7, 5), {"kC": "C"}, seed=0)
         # 7 dropped with the unmapped category, C still gets 5 and wins
         assert decision.winner == "C"
 
     def test_semcat_failure_flagged(self):
-        members = [[("A", 1.0)], [("A", 1.0)]]
+        members = {"A": 2}
         decision = semcom_predict(members, None, (7, 5, 3), {}, seed=0)
         assert decision.winner == "A"
         assert not decision.semcat_used
