@@ -202,12 +202,12 @@ def winnow_train(
     alpha: float = 1.1,
     beta: float = 0.9,
     epochs: int = 50,
-    init: tuple[float, float] = (1.0, 0.5),
 ) -> WinnowModel:
     """One-vs-rest Balanced Winnow.  Positive prediction iff
-    sum_i (w+ - w-) x_i > theta.  Weights change only on mistakes and only
-    for active features (x_i > 0): false negative promotes (w+ *= alpha,
-    w- *= beta), false positive demotes (w+ *= beta, w- *= alpha)."""
+    sum_i (w+ - w-) x_i > theta.  Weights start at w+ = 1, w- = 0.5 and
+    change only on mistakes and only for active features (x_i > 0): false
+    negative promotes (w+ *= alpha, w- *= beta), false positive demotes
+    (w+ *= beta, w- *= alpha)."""
     if not (alpha > 1 and 0 < beta < 1 and epochs >= 1
             and math.isfinite(theta) and math.isfinite(alpha)):
         raise ConfigError("winnow needs alpha > 1, 0 < beta < 1, epochs >= 1, "
@@ -217,7 +217,7 @@ def winnow_train(
         raise TrainingError("empty training set")
     features = frozenset(f for _, x in labeled_vectors for f in x)
     labels = sorted({lab for lab, _ in labeled_vectors})
-    weights = {lab: {f: init for f in features} for lab in labels}
+    weights = {lab: {f: (1.0, 0.5) for f in features} for lab in labels}
     # each bag's active (feature, value) pairs, in bag order
     active = [(lab, [(f, v) for f, v in x.items() if v > 0]) for lab, x in labeled_vectors]
     for _ in range(epochs):

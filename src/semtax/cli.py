@@ -12,18 +12,19 @@ import argparse
 import json
 import os
 import sys
-import typing
 from dataclasses import fields
 
 from . import evaluate as ev
 from .corpus import load_corpus
 from .errors import ConfigError, DataError
 from .classics import LLDAModel, NBModel, WinnowModel, llda_predict, nb_predict, winnow_predict
-from .models import Pipeline, decode, load_model, save_model
-from .semcat import Analyzer, SemCatConfig, ranked_categories
+from .models import MODEL_TYPES, Pipeline, load_model, save_model
+from .semcat import DISAMBIG_METHODS, FEATURE_MODES, Analyzer, SemCatConfig, ranked_categories
 from .semcat import categorize  # noqa: F401  bench/tests checks that the tracer rebinds it here
 from .semcla import (
+    DEFAULT_ALPHA,
     DEFAULT_ALPHA_GRID,
+    SEMCLA_MODES,
     SemClaConfig,
     SemClaModel,
     calibrate_alpha,
@@ -57,27 +58,20 @@ def _out_stream(path):
 
 
 def _semcat_config(args) -> SemCatConfig:
-    top_terms = getattr(args, "top_terms", 10)
-    if top_terms < 1:
-        raise ConfigError("--top-terms must be at least 1, got %d" % top_terms)
-    stopwords = (
-        load_stopwords(_require_path(args.stopwords, "stopwords"))
-        if getattr(args, "stopwords", None)
-        else frozenset()
-    )
-    lemmas = (
-        load_lemmas(_require_path(args.lemmas, "lemmas"))
-        if getattr(args, "lemmas", None)
-        else {}
-    )
-    measure = {"lin": "lin", "pirro": "pirro_seco"}[getattr(args, "measure", "lin")]
+    """The SemCat config of the command's options; build-index has only
+    --stopwords and --lemmas."""
+    options = {}
+    if hasattr(args, "top_terms"):
+        if args.top_terms < 1:
+            raise ConfigError("--top-terms must be at least 1, got %d" % args.top_terms)
+        options = dict(top_terms=args.top_terms, disambig=args.disambig,
+                       measure={"lin": "lin", "pirro": "pirro_seco"}[args.measure],
+                       exact_match=not args.fuzzy_match)
     return SemCatConfig(
-        top_terms=top_terms,
-        disambig=getattr(args, "disambig", "nearest"),
-        measure=measure,
-        exact_match=not getattr(args, "fuzzy_match", False),
-        stopwords=stopwords,
-        lemmas=lemmas,
+        stopwords=(load_stopwords(_require_path(args.stopwords, "stopwords"))
+                   if args.stopwords else frozenset()),
+        lemmas=load_lemmas(_require_path(args.lemmas, "lemmas")) if args.lemmas else {},
+        **options,
     )
 
 
@@ -155,15 +149,6 @@ def cmd_train(args):
     return 0
 
 
-def _write_ranking(out, doc_id, ranking):
-    if ranking is None:
-        out.write("%s\tunclassified\n" % doc_id)
-    else:
-        out.write(
-            "%s\t%s\n" % (doc_id, " ".join("%s:%.6f" % (l, s) for l, s in ranking))
-        )
-
-
 def cmd_classify(args):
     """Apply a model with the pipeline it records; --taxonomy must be given
     exactly when the model was trained with one."""
@@ -189,7 +174,9 @@ def cmd_classify(args):
     _echo_config(args)
     for d in docs:
         bag = analyzer.bag(d.text, pipeline.features)
-        _write_ranking(out, d.id, None if bag is None else predict(model, bag))
+        ranked = "unclassified" if bag is None else " ".join(
+            "%s:%.6f" % ls for ls in predict(model, bag))
+        out.write("%s\t%s\n" % (d.id, ranked))
     if out is not sys.stdout:
         out.close()
     return 0
@@ -210,26 +197,13 @@ def cmd_evaluate(args):
     seed = args.seed if args.seed is not None else raw.get("seed")
     if seed is None:
         raise ConfigError("seed is mandatory (config or --seed)")
-    # checked, not converted, so that the report echoes them as given
-    given = dict({k: raw[k] for k in ("common_subset", "buckets", "alpha") if k in raw}, seed=seed)
-    top_hints, hints = typing.get_type_hints(ev.ExperimentConfig), typing.get_type_hints(SemCatConfig)
-    try:
-        for k, v in given.items():
-            decode(top_hints[k], v, k)
-        semcat = SemCatConfig(
-            **{k: decode(hints[k], v, "semcat." + k) for k, v in semcat_raw.items()})
-    except DataError as exc:
-        raise ConfigError("config %s %s" % (args.config, exc)) from None
     method_keys = {f.name for f in fields(ev.MethodSpec)}
     if not isinstance(methods_raw, list) or not methods_raw or not all(
         isinstance(m, dict) and {"name", "kind"} <= set(m) <= method_keys for m in methods_raw
     ):
         raise ConfigError("methods must be a non-empty list of objects, each with a name, "
                           "a kind and optional features and params")
-    methods = [ev.MethodSpec(**m) for m in methods_raw]
-    label_categories = raw.get("label_categories")
-    if not isinstance(label_categories, dict) or not label_categories:
-        raise ConfigError("label_categories must be a non-empty object (label -> category)")
+    semcat = SemCatConfig(**semcat_raw)
     tax = load_taxonomy(_require_path(raw.get("taxonomy"), "taxonomy"))
     train_docs = load_corpus(_require_path(raw.get("corpus_train"), "training corpus"))
     test_docs = load_corpus(_require_path(raw.get("corpus_test"), "test corpus"))
@@ -237,18 +211,18 @@ def cmd_evaluate(args):
         stats = load_background(_require_path(raw["background"], "background"))
     else:
         stats = _background(train_docs + test_docs, semcat)
+    # run_experiment checks every value; what the file leaves out keeps
+    # the dataclass default
     cfg = ev.ExperimentConfig(
         taxonomy=tax,
         background=stats,
         train_docs=train_docs,
         test_docs=test_docs,
-        methods=methods,
-        label_categories=label_categories,
+        methods=[ev.MethodSpec(**m) for m in methods_raw],
+        label_categories=raw.get("label_categories"),
         seed=seed,
-        common_subset=raw.get("common_subset", True),
-        buckets=raw.get("buckets", True),
         semcat=semcat,
-        alpha=raw.get("alpha", 0.33),
+        **{k: raw[k] for k in ("common_subset", "buckets", "alpha") if k in raw},
     )
     report = ev.run_experiment(cfg)
     out = _out_stream(args.out)
@@ -286,17 +260,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, taxonomy=True):
-        if taxonomy:
-            sp.add_argument("--taxonomy")
+    def common(sp):
+        sp.add_argument("--taxonomy")
         sp.add_argument("--corpus", required=True)
         sp.add_argument("--stopwords")
         sp.add_argument("--lemmas")
         sp.add_argument("--background")
-        sp.add_argument("--disambig", default="nearest",
-                        choices=["nearest", "rank_half", "rank_inv", "uniform"])
+        sp.add_argument("--disambig", default=SemCatConfig.disambig, choices=DISAMBIG_METHODS)
         sp.add_argument("--measure", default="lin", choices=["lin", "pirro"])
-        sp.add_argument("--top-terms", dest="top_terms", type=int, default=10)
+        sp.add_argument("--top-terms", dest="top_terms", type=int, default=SemCatConfig.top_terms)
         sp.add_argument("--fuzzy-match", action="store_true",
                         help="allow diacritic-folded label matching")
         sp.add_argument("--out", default=None)
@@ -314,12 +286,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("train", help="train a classifier model")
     common(sp)
-    sp.add_argument("--model", required=True,
-                    choices=["bayes", "winnow", "llda", "semcla"])
-    sp.add_argument("--features", default="terms",
-                    choices=["terms", "categories", "concepts"])
-    sp.add_argument("--alpha", type=float, default=0.33)
-    sp.add_argument("--mode", default="average", choices=["average", "centroid"])
+    sp.add_argument("--model", required=True, choices=list(MODEL_TYPES))
+    sp.add_argument("--features", default="terms", choices=FEATURE_MODES)
+    sp.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
+    sp.add_argument("--mode", default=SemClaConfig.mode, choices=SEMCLA_MODES)
     sp.add_argument("--theta", type=float, default=1.0)
     sp.add_argument("--winnow-alpha", type=float, default=1.1)
     sp.add_argument("--winnow-beta", type=float, default=0.9)

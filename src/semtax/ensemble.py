@@ -199,7 +199,6 @@ def project_category_to_label(
 @dataclass
 class CommitteeDecision:
     winner: str
-    votes: list
     semcat_used: bool
 
 
@@ -227,4 +226,4 @@ def semcom_predict(
                 votes.append(Vote(label, float(weight_vector[i]), i + 1))
                 semcat_used = True
     winner = aggregate(votes, "weighted", seed=seed)
-    return CommitteeDecision(winner=winner, votes=votes, semcat_used=semcat_used)
+    return CommitteeDecision(winner=winner, semcat_used=semcat_used)

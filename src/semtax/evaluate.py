@@ -7,6 +7,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import typing
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -32,16 +33,36 @@ from .semcat import (
     term_vector,
     vector_features,
 )
-from .semcla import SemClaConfig, extend_vector, semcla_fit, semcla_score
+from .semcla import (
+    DEFAULT_ALPHA,
+    SEMCLA_MODES,
+    SemClaConfig,
+    check_alpha,
+    extend_vector,
+    semcla_fit,
+    semcla_score,
+)
 from .taxonomy import Taxonomy, sim_lin
 from .textpipe import BackgroundStats
 
-CLASSICAL_KINDS = ("bayes", "winnow", "llda")
-METHOD_KINDS = CLASSICAL_KINDS + ("semcat", "semcla", "ensemble", "semcom")
-# the classical learners' params and their types; a committee passes them
-# on to its members' learners
-LEARNER_PARAMS = {"theta": float, "alpha": float, "beta": float, "epochs": int,
-                  "a_word": float}
+# each classical learner's params and their types
+LEARNER_PARAMS = {
+    "bayes": {},
+    "winnow": {"theta": float, "alpha": float, "beta": float, "epochs": int},
+    "llda": {"a_word": float},
+}
+CLASSICAL_KINDS = tuple(LEARNER_PARAMS)
+# a committee's own params and their defaults
+COMMITTEE_DEFAULTS = {"members": (("bayes", 25), ("winnow", 25)), "level": "2",
+                      "sample_size": 200, "aggregation": "single_vote",
+                      "semcat_weights": (14.0, 10.0, 6.0)}
+# a committee takes its own params, which committee_key checks (type
+# None), and every learner's params, which it passes on to its members
+COMMITTEE_PARAMS = dict.fromkeys(COMMITTEE_DEFAULTS) | {
+    k: tp for params in LEARNER_PARAMS.values() for k, tp in params.items()}
+# the params each method kind takes, and the type each is decoded as
+METHOD_PARAMS = {**LEARNER_PARAMS, "semcat": {}, "semcla": {"alpha": float, "mode": str},
+                 "ensemble": COMMITTEE_PARAMS, "semcom": COMMITTEE_PARAMS}
 SAMPLE_LEVELS = {1: "1", "1": "1", 2: "2", "2": "2", "inf": "inf", float("inf"): "inf"}
 # the SemCatConfig fields an experiment config may set, echoed in its report
 SEMCAT_KEYS = ("top_terms", "disambig", "measure", "exact_match", "min_df", "max_df_ratio")
@@ -122,27 +143,25 @@ def extract_features(
     return vector_features(term_vector(text, tax, stats, config), mode, tax, config)
 
 
-def bag_to_tokens(bag: dict[str, float], scale: int = 100) -> list[str]:
-    """Integerize a weighted bag for token-based learners (LLDA)."""
+def bag_to_tokens(bag: dict[str, float]) -> list[str]:
+    """Integerize a weighted bag for token-based learners (LLDA): each
+    feature repeated round(100 * weight) times, at least once."""
     tokens = []
     for f in sorted(bag):
-        tokens.extend([f] * max(1, round(bag[f] * scale)))
+        tokens.extend([f] * max(1, round(bag[f] * 100)))
     return tokens
 
 
 def train_learner(kind: str, bags: list, params: dict):
     """The classical learner of kind (bayes, winnow or llda) trained on
-    (label, bag) pairs.  params holds LEARNER_PARAMS hyperparameters; one
-    that is absent keeps the learner's default."""
-    def given(*names):
-        return {k: params[k] for k in names if k in params}
-
+    (label, bag) pairs.  Of params, the learner gets its LEARNER_PARAMS;
+    one that is absent keeps the learner's default."""
+    given = {k: params[k] for k in LEARNER_PARAMS[kind] if k in params}
     if kind == "bayes":
         return nb_train(bags)
     if kind == "winnow":
-        return winnow_train(bags, **given("theta", "alpha", "beta", "epochs"))
-    labeled = [([lab], bag_to_tokens(bag)) for lab, bag in bags]
-    return llda_train(labeled, **given("a_word"))
+        return winnow_train(bags, **given)
+    return llda_train([([lab], bag_to_tokens(bag)) for lab, bag in bags], **given)
 
 
 # -- experiment runner ---------------------------------------------------
@@ -151,7 +170,7 @@ def train_learner(kind: str, bags: list, params: dict):
 @dataclass
 class MethodSpec:
     name: str
-    kind: str  # semcat | semcla | bayes | winnow | llda | ensemble | semcom
+    kind: str  # a key of METHOD_PARAMS
     features: str = "terms"
     params: dict = field(default_factory=dict)
 
@@ -168,7 +187,7 @@ class ExperimentConfig:
     common_subset: bool = True
     buckets: bool = True
     semcat: SemCatConfig = field(default_factory=SemCatConfig)
-    alpha: float = 0.33
+    alpha: float = DEFAULT_ALPHA
 
 
 @dataclass
@@ -213,10 +232,10 @@ def _shown(value) -> str:
 def committee_key(spec: MethodSpec) -> tuple:
     """What a committee's members are trained from, besides the
     experiment's master seed: (members as (kind, count) pairs, sample
-    level, sample size, features, learner params).  ConfigError when a
-    committee param has a bad value."""
-    params = spec.params
-    members = params.get("members", [("bayes", 25), ("winnow", 25)])
+    level, sample size, features, the learner params given).  ConfigError
+    when a committee param has a bad value."""
+    params = COMMITTEE_DEFAULTS | spec.params
+    members = params["members"]
     if not isinstance(members, (list, tuple)) or not members or not all(
         isinstance(m, (list, tuple)) and len(m) == 2 and m[0] in CLASSICAL_KINDS
         and isinstance(m[1], int) and not isinstance(m[1], bool) and m[1] >= 1
@@ -225,21 +244,21 @@ def committee_key(spec: MethodSpec) -> tuple:
         raise ConfigError("method %s: members must be a non-empty list of [kind, count] "
                           "pairs, kind one of %s and count at least 1, got %s"
                           % (spec.name, ", ".join(CLASSICAL_KINDS), _shown(members)))
-    level = params.get("level", "2")
+    level = params["level"]
     if isinstance(level, bool) or not isinstance(level, (int, float, str)) or (
         level not in SAMPLE_LEVELS
     ):
         raise ConfigError("method %s: level must be 1, 2 or \"inf\", got %s"
                           % (spec.name, _shown(level)))
-    size = params.get("sample_size", 200)
+    size = params["sample_size"]
     if isinstance(size, bool) or not isinstance(size, int) or size < 1:
         raise ConfigError("method %s: sample_size must be an integer of at least 1, got %s"
                           % (spec.name, _shown(size)))
-    aggregation = params.get("aggregation", "single_vote")
+    aggregation = params["aggregation"]
     if aggregation not in AGGREGATION_MODES:
         raise ConfigError("method %s: aggregation must be one of %s, got %s"
                           % (spec.name, ", ".join(AGGREGATION_MODES), _shown(aggregation)))
-    weights = params.get("semcat_weights", (14.0, 10.0, 6.0))
+    weights = params["semcat_weights"]
     if not isinstance(weights, (list, tuple)) or not weights or not all(
         isinstance(w, (int, float)) and not isinstance(w, bool) and math.isfinite(w)
         for w in weights
@@ -252,35 +271,60 @@ def committee_key(spec: MethodSpec) -> tuple:
         SAMPLE_LEVELS[level],
         size,
         spec.features,
-        tuple((k, _shown(params[k])) for k in LEARNER_PARAMS if k in params),
+        tuple((k, _shown(v)) for k, v in sorted(spec.params.items())
+              if k not in COMMITTEE_DEFAULTS),
     )
 
 
 def check_experiment(cfg: ExperimentConfig):
-    """ConfigError for a SemCat setting out of range, an unknown method
-    kind or feature mode, a learner param of the wrong type or not
-    finite, or a bad committee param, before any training."""
+    """ConfigError, before any training, for a seed, alpha, common_subset,
+    buckets or SemCat value of another type than declared, an alpha that
+    fails check_alpha, a SemCat setting out of range, an empty
+    label_categories, an unknown method kind or feature mode, a param
+    that the method's kind does not take (METHOD_PARAMS), a learner param
+    of the wrong type or not finite, or a bad SemCla or committee param.
+    Values are checked, not converted, so that the report echoes them as
+    given."""
+    top, semcat = typing.get_type_hints(ExperimentConfig), typing.get_type_hints(SemCatConfig)
     try:
+        for name in ("seed", "common_subset", "buckets", "alpha"):
+            decode(top[name], getattr(cfg, name), name)
+        for name in SEMCAT_KEYS:
+            decode(semcat[name], getattr(cfg.semcat, name), "semcat." + name)
         check_config(cfg.semcat)
     except DataError as exc:
         raise ConfigError("experiment config %s" % exc) from None
+    check_alpha(cfg.alpha)
+    if not isinstance(cfg.label_categories, dict) or not cfg.label_categories:
+        raise ConfigError("label_categories must be a non-empty object (label -> category)")
     for spec in cfg.methods:
-        if spec.kind not in METHOD_KINDS:
+        if spec.kind not in METHOD_PARAMS:
             raise ConfigError("method %s: unknown kind %s" % (spec.name, _shown(spec.kind)))
         if spec.features not in FEATURE_MODES:
             raise ConfigError("method %s: unknown feature mode %s"
                               % (spec.name, _shown(spec.features)))
         if not isinstance(spec.params, dict):
             raise ConfigError("method %s: params must be an object" % spec.name)
-        for name, tp in LEARNER_PARAMS.items():
-            if name in spec.params:
-                try:
-                    value = decode(tp, spec.params[name], "params." + name)
-                except DataError as exc:
-                    raise ConfigError("method %s %s" % (spec.name, exc)) from None
-                if not math.isfinite(value):
-                    raise ConfigError("method %s: params.%s must be finite, got %s"
-                                      % (spec.name, name, _shown(value)))
+        takes = METHOD_PARAMS[spec.kind]
+        for name, value in spec.params.items():
+            if name not in takes:
+                raise ConfigError("method %s: unknown param %s; kind %s takes %s"
+                                  % (spec.name, name, spec.kind, ", ".join(takes) or "none"))
+            if takes[name] is None:
+                continue
+            try:
+                value = decode(takes[name], value, "params." + name)
+            except DataError as exc:
+                raise ConfigError("method %s %s" % (spec.name, exc)) from None
+            if takes[name] is float and not math.isfinite(value):
+                raise ConfigError("method %s: params.%s must be finite, got %s"
+                                  % (spec.name, name, _shown(value)))
+        if spec.kind == "semcla":
+            semcla = SemClaConfig(**spec.params)
+            check_alpha(semcla.alpha, "method %s: params.alpha" % spec.name)
+            if semcla.mode not in SEMCLA_MODES:
+                raise ConfigError("method %s: params.mode must be one of %s, got %s"
+                                  % (spec.name, ", ".join(SEMCLA_MODES), _shown(semcla.mode)))
         if spec.kind in ("ensemble", "semcom"):
             committee_key(spec)
 
@@ -307,11 +351,8 @@ class _Predictor:
         if kind in CLASSICAL_KINDS:
             self._model = self._train_classical(kind, cfg.train_docs)
         elif kind == "semcla":
-            sc = SemClaConfig(
-                alpha=self.spec.params.get("alpha", cfg.alpha),
-                mode=self.spec.params.get("mode", "average"),
-                semcat=cfg.semcat,
-            )
+            # check_experiment allows no params here but alpha and mode
+            sc = SemClaConfig(**{"alpha": cfg.alpha, **self.spec.params}, semcat=cfg.semcat)
             self._semcla = semcla_fit(
                 ((d.label, self.ctx.categorized(d)) for d in cfg.train_docs),
                 cfg.taxonomy,
@@ -367,10 +408,11 @@ class _Predictor:
             linear = self._model.linear
             return [linear.labels[i] for _, rows in linear.top_rows(bags, 1)
                     for i in rows[:, 0].tolist()]
+        params = COMMITTEE_DEFAULTS | self.spec.params
         if kind == "ensemble":
-            return self._ensemble.predict(bags, self.spec.params.get("aggregation", "single_vote"))
+            return self._ensemble.predict(bags, params["aggregation"])
         # semcom: weighted committee with SemCat injection
-        weights = tuple(self.spec.params.get("semcat_weights", (14.0, 10.0, 6.0)))
+        weights = tuple(params["semcat_weights"])
         member_labels, counts = self._ensemble.vote_counts(bags)
         labels = []
         for (doc, _), row in zip(known, counts.tolist()):
@@ -384,14 +426,13 @@ class _Predictor:
         return labels
 
     def can_handle(self, doc: Document) -> bool:
+        """Whether the document has what the method reads: categories
+        (semcat, semcla, semcom) and its feature bag (every other kind and
+        semcom)."""
         kind = self.spec.kind
-        if kind in ("semcat", "semcla", "semcom"):
-            if self.ctx.categorized(doc) is None:
-                return False
-        if kind in ("bayes", "winnow", "llda", "ensemble", "semcom"):
-            if self.ctx.bag(doc, self.spec.features) is None:
-                return False
-        return True
+        if kind in ("semcat", "semcla", "semcom") and self.ctx.categorized(doc) is None:
+            return False
+        return kind in ("semcat", "semcla") or self.ctx.bag(doc, self.spec.features) is not None
 
 
 class _Context:

@@ -12,7 +12,7 @@ from dataclasses import asdict, dataclass, fields, is_dataclass
 from .classics import LLDAModel, NBModel, WinnowModel
 from .errors import DataError
 from .semcat import SemCatConfig, check_config
-from .semcla import SemClaModel, class_vector
+from .semcla import SemClaModel, check_alpha, class_vector
 from .textpipe import BackgroundStats
 
 MODEL_TYPES = {"bayes": NBModel, "winnow": WinnowModel, "llda": LLDAModel, "semcla": SemClaModel}
@@ -46,7 +46,8 @@ def save_model(model, pipeline: Pipeline, path):
 def load_model(path) -> tuple[object, Pipeline]:
     """The (model, pipeline) saved at path; DataError when the file is not
     a JSON object of a known type whose fields have the declared types,
-    or its probabilities fail check_probabilities."""
+    or its probabilities fail check_probabilities, or its SemCla alpha
+    check_alpha."""
     with open(path, encoding="utf-8") as fh:
         try:
             payload = json.load(fh)
@@ -64,6 +65,8 @@ def load_model(path) -> tuple[object, Pipeline]:
             payload["classes"] = {lab: class_vector(vs, mode) for lab, vs in vectors.items()}
         model = decode(cls, payload, "")
         check_probabilities(model)
+        if cls is SemClaModel:
+            check_alpha(model.alpha, "has field 'alpha'", DataError)
         if "pipeline" not in payload:
             default = "categories" if cls is SemClaModel else "terms"
             return model, Pipeline(default, None, SemCatConfig(), None)

@@ -23,6 +23,18 @@ log = logging.getLogger(__name__)
 
 DEFAULT_ALPHA = 0.33
 DEFAULT_ALPHA_GRID = tuple(round(0.05 * i, 2) for i in range(11))  # 0.0 .. 0.5
+SEMCLA_MODES = ("average", "centroid")
+
+
+def check_alpha(alpha, where: str = "alpha", error=ConfigError):
+    """alpha, when it is a finite number of at least 0 (a bool is not a
+    number); otherwise error naming where.  The paper calibrates alpha
+    over 0 .. 0.5: rejecting a negative one is this package's choice."""
+    if isinstance(alpha, bool) or not isinstance(alpha, (int, float)) or not (
+        math.isfinite(alpha) and alpha >= 0
+    ):
+        raise error("%s = %r, not a finite number of at least 0" % (where, alpha))
+    return alpha
 
 
 def extend_vector(
@@ -68,7 +80,7 @@ def cosine(v1: dict[str, float], v2: dict[str, float]) -> float:
 @dataclass
 class SemClaConfig:
     alpha: float = DEFAULT_ALPHA
-    mode: str = "average"  # or "centroid"; used at fit time only
+    mode: str = "average"  # one of SEMCLA_MODES; used at fit time only
     semcat: SemCatConfig = field(default_factory=SemCatConfig)
 
 
@@ -95,7 +107,7 @@ def class_vector(vectors: list[dict[str, float]], mode: str) -> dict[str, float]
         return _mean_vector([_unit(v) for v in vectors])
     if mode == "centroid":
         return _unit(_mean_vector(vectors))
-    raise ConfigError("unknown SemCla mode %r (average or centroid)" % (mode,))
+    raise ConfigError("unknown SemCla mode %r (%s)" % (mode, " or ".join(SEMCLA_MODES)))
 
 
 def semcla_train(
@@ -117,8 +129,10 @@ def semcla_fit(
 ) -> SemClaModel:
     """pairs: iterable of (label, category vector), where None marks a
     document that failed categorization: it is skipped with a warning.  A
-    class with no categorized document is a training error."""
+    class with no categorized document is a training error, and an alpha
+    that fails check_alpha a config error."""
     config = config or SemClaConfig()
+    check_alpha(config.alpha)
     vectors: dict[str, list[dict[str, float]]] = {}
     for label, cats in pairs:
         vectors.setdefault(label, [])
@@ -218,7 +232,8 @@ def calibrate_alpha(
 ) -> float:
     """Pick the grid alpha maximizing group separation (ties by smaller
     alpha).  groups: label -> list of document texts, each of which must
-    categorize."""
+    categorize, and every grid alpha must pass check_alpha."""
+    grid = sorted(check_alpha(alpha, "grid alpha") for alpha in grid)
     if len(groups) < 2:
         raise CalibrationError("need at least two groups")
     if not grid:
@@ -237,6 +252,5 @@ def calibrate_alpha(
             base.append((label, cats))
     # rank_separations rounds its similarities, so equal separations are
     # bit-identical and index, which finds the first maximum, picks the smaller alpha
-    grid = sorted(grid)
     separations = rank_separations(base, tax, grid)
     return grid[separations.index(max(separations))]

@@ -2,15 +2,21 @@
 TARGETS).  Each name must still resolve, so that a refactor that renames
 or deletes a traced function fails here rather than only under
 `bench/run.py --trace 1`.  The tracer's BEFORE hooks also bind some
-parameters by name, so those names must stay too."""
+parameters by name, so those names must stay too, and so must every name
+that the benchmark reads from the package root."""
 
+import ast
+import importlib
 import importlib.util
 import inspect
 import pathlib
 
 import pytest
 
-TRACER = pathlib.Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+import semtax
+
+BENCH = pathlib.Path(__file__).resolve().parents[1] / "bench"
+TRACER = BENCH / "tracer.py"
 
 
 def _load_tracer():
@@ -45,3 +51,26 @@ def test_every_hook_is_listed():
 def test_hooked_parameters_exist(target):
     *_, fn = tracer._resolve(target)
     assert set(HOOKED_PARAMETERS[target]) <= set(inspect.signature(fn).parameters)
+
+
+def _root_names():
+    """Each name read as semtax.<name> or imported by `from semtax import`
+    in bench/*.py and bench/tests/*.py."""
+    names = set()
+    for path in sorted(BENCH.glob("*.py")) + sorted(BENCH.glob("tests/*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and (
+                node.value.id == "semtax"
+            ):
+                names.add(node.attr)
+            elif isinstance(node, ast.ImportFrom) and node.module == "semtax" and not node.level:
+                names.update(alias.name for alias in node.names)
+    return sorted(names)
+
+
+@pytest.mark.parametrize("name", _root_names())
+def test_bench_root_name_resolves(name):
+    """A submodule resolves by import; any other name must be an
+    attribute of the package root."""
+    if importlib.util.find_spec("semtax." + name) is None:
+        assert hasattr(semtax, name)

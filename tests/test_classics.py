@@ -100,9 +100,7 @@ class TestNaiveBayes:
 class TestWinnow:
     def test_correct_prediction_keeps_weights(self):
         # single positive doc with margin above theta: never misclassified
-        model = winnow_train(
-            [("c", {"f": 1.0})], theta=0.4, epochs=5, init=(1.0, 0.5)
-        )
+        model = winnow_train([("c", {"f": 1.0})], theta=0.4, epochs=5)
         assert model.weights["c"]["f"] == (1.0, 0.5)
 
     def test_promotion_trace(self):

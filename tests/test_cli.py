@@ -477,6 +477,10 @@ def test_classify_with_old_format_classical_model(workdir, capsys, kind):
         ' "lemmas": {}}}}',
         "has field 'pipeline.semcat.disambig' = 'bogus'", id="pipeline-semcat-disambig-unknown",
     ),
+    *(pytest.param('{"type": "semcla", "alpha": %s, "classes": {"x": {"A": 1.0}}}' % alpha,
+                   "has field 'alpha' = %s, not a finite number of at least 0" % shown,
+                   id="semcla-alpha-" + shown)
+      for alpha, shown in [("NaN", "nan"), ("-Infinity", "-inf"), ("-0.5", "-0.5")]),
 ])
 def test_bad_model_file_exits_2(workdir, capsys, body, message):
     (workdir / "model.json").write_text(body, encoding="utf-8")
@@ -746,6 +750,28 @@ def test_train_winnow_non_finite_hyperparameter_exits_1(workdir, capsys, hyperpa
     assert not out.exists()
 
 
+@pytest.mark.parametrize("alpha", ["nan", "inf", "-1"])
+def test_train_semcla_bad_alpha_exits_1(workdir, capsys, alpha):
+    out = workdir / "semcla.json"
+    rc = main(["train", "--model", "semcla", "--taxonomy", str(workdir / "tax.tsv"),
+               "--corpus", str(workdir / "corpus.jsonl"), "--out", str(out), "--alpha=" + alpha])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == "error: config: alpha = %r, not a finite number of at least 0\n" % float(alpha)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("grid", ["nan,0.1", "0.1,inf", "0.2,-0.1"])
+def test_calibrate_alpha_bad_grid_alpha_exits_1(workdir, capsys, grid):
+    rc = main(["calibrate-alpha", "--taxonomy", str(workdir / "tax.tsv"),
+               "--corpus", str(workdir / "corpus.jsonl"), "--grid=" + grid])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: config: grid alpha = ")
+    assert captured.err.endswith(", not a finite number of at least 0\n")
+
+
 def test_calibrate_alpha_uncategorizable_document_exits_2(workdir, capsys):
     with open(workdir / "corpus.jsonl", "a", encoding="utf-8") as fh:
         fh.write(json.dumps({"id": "d5", "text": "zulu yankee", "label": "z"}) + "\n")
@@ -818,6 +844,28 @@ def learner(cfg, kind, **params):
      "method m: params.theta must be finite, got NaN"),
     (lambda cfg: committee(cfg, a_word=math.inf),
      "method ensemble: params.a_word must be finite, got Infinity"),
+    (lambda cfg: dict(cfg, alpha=math.nan), "alpha = nan, not a finite number of at least 0"),
+    (lambda cfg: dict(cfg, alpha=math.inf), "alpha = inf, not a finite number of at least 0"),
+    (lambda cfg: dict(cfg, alpha=-1), "alpha = -1, not a finite number of at least 0"),
+    (lambda cfg: learner(cfg, "semcla", alpha=-0.5),
+     "method m: params.alpha = -0.5, not a finite number of at least 0"),
+    (lambda cfg: learner(cfg, "semcla", alpha=math.nan),
+     "method m: params.alpha must be finite, got NaN"),
+    (lambda cfg: learner(cfg, "semcla", mode="median"),
+     'method m: params.mode must be one of average, centroid, got "median"'),
+    (lambda cfg: learner(cfg, "winnow", epoch=5),
+     "method m: unknown param epoch; kind winnow takes theta, alpha, beta, epochs"),
+    (lambda cfg: learner(cfg, "bayes", theta=1.0),
+     "method m: unknown param theta; kind bayes takes none"),
+    (lambda cfg: learner(cfg, "llda", theta=1.0),
+     "method m: unknown param theta; kind llda takes a_word"),
+    (lambda cfg: learner(cfg, "semcat", alpha=0.2),
+     "method m: unknown param alpha; kind semcat takes none"),
+    (lambda cfg: learner(cfg, "semcla", theta=1.0),
+     "method m: unknown param theta; kind semcla takes alpha, mode"),
+    (lambda cfg: committee(cfg, kind="semcom", rank_depth=3),
+     "method semcom: unknown param rank_depth; kind semcom takes members, level, sample_size, "
+     "aggregation, semcat_weights, theta, alpha, beta, epochs, a_word"),
 ], ids=["not-json", "not-object", "method-without-kind", "unknown-semcat-key",
         "semcat-value-type",
         "no-label-categories", "empty-label-categories",
@@ -829,7 +877,11 @@ def learner(cfg, kind, **params):
         "winnow-theta-str", "winnow-epochs-float",
         "winnow-alpha-bool", "llda-a-word-null", "llda-a-word-zero", "llda-a-word-negative",
         "committee-beta-str", "semcom-weight-nan", "semcom-weights-inf",
-        "winnow-theta-nan", "committee-a-word-inf"])
+        "winnow-theta-nan", "committee-a-word-inf",
+        "alpha-nan", "alpha-inf", "alpha-negative", "semcla-alpha-negative", "semcla-alpha-nan",
+        "semcla-mode-unknown", "winnow-param-unknown", "bayes-param-unknown",
+        "llda-param-unknown", "semcat-param-unknown", "semcla-param-unknown",
+        "committee-param-unknown"])
 def test_evaluate_bad_config_exits_1(workdir, capsys, edit, message):
     cfg = {
         "taxonomy": str(workdir / "tax.tsv"),

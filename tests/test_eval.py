@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import math
 
@@ -5,7 +6,7 @@ import pytest
 
 import semtax.evaluate
 from semtax.corpus import Document
-from semtax.errors import DataError, DegenerateInputError, EmptyVectorError
+from semtax.errors import ConfigError, DataError, DegenerateInputError, EmptyVectorError
 from semtax.evaluate import (
     ExperimentConfig,
     MethodSpec,
@@ -176,7 +177,7 @@ class TestExtractFeatures:
         assert failed == [(mode, reason) for mode in modes]
 
     def test_bag_to_tokens(self):
-        got = bag_to_tokens({"a": 0.02, "b": 0.05}, scale=100)
+        got = bag_to_tokens({"a": 0.02, "b": 0.05})
         assert got == ["a", "a", "b", "b", "b", "b", "b"]
 
 
@@ -229,6 +230,29 @@ class TestRunExperiment:
         cfg = self.config(toy_tax, toy_background, [MethodSpec("sc", "semcla")])
         report = run_experiment(cfg)
         assert report.results[0].overall_precision == pytest.approx(1.0)
+
+
+class TestCheckedBeforeTraining:
+    """run_experiment checks its config as CLI evaluate does: a bad value
+    is a ConfigError before any method trains."""
+
+    @pytest.mark.parametrize("change", [
+        {"seed": "7"},
+        {"alpha": float("nan")},
+        {"label_categories": {}},
+        {"methods": [MethodSpec("nb", "bayes"), MethodSpec("sc", "semcla", params={"mode": "x"})]},
+        {"methods": [MethodSpec("nb", "bayes"), MethodSpec("w", "winnow", params={"epoch": 5})]},
+    ], ids=["seed-str", "alpha-nan", "label-categories-empty", "semcla-mode-unknown",
+            "winnow-param-unknown"])
+    def test_config_error_before_any_trainer(self, toy_tax, toy_background, monkeypatch, change):
+        trained = []
+        monkeypatch.setattr(semtax.evaluate, "train_learner", lambda *args: trained.append(args))
+        monkeypatch.setattr(semtax.evaluate, "semcla_fit", lambda *args: trained.append(args))
+        cfg = TestRunExperiment().config(
+            toy_tax, toy_background, [MethodSpec("nb", "bayes"), MethodSpec("sc", "semcla")])
+        with pytest.raises(ConfigError):
+            run_experiment(dataclasses.replace(cfg, **change))
+        assert trained == []
 
 
 class TestCommitteeSharing:
