@@ -56,13 +56,22 @@ CLASSICAL_KINDS = tuple(LEARNER_PARAMS)
 COMMITTEE_DEFAULTS = {"members": (("bayes", 25), ("winnow", 25)), "level": "2",
                       "sample_size": 200, "aggregation": "single_vote",
                       "semcat_weights": (14.0, 10.0, 6.0)}
-# a committee takes its own params, which committee_key checks (type
-# None), and every learner's params, which it passes on to its members
-COMMITTEE_PARAMS = dict.fromkeys(COMMITTEE_DEFAULTS) | {
-    k: tp for params in LEARNER_PARAMS.values() for k, tp in params.items()}
-# the params each method kind takes, and the type each is decoded as
+
+
+def _committee_params(own: str) -> dict:
+    """The params of a committee kind: members, level, sample_size and
+    `own`, the one of aggregation and semcat_weights that the kind reads,
+    which committee_key checks (type None), and every learner's params,
+    which it passes on to its members."""
+    return dict.fromkeys(("members", "level", "sample_size", own)) | {
+        k: tp for params in LEARNER_PARAMS.values() for k, tp in params.items()}
+
+
+# the params each method kind takes, and the type each is decoded as:
+# ensemble aggregates its members' votes, semcom weighs SemCat's against them
 METHOD_PARAMS = {**LEARNER_PARAMS, "semcat": {}, "semcla": {"alpha": float, "mode": str},
-                 "ensemble": COMMITTEE_PARAMS, "semcom": COMMITTEE_PARAMS}
+                 "ensemble": _committee_params("aggregation"),
+                 "semcom": _committee_params("semcat_weights")}
 SAMPLE_LEVELS = {1: "1", "1": "1", 2: "2", "2": "2", "inf": "inf", float("inf"): "inf"}
 # the SemCatConfig fields an experiment config may set, echoed in its report
 SEMCAT_KEYS = ("top_terms", "disambig", "measure", "exact_match", "min_df", "max_df_ratio")

@@ -3,10 +3,14 @@ IC-based similarity measures.
 
 The taxonomy is a rooted DAG of categories (edges point child -> parent).
 Concepts attach to one or more categories and carry surface-string labels
-used for matching document terms.  Everything is immutable after load.
+used for matching document terms.  Everything is immutable after load;
+a `Concept` is a named tuple, an immutable record built at tuple cost.
 
 Construction is iterative, so a taxonomy of any depth loads: one Kahn
 order over the child -> parent edges finds cycles and builds every table.
+Loading pauses the cyclic garbage collector: a load allocates tens of
+thousands of containers and a loaded taxonomy holds no reference cycles,
+so the collector's passes during a load would walk them and free nothing.
 Ancestor sets are bitsets whose bits rank categories by IC, ties by id, so
 the most specific common abstraction (msca) of two categories, the common
 ancestor of largest IC with ties broken by smallest id, is the category at
@@ -15,10 +19,11 @@ the highest set bit of the AND of their ancestor bitsets.
 
 from __future__ import annotations
 
+import gc
 import math
 import unicodedata
-from dataclasses import dataclass
 from functools import cache, cached_property
+from typing import NamedTuple
 
 from .errors import (
     CycleError,
@@ -44,8 +49,7 @@ def fold_diacritics(s: str) -> str:
     return "".join(ch for ch in decomposed if not unicodedata.combining(ch))
 
 
-@dataclass(frozen=True, slots=True)
-class Concept:
+class Concept(NamedTuple):
     id: str
     labels: frozenset[str]
     categories: frozenset[str]
@@ -379,7 +383,21 @@ def parse_taxonomy(lines, source=None) -> Taxonomy:
     items are dropped.  Order-independent; duplicate ids are a load
     error.  An error in a record names its line, after `source` (the
     file) when given.
+
+    The cyclic garbage collector is paused, process-wide, while the
+    taxonomy is built, and left as the caller had it, also when the load
+    fails.
     """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _build_taxonomy(lines, source)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _build_taxonomy(lines, source) -> Taxonomy:
     where = "line" if source is None else "%s line" % source
     cat_labels: dict[str, str] = {}
     parents: dict[str, frozenset[str]] = {}

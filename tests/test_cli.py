@@ -865,7 +865,13 @@ def learner(cfg, kind, **params):
      "method m: unknown param theta; kind semcla takes alpha, mode"),
     (lambda cfg: committee(cfg, kind="semcom", rank_depth=3),
      "method semcom: unknown param rank_depth; kind semcom takes members, level, sample_size, "
-     "aggregation, semcat_weights, theta, alpha, beta, epochs, a_word"),
+     "semcat_weights, theta, alpha, beta, epochs, a_word"),
+    (lambda cfg: committee(cfg, semcat_weights=[1.0]),
+     "method ensemble: unknown param semcat_weights; kind ensemble takes members, level, "
+     "sample_size, aggregation, theta, alpha, beta, epochs, a_word"),
+    (lambda cfg: committee(cfg, kind="semcom", aggregation="rank"),
+     "method semcom: unknown param aggregation; kind semcom takes members, level, "
+     "sample_size, semcat_weights, theta, alpha, beta, epochs, a_word"),
 ], ids=["not-json", "not-object", "method-without-kind", "unknown-semcat-key",
         "semcat-value-type",
         "no-label-categories", "empty-label-categories",
@@ -881,7 +887,7 @@ def learner(cfg, kind, **params):
         "alpha-nan", "alpha-inf", "alpha-negative", "semcla-alpha-negative", "semcla-alpha-nan",
         "semcla-mode-unknown", "winnow-param-unknown", "bayes-param-unknown",
         "llda-param-unknown", "semcat-param-unknown", "semcla-param-unknown",
-        "committee-param-unknown"])
+        "committee-param-unknown", "ensemble-semcat-weights", "semcom-aggregation"])
 def test_evaluate_bad_config_exits_1(workdir, capsys, edit, message):
     cfg = {
         "taxonomy": str(workdir / "tax.tsv"),

@@ -26,6 +26,7 @@ from semtax.taxonomy import (
     Taxonomy,
     concept_count,
     information_content,
+    load_taxonomy,
     mean_sim_page,
     msca,
     parse_taxonomy,
@@ -128,6 +129,97 @@ class TestLoad:
             assert ref() is None
         finally:
             gc.enable()
+
+
+class TestCollectorPause:
+    """A load pauses the cyclic collector and leaves it as it found it."""
+
+    @pytest.fixture(autouse=True)
+    def restore_collector(self):
+        was = gc.isenabled()
+        yield
+        (gc.enable if was else gc.disable)()
+
+    @pytest.fixture
+    def toy_file(self, tmp_path):
+        path = tmp_path / "tax.tsv"
+        path.write_text(TOY_TAXONOMY, encoding="utf-8")
+        return path
+
+    def test_paused_while_loading(self):
+        gc.enable()
+        seen = []
+
+        def lines():
+            seen.append(gc.isenabled())
+            yield from io.StringIO(TOY_TAXONOMY)
+
+        parse_taxonomy(lines())
+        assert seen == [False]
+        assert gc.isenabled()
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_state_kept(self, toy_file, enabled):
+        (gc.enable if enabled else gc.disable)()
+        parse_taxonomy(io.StringIO(TOY_TAXONOMY))
+        assert gc.isenabled() is enabled
+        load_taxonomy(toy_file)
+        assert gc.isenabled() is enabled
+
+    @pytest.mark.parametrize("text, error", [
+        (TOY_TAXONOMY + "P\tc1\tA1\tagain\n", DuplicateIdError),
+        ("C\tR\tRoot\t\nC\tA\tA\tR,A1\nC\tA1\tA1\tA\nP\tc1\tA\tx\n", CycleError),
+    ], ids=["duplicate-id", "cycle"])
+    def test_enabled_after_a_failed_parse(self, text, error):
+        gc.enable()
+        with pytest.raises(error):
+            parse_taxonomy(io.StringIO(text))
+        assert gc.isenabled()
+
+    def test_enabled_after_a_file_that_is_not_utf8(self, tmp_path):
+        gc.enable()
+        path = tmp_path / "tax.tsv"
+        path.write_bytes((TOY_TAXONOMY + "P\tc8\tA1\tna\xefve\n").encode("latin-1"))
+        with pytest.raises(UnicodeDecodeError):
+            load_taxonomy(path)
+        assert gc.isenabled()
+
+
+class TestConcept:
+    LABELS, CATEGORIES = frozenset({"bravo", "jaguar"}), frozenset({"A1"})
+
+    def test_keyword_construction(self):
+        c = Concept(id="c2", labels=self.LABELS, categories=self.CATEGORIES)
+        assert (c.id, c.labels, c.categories) == ("c2", self.LABELS, self.CATEGORIES)
+        assert c == Concept("c2", self.LABELS, self.CATEGORIES)
+
+    @pytest.mark.parametrize("field", ["id", "labels", "categories", "other"])
+    def test_fields_cannot_be_set(self, field):
+        c = Concept("c2", self.LABELS, self.CATEGORIES)
+        with pytest.raises(AttributeError):
+            setattr(c, field, frozenset())
+        assert c == Concept("c2", self.LABELS, self.CATEGORIES)
+
+    def test_hashable(self):
+        a = Concept("c2", self.LABELS, self.CATEGORIES)
+        b = Concept(id="c2", labels=frozenset(["jaguar", "bravo"]), categories=self.CATEGORIES)
+        assert hash(a) == hash(b)
+        assert {a, b} == {a}
+
+    def test_parsed_concepts_equal_records_built_by_hand(self, toy_tax):
+        def concept(cid, cat, *labels):
+            return Concept(cid, frozenset(labels), frozenset({cat}))
+
+        assert toy_tax.concepts == {
+            "c1": concept("c1", "A1", "alpha"),
+            "c2": concept("c2", "A1", "bravo", "jaguar"),
+            "c3": concept("c3", "A2", "charlie", "black hole"),
+            "c4": concept("c4", "A", "delta"),
+            "c5": concept("c5", "B1", "echo", "jaguar"),
+            "c6": concept("c6", "B1", "foxtrot"),
+            "c7": concept("c7", "B", "golf"),
+        }
+        assert all(type(c) is Concept for c in toy_tax.concepts.values())
 
 
 class TestConceptCount:
