@@ -115,7 +115,7 @@ class LinearScorer:
 # -- Naive Bayes ---------------------------------------------------------
 
 
-def _smoothed(counts: dict[str, Counter], vocab, a: float) -> dict[str, dict[str, float]]:
+def _smoothed(counts: dict[str, dict], vocab, a: float) -> dict[str, dict[str, float]]:
     """label -> word -> (a + n_cw) / (a·k + n_c) for every word w of the
     k-word vocabulary, where n_cw counts w under label c and n_c counts
     all of c's words: additive smoothing, add-one (a = 1) for Naive Bayes
@@ -124,7 +124,7 @@ def _smoothed(counts: dict[str, Counter], vocab, a: float) -> dict[str, dict[str
     smoothed = {}
     for c, n in counts.items():
         denominator = a * k + sum(n.values())
-        smoothed[c] = {w: (a + n[w]) / denominator for w in vocab}
+        smoothed[c] = {w: (a + n.get(w, 0)) / denominator for w in vocab}
     return smoothed
 
 
@@ -148,11 +148,18 @@ def nb_train(labeled_bags) -> NBModel:
     """labeled_bags: iterable of (label, bag).  P(c) is the class document
     fraction; P(w|c) = (1 + count_wc) / (k + total_c) with k the
     vocabulary size (add-one smoothing)."""
-    counts: dict[str, Counter] = defaultdict(Counter)
-    ndocs: Counter = Counter()
+    counts: dict[str, dict] = {}
+    ndocs: dict[str, int] = {}
     for label, bag in labeled_bags:
-        ndocs[label] += 1
-        counts[label].update(bag)
+        if label in ndocs:
+            ndocs[label] += 1
+            n = counts[label]
+        else:
+            ndocs[label] = 1
+            n = counts[label] = {}
+        # v + n[w], the order in which Counter.update adds
+        for w, v in bag.items():
+            n[w] = v + n[w] if w in n else v
     if not ndocs:
         raise TrainingError("empty training set")
     vocab = {w for n in counts.values() for w in n}
@@ -217,30 +224,32 @@ def winnow_train(
         raise TrainingError("empty training set")
     features = frozenset(f for _, x in labeled_vectors for f in x)
     labels = sorted({lab for lab, _ in labeled_vectors})
-    weights = {lab: {f: (1.0, 0.5) for f in features} for lab in labels}
-    # each bag's active (feature, value) pairs, in bag order
-    active = [(lab, [(f, v) for f, v in x.items() if v > 0]) for lab, x in labeled_vectors]
+    # each label's w+ and w- lists, feature f's weights at column[f]
+    column = {f: j for j, f in enumerate(features)}
+    rows = [(lab, [1.0] * len(column), [0.5] * len(column)) for lab in labels]
+    # each bag's active (column, value) pairs, in bag order
+    active = [(lab, [(column[f], v) for f, v in x.items() if v > 0])
+              for lab, x in labeled_vectors]
     for _ in range(epochs):
         mistakes = 0
         for lab, x in active:
-            for target in labels:
-                w = weights[target]
+            for target, wp, wn in rows:
                 positive = lab == target
                 # a running +=, as the margin always was: Python 3.12's
                 # builtin sum compensates float additions
                 s = 0.0
-                for f, v in x:
-                    wp, wn = w[f]
-                    s += (wp - wn) * v
+                for j, v in x:
+                    s += (wp[j] - wn[j]) * v
                 if (s - theta > 0) == positive:
                     continue
                 mistakes += 1
                 up, down = (alpha, beta) if positive else (beta, alpha)
-                for f, _ in x:
-                    wp, wn = w[f]
-                    w[f] = (wp * up, wn * down)
+                for j, _ in x:
+                    wp[j] *= up
+                    wn[j] *= down
         if mistakes == 0:
             break
+    weights = {lab: {f: (wp[j], wn[j]) for f, j in column.items()} for lab, wp, wn in rows}
     return WinnowModel(
         theta=theta, alpha=alpha, beta=beta, weights=weights, features=features
     )

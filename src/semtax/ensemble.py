@@ -43,22 +43,21 @@ def _allowed_categories(tax: Taxonomy, class_cat: str, level: str) -> set[str]:
     raise DataError("unknown sample level %r" % (level,))
 
 
-def draw_training_sample(
+def class_pools(
     tax: Taxonomy,
     class_categories: dict[str, str],
     docs,
     level: str,
-    size: int,
-    seed: int,
 ) -> dict[str, list[str]]:
-    """docs: iterable of objects with .id and .categories (taxonomy
-    annotations).  Eligibility: L=1 needs a document category equal to the
-    class category, L=2 additionally direct subcategories, L=inf any
-    descendant.  `size` ids drawn uniformly without replacement (the whole
-    pool if smaller), seeded."""
+    """Each class's pool: the sorted ids of its eligible documents, by
+    label.  docs: iterable of objects with .id and .categories (taxonomy
+    annotations).  Eligibility: L=1 needs a document category equal to
+    the class category, L=2 additionally direct subcategories, L=inf any
+    descendant.  A pool does not depend on the member seed, so a
+    committee computes its pools once and draws every member's sample
+    from them."""
     docs = list(docs)
-    rng = random.Random(seed)
-    out: dict[str, list[str]] = {}
+    pools: dict[str, list[str]] = {}
     for label in sorted(class_categories):
         class_cat = class_categories[label]
         tax._require_category(class_cat)
@@ -66,11 +65,19 @@ def draw_training_sample(
         pool = sorted(d.id for d in docs if allowed.intersection(d.categories))
         if not pool:
             raise TrainingError("class %s has no eligible documents" % label)
-        if len(pool) <= size:
-            out[label] = pool
-        else:
-            out[label] = sorted(rng.sample(pool, size))
-    return out
+        pools[label] = pool
+    return pools
+
+
+def draw_training_sample(
+    pools: dict[str, list[str]], size: int, seed: int
+) -> dict[str, list[str]]:
+    """One member's sample from the pools of class_pools: for each label,
+    in label order, `size` ids drawn uniformly without replacement (the
+    whole pool if smaller), seeded, and sorted."""
+    rng = random.Random(seed)
+    return {label: list(pool) if len(pool) <= size else sorted(rng.sample(pool, size))
+            for label, pool in sorted(pools.items())}
 
 
 def aggregate(votes: list[Vote], mode: str = "single_vote", seed: int = 0) -> str:
@@ -161,9 +168,10 @@ def build_bagging_ensemble(
     master_seed: int = 0,
 ) -> BaggingEnsemble:
     """Train one member per trainer, each on an independently drawn
-    sample.  `sampler` maps a member seed to training material; a trainer
-    maps that sample to a LinearScorer.  Member i's seed is
-    derive_seed(master_seed, i)."""
+    sample.  `sampler` maps a member seed to training material, say
+    draw_training_sample from pools that class_pools computed once for
+    the whole committee; a trainer maps that sample to a LinearScorer.
+    Member i's seed is derive_seed(master_seed, i)."""
     if not trainers:
         raise DataError("ensemble needs at least one member")
     members = []

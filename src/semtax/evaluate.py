@@ -18,6 +18,7 @@ from .corpus import Document
 from .ensemble import (
     AGGREGATION_MODES,
     build_bagging_ensemble,
+    class_pools,
     draw_training_sample,
     project_category_to_label,
     semcom_predict,
@@ -28,6 +29,7 @@ from .semcat import (
     FEATURE_MODES,
     Analyzer,
     SemCatConfig,
+    assignment_features,
     check_config,
     ranked_categories,
     term_vector,
@@ -97,11 +99,17 @@ def lin_precision(
         raise DataError("prediction/truth length mismatch")
     if not preds:
         raise DataError("empty input")
+    # sim_lin once per distinct (truth, prediction) pair, summed in order
+    sims: dict = {}
     total = 0.0
     for p, t in zip(preds, truths):
-        if p not in label_categories or t not in label_categories:
-            raise DataError("label without a taxonomy category: %r" % (p if p not in label_categories else t,))
-        total += sim_lin(tax, label_categories[t], label_categories[p])
+        s = sims.get((t, p))
+        if s is None:
+            if p not in label_categories or t not in label_categories:
+                raise DataError("label without a taxonomy category: %r"
+                                % (p if p not in label_categories else t,))
+            s = sims[t, p] = sim_lin(tax, label_categories[t], label_categories[p])
+        total += s
     return total / len(preds)
 
 
@@ -293,7 +301,8 @@ def check_experiment(cfg: ExperimentConfig):
     that the method's kind does not take (METHOD_PARAMS), a learner param
     of the wrong type or not finite, or a bad SemCla or committee param.
     Values are checked, not converted, so that the report echoes them as
-    given."""
+    given.  Then a DataError for a document id that names two different
+    documents, within or across train_docs and test_docs."""
     top, semcat = typing.get_type_hints(ExperimentConfig), typing.get_type_hints(SemCatConfig)
     try:
         for name in ("seed", "common_subset", "buckets", "alpha"):
@@ -336,6 +345,14 @@ def check_experiment(cfg: ExperimentConfig):
                                   % (spec.name, ", ".join(SEMCLA_MODES), _shown(semcla.mode)))
         if spec.kind in ("ensemble", "semcom"):
             committee_key(spec)
+    # documents are analysed once per id, so an id must name one document
+    # (a test set may repeat training documents)
+    seen = {}
+    for side, docs in (("train_docs", cfg.train_docs), ("test_docs", cfg.test_docs)):
+        for d in docs:
+            if seen.setdefault(d.id, d) != d:
+                raise DataError("%s: document id %s names two different documents in "
+                                "train_docs and test_docs" % (side, _shown(d.id)))
 
 
 class _Predictor:
@@ -347,18 +364,22 @@ class _Predictor:
         self.ctx = ctx
         self._build()
 
-    def _train_classical(self, kind, docs):
-        features = self.spec.features
-        bags = [(d.label, bag) for d in docs if (bag := self.ctx.bag(d, features)) is not None]
+    def _train_classical(self, kind, bags):
+        """The learner of kind trained on (label, bag) pairs."""
         if not bags:
             raise DataError("no usable training documents for %s" % self.spec.name)
         return train_learner(kind, bags, self.spec.params)
+
+    def _labeled_bags(self, docs) -> list:
+        """The (label, bag) pairs of the documents that have a bag."""
+        features = self.spec.features
+        return [(d.label, bag) for d in docs if (bag := self.ctx.bag(d, features)) is not None]
 
     def _build(self):
         cfg = self.ctx.cfg
         kind = self.spec.kind
         if kind in CLASSICAL_KINDS:
-            self._model = self._train_classical(kind, cfg.train_docs)
+            self._model = self._train_classical(kind, self._labeled_bags(cfg.train_docs))
         elif kind == "semcla":
             # check_experiment allows no params here but alpha and mode
             sc = SemClaConfig(**{"alpha": cfg.alpha, **self.spec.params}, semcat=cfg.semcat)
@@ -373,16 +394,18 @@ class _Predictor:
 
     def _train_committee(self, members, level, size):
         cfg = self.ctx.cfg
-        docs_by_id = {d.id: d for d in cfg.train_docs}
+        pools = class_pools(cfg.taxonomy, cfg.label_categories, cfg.train_docs, level)
+        pooled = set().union(*pools.values())
+        # each pooled document's (label, bag) by id, when it has a bag
+        table = {d.id: (d.label, bag) for d in cfg.train_docs if d.id in pooled
+                 and (bag := self.ctx.bag(d, self.spec.features)) is not None}
 
         def sampler(seed):
-            sample = draw_training_sample(
-                cfg.taxonomy, cfg.label_categories, cfg.train_docs, level, size, seed
-            )
-            return [docs_by_id[i] for ids in sample.values() for i in ids]
+            sample = draw_training_sample(pools, size, seed)
+            return [table[i] for ids in sample.values() for i in ids if i in table]
 
         def trainer(kind):
-            return lambda docs: self._train_classical(kind, docs).linear
+            return lambda bags: self._train_classical(kind, bags).linear
 
         trainers = [trainer(kind) for kind, count in members for _ in range(count)]
         return build_bagging_ensemble(trainers, sampler, cfg.seed)
@@ -446,14 +469,17 @@ class _Predictor:
 
 class _Context:
     """Per-experiment document analysis, category projection and
-    committees: each document's term vector is computed once, and every
-    feature bag is derived from it; each category is projected to a label
-    once; methods with equal committee keys share one trained committee."""
+    committees: each document's term vector and concept assignment are
+    computed once, and every feature bag is derived from them; each
+    category is projected to a label once; methods with equal committee
+    keys share one trained committee.  Documents are keyed by id, which
+    check_experiment requires to name one document in both sets."""
 
     def __init__(self, cfg: ExperimentConfig):
         self.cfg = cfg
         self.analyzer = Analyzer(cfg.taxonomy, cfg.background, cfg.semcat)
         self._vectors: dict = {}
+        self._assignments: dict = {}
         self._bags: dict = {}
         self._committees: dict = {}
         # the task label of a category, None for none
@@ -467,12 +493,20 @@ class _Context:
         return self._committees[key]
 
     def bag(self, doc: Document, mode: str):
-        """The document's `mode` feature bag, None when it has none."""
+        """The document's `mode` feature bag, None when it has none.  Its
+        categories and concepts bags come from one concept assignment."""
         key = (doc.id, mode)
         if key not in self._bags:
             if doc.id not in self._vectors:
                 self._vectors[doc.id] = self.analyzer.vector(doc.text)
-            self._bags[key] = self.analyzer.features(self._vectors[doc.id], mode)
+            bag = self._vectors[doc.id]
+            if mode != "terms" and bag is not None:
+                if doc.id not in self._assignments:
+                    self._assignments[doc.id] = self.analyzer.assignment(bag)
+                assignment = self._assignments[doc.id]
+                bag = None if assignment is None else assignment_features(
+                    assignment, mode, self.cfg.taxonomy)
+            self._bags[key] = bag
         return self._bags[key]
 
     def categorized(self, doc: Document):

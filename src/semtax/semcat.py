@@ -66,20 +66,28 @@ def check_config(config: SemCatConfig, where: str = "semcat") -> SemCatConfig:
 
 
 def map_terms_to_concepts(
-    v: dict[str, float], tax: Taxonomy, exact_match: bool = True
+    v: dict[str, float], tax: Taxonomy, exact_match: bool = True,
+    memo: dict[str, list[str]] | None = None,
 ):
-    """Match each term against concept labels.  Exactly one match ->
-    unambiguous; several -> ambiguous candidates; none -> unresolved.
-    With exact_match off, a diacritic-folded lookup is tried as fallback.
-    Both label indexes hold sorted, distinct concept ids.
+    """Match each term against concept labels: the label index entry of
+    the normalized term, else, with exact_match off, the folded index
+    entry of its diacritic-folded form.  Both indexes hold sorted,
+    distinct concept ids.  Exactly one match -> unambiguous; several ->
+    ambiguous candidates; none -> unresolved.  memo, when given, maps
+    each term already looked up in tax under exact_match to its
+    candidates (empty for none), and gains the terms looked up here, so
+    that many documents look each term up once.
     """
     unambiguous = ConceptAssignment()
     ambiguous: dict[str, list[str]] = {}
     for term in sorted(v):
-        key = normalize_label(term)
-        candidates = tax.label_index.get(key)
-        if not candidates and not exact_match:
-            candidates = tax.folded_label_index.get(fold_diacritics(key))
+        if memo is None or (candidates := memo.get(term)) is None:
+            key = normalize_label(term)
+            candidates = tax.label_index.get(key)
+            if not candidates and not exact_match:
+                candidates = tax.folded_label_index.get(fold_diacritics(key))
+            if memo is not None:
+                memo[term] = candidates or []
         if not candidates:
             unambiguous.unresolved.append(term)
         elif len(candidates) == 1:
@@ -154,10 +162,12 @@ def project_to_categories(
 
 
 def assign_concepts(
-    v: dict[str, float], tax: Taxonomy, config: SemCatConfig
+    v: dict[str, float], tax: Taxonomy, config: SemCatConfig,
+    memo: dict[str, list[str]] | None = None,
 ) -> ConceptAssignment:
-    """TermVector -> merged (unambiguous + disambiguated) assignment."""
-    unamb, amb = map_terms_to_concepts(v, tax, config.exact_match)
+    """TermVector -> merged (unambiguous + disambiguated) assignment.
+    memo: as for map_terms_to_concepts."""
+    unamb, amb = map_terms_to_concepts(v, tax, config.exact_match, memo)
     resolved = disambiguate(amb, unamb, tax, v, config.disambig, config.measure)
     merged = ConceptAssignment(
         entries=unamb.entries + resolved.entries, unresolved=unamb.unresolved
@@ -213,15 +223,25 @@ def vector_features(
     v: dict[str, float], mode: str, tax: Taxonomy, config: SemCatConfig
 ) -> dict[str, float]:
     """The `mode` feature bag of a document's term vector `v`.  terms: the
-    tf-idf term vector; categories: SemCat category weights; concepts:
-    disambiguated concept ids weighted by share."""
+    tf-idf term vector; categories and concepts: see
+    assignment_features."""
     if mode not in FEATURE_MODES:
         raise ConfigError("unknown feature mode %r" % mode)
     if mode == "terms":
         return v
+    return assignment_features(assign_concepts(v, tax, config), mode, tax)
+
+
+def assignment_features(
+    assignment: ConceptAssignment, mode: str, tax: Taxonomy
+) -> dict[str, float]:
+    """The `mode` feature bag of a merged concept assignment.  categories:
+    SemCat category weights; concepts: disambiguated concept ids weighted
+    by share."""
     if mode == "categories":
-        return categorize_vector(v, tax, config)
-    assignment = assign_concepts(v, tax, config)
+        return project_to_categories(assignment, tax)
+    if mode != "concepts":
+        raise ConfigError("unknown feature mode %r" % mode)
     bag: dict[str, float] = {}
     for _, cid, w in assignment.entries:
         bag[cid] = bag.get(cid, 0.0) + w
@@ -229,12 +249,15 @@ def vector_features(
 
 
 class Analyzer:
-    """Text to feature bags through one phrase index of tax and one term
-    table of (config, stats), shared by every document analysed.  Without
-    a taxonomy (tax None) there is no phrase matching, and only `terms`
-    bags can be built.  Each method returns None for a document with no
-    features: no terms, all tf-idf weights zero, or (categories and
-    concepts) no term that maps to a concept."""
+    """Text to feature bags through one phrase index of tax, one term
+    table of (config, stats) and one term -> concepts memo, shared by
+    every document analysed.  Without a taxonomy (tax None) there is no
+    phrase matching, and only `terms` bags can be built.  Each method
+    returns None for a document with no features: no terms, all tf-idf
+    weights zero, or (categories and concepts) no term that maps to a
+    concept.  A caller that needs both the categories and the concepts
+    bag of a document derives both from one assignment (see
+    assignment_features)."""
 
     def __init__(self, tax: Taxonomy | None, stats: BackgroundStats, config: SemCatConfig):
         self.tax = tax
@@ -242,6 +265,8 @@ class Analyzer:
         self.config = config
         self.index = PhraseIndex.from_taxonomy(tax) if tax is not None else PhraseIndex(())
         self.table = TermTable.from_config(config, stats)
+        # term -> candidate concept ids, for map_terms_to_concepts
+        self.candidates: dict[str, list[str]] = {}
 
     def vector(self, text: str) -> dict[str, float] | None:
         """The document's top-n tf-idf term vector."""
@@ -250,17 +275,25 @@ class Analyzer:
         except EmptyVectorError:
             return None
 
-    def features(self, v: dict[str, float] | None, mode: str) -> dict[str, float] | None:
-        """The `mode` bag of term vector v (see vector_features)."""
+    def assignment(self, v: dict[str, float] | None) -> ConceptAssignment | None:
+        """The merged concept assignment of term vector v (see
+        assign_concepts)."""
         if v is None:
             return None
         try:
-            return vector_features(v, mode, self.tax, self.config)
+            return assign_concepts(v, self.tax, self.config, self.candidates)
         except EmptyVectorError:
             return None
 
     def bag(self, text: str, mode: str) -> dict[str, float] | None:
-        return self.features(self.vector(text), mode)
+        """The `mode` feature bag of text (see vector_features)."""
+        if mode not in FEATURE_MODES:
+            raise ConfigError("unknown feature mode %r" % mode)
+        v = self.vector(text)
+        if v is None or mode == "terms":
+            return v
+        assignment = self.assignment(v)
+        return None if assignment is None else assignment_features(assignment, mode, self.tax)
 
 
 def top_n_categories(v: dict[str, float], n: int) -> list[tuple[str, float]]:

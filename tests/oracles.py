@@ -5,7 +5,10 @@ recompute everything by naive enumeration.  The SemCla oracles score
 against every training vector and compare every pair by its own cosine.
 The text oracles decide every token afresh and try every phrase span.
 The classical oracles score each label by its own loop over the bag,
-and the Labeled LDA oracle draws a topic for every token.  The committee
+and the Labeled LDA oracle draws a topic for every token.  The Naive
+Bayes trainer oracle counts with Counter.update, and the Winnow trainer
+oracle keeps each weight pair as a tuple in a per-label dict.  The
+concept lookup oracle scans every concept's labels.  The committee
 oracle has each member rank each bag on its own and casts one vote per
 ranked label.  The taxonomy file oracle reads one record at a time and
 builds both label indexes eagerly.  The disambiguation oracle scores each candidate by its own
@@ -16,11 +19,12 @@ import math
 import random
 import re
 import unicodedata
-from collections import Counter
+from collections import Counter, defaultdict
 
 import numpy as np
 from scipy.stats import rankdata
 
+from semtax.classics import NBModel, WinnowModel
 from semtax.ensemble import Vote, aggregate
 from semtax.errors import (
     CycleError,
@@ -29,7 +33,10 @@ from semtax.errors import (
     EmptyLabelError,
     MultipleRootsError,
     TaxonomyError,
+    TrainingError,
 )
+from semtax.semcat import ConceptAssignment
+from semtax.taxonomy import fold_diacritics, normalize_label
 
 
 def brute_ancestors(parents, k):
@@ -399,3 +406,88 @@ def brute_committee_predict(members, bags, mode, rank_depth, seed):
                   mode, seed=seed)
         for bag in bags
     ]
+
+
+def brute_nb_train(labeled_bags):
+    """Naive Bayes counted with Counter.update per bag and smoothed by
+    (1 + n_cw) / (k + n_c)."""
+    counts = defaultdict(Counter)
+    ndocs = Counter()
+    for label, bag in labeled_bags:
+        ndocs[label] += 1
+        counts[label].update(bag)
+    if not ndocs:
+        raise TrainingError("empty training set")
+    vocab = {w for n in counts.values() for w in n}
+    if not vocab:
+        raise TrainingError("every training bag is empty")
+    total_docs = sum(ndocs.values())
+    k = len(vocab)
+    likelihoods = {}
+    for c, n in counts.items():
+        denominator = 1 * k + sum(n.values())
+        likelihoods[c] = {w: (1 + n[w]) / denominator for w in vocab}
+    return NBModel(priors={c: ndocs[c] / total_docs for c in ndocs},
+                   likelihoods=likelihoods, vocabulary=frozenset(vocab))
+
+
+def brute_winnow_train(labeled_vectors, theta=1.0, alpha=1.1, beta=0.9, epochs=50):
+    """Balanced Winnow with each (w+, w-) pair a tuple in a per-label
+    dict, replaced on every update."""
+    labeled_vectors = list(labeled_vectors)
+    if not labeled_vectors:
+        raise TrainingError("empty training set")
+    features = frozenset(f for _, x in labeled_vectors for f in x)
+    labels = sorted({lab for lab, _ in labeled_vectors})
+    weights = {lab: {f: (1.0, 0.5) for f in features} for lab in labels}
+    active = [(lab, [(f, v) for f, v in x.items() if v > 0]) for lab, x in labeled_vectors]
+    for _ in range(epochs):
+        mistakes = 0
+        for lab, x in active:
+            for target in labels:
+                w = weights[target]
+                positive = lab == target
+                s = 0.0
+                for f, v in x:
+                    wp, wn = w[f]
+                    s += (wp - wn) * v
+                if (s - theta > 0) == positive:
+                    continue
+                mistakes += 1
+                up, down = (alpha, beta) if positive else (beta, alpha)
+                for f, _ in x:
+                    wp, wn = w[f]
+                    w[f] = (wp * up, wn * down)
+        if mistakes == 0:
+            break
+    return WinnowModel(theta=theta, alpha=alpha, beta=beta, weights=weights,
+                       features=features)
+
+
+def brute_concept_candidates(tax, term, exact_match):
+    """The sorted ids of the concepts with a label equal to the
+    normalized term; with exact_match off and none found, of those with a
+    label equal to it once both are diacritic-folded."""
+    key = normalize_label(term)
+    found = sorted(c.id for c in tax.concepts.values() if key in c.labels)
+    if found or exact_match:
+        return found
+    folded = fold_diacritics(key)
+    return sorted(c.id for c in tax.concepts.values()
+                  if any(fold_diacritics(lab) == folded for lab in c.labels))
+
+
+def brute_map_terms_to_concepts(v, tax, exact_match):
+    """(unambiguous assignment, ambiguous term -> candidates), each term
+    looked up by brute_concept_candidates."""
+    unambiguous = ConceptAssignment()
+    ambiguous = {}
+    for term in sorted(v):
+        candidates = brute_concept_candidates(tax, term, exact_match)
+        if not candidates:
+            unambiguous.unresolved.append(term)
+        elif len(candidates) == 1:
+            unambiguous.entries.append((term, candidates[0], v[term]))
+        else:
+            ambiguous[term] = candidates
+    return unambiguous, ambiguous

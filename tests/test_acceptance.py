@@ -10,7 +10,7 @@ import pytest
 
 from semtax.classics import llda_train, nb_predict, nb_train, winnow_predict, winnow_train
 from semtax.corpus import Document
-from semtax.ensemble import Vote, aggregate, draw_training_sample
+from semtax.ensemble import Vote, aggregate, class_pools
 from semtax.errors import EmptyVectorError, TrainingError
 from semtax.evaluate import (
     ExperimentConfig,
@@ -216,7 +216,7 @@ def test_criterion_5_ensemble_determinism():
         for level in ("1", "2", "inf"):
             try:
                 pools[level] = set(
-                    draw_training_sample(tax, {"x": class_cat}, docs, level, 999, 0)["x"]
+                    class_pools(tax, {"x": class_cat}, docs, level)["x"]
                 )
             except TrainingError:
                 pools[level] = set()

@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from semtax.errors import ConfigError, TrainingError
 from semtax.classics import (
@@ -17,7 +17,14 @@ from semtax.classics import (
     winnow_predict,
     winnow_train,
 )
-from oracles import brute_llda_phi, brute_llda_predict, brute_nb_predict, brute_winnow_predict
+from oracles import (
+    brute_llda_phi,
+    brute_llda_predict,
+    brute_nb_predict,
+    brute_nb_train,
+    brute_winnow_predict,
+    brute_winnow_train,
+)
 
 
 class TestNaiveBayes:
@@ -320,6 +327,62 @@ class TestLinearScorerMatchesOracle:
             assert len(got) == len(members)
             for ranking, (model, oracle) in zip(got, members):
                 assert_same_ranking(ranking, oracle(model, bag)[:depth])
+
+
+def exact(x):
+    """x with every float in its hex form, so that equal means bit-equal
+    (0.0 and -0.0 differ)."""
+    if isinstance(x, dict):
+        return {k: exact(v) for k, v in x.items()}
+    if isinstance(x, tuple):
+        return tuple(exact(v) for v in x)
+    return x.hex() if isinstance(x, float) else x
+
+
+def trained(train, *args, **kwargs):
+    """The model's fields, bit for bit, or the error type it raised."""
+    try:
+        return exact(vars(train(*args, **kwargs)))
+    except (TrainingError, ZeroDivisionError) as exc:
+        return type(exc)
+
+
+# float weights, zeros of both signs and negative values; a feature
+# repeats across bags and labels
+trainer_values = st.one_of(st.sampled_from([0, 0.0, -0.0, 1, 2, -1.0, 0.5]),
+                           st.floats(-4.0, 4.0, allow_nan=False))
+trainer_bags = st.lists(
+    st.tuples(st.sampled_from("abc"),
+              st.dictionaries(st.sampled_from(FEATURES), trainer_values, max_size=5)),
+    max_size=10,
+)
+
+
+class TestTrainersMatchOracle:
+    """nb_train and winnow_train do the float operations of the
+    Counter- and tuple-based reference trainers in the same order, so
+    their models are bit-identical."""
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(trainer_bags)
+    @example([("a", {"f": 1.5, "g": -1.0}), ("a", {"f": 0.25}), ("b", {"g": 1.0})])
+    @example([("a", {"f": -1.0})])  # the smoothing denominator is 0
+    def test_naive_bayes(self, labeled):
+        assert trained(nb_train, labeled) == trained(brute_nb_train, labeled)
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(trainer_bags, st.floats(-1.0, 3.0), st.floats(1.01, 2.0), st.floats(0.5, 0.99),
+           st.integers(1, 8))
+    # separable: stops after a mistake-free epoch, well before the 50th
+    @example([("a", {"f": 1.0}), ("b", {"g": 1.0})], 1.0, 1.1, 0.9, 50)
+    # contradictory: a mistake in every epoch, so all 4 run
+    @example([("a", {"f": 1.0}), ("b", {"f": 1.0})], 1.0, 1.1, 0.9, 4)
+    # a first margin equal to theta, (1 - 0.5) * 2, predicts negative
+    @example([("a", {"f": 2.0})], 1.0, 1.1, 0.9, 1)
+    def test_winnow(self, labeled, theta, alpha, beta, epochs):
+        params = dict(theta=theta, alpha=alpha, beta=beta, epochs=epochs)
+        assert trained(winnow_train, labeled, **params) == trained(
+            brute_winnow_train, labeled, **params)
 
 
 @pytest.mark.parametrize("kind", ["bayes", "winnow", "llda"])

@@ -695,6 +695,23 @@ def test_evaluate_requires_seed(workdir, capsys):
     assert main(["evaluate", "--config", str(cfg_path)]) == 1
 
 
+def test_evaluate_id_naming_two_documents_exits_2(workdir, capsys):
+    # the test corpus reuses the training id d1 for another label's text
+    with open(workdir / "test.jsonl", "w", encoding="utf-8") as fh:
+        fh.write(json.dumps({"id": "d1", "text": "echo foxtrot golf", "label": "z"}) + "\n")
+    cfg = {
+        "taxonomy": str(workdir / "tax.tsv"),
+        "corpus_train": str(workdir / "corpus.jsonl"),
+        "corpus_test": str(workdir / "test.jsonl"),
+        "label_categories": {"x": "A", "z": "B"},
+        "methods": [{"name": "semcat", "kind": "semcat"}],
+        "seed": 7,
+    }
+    (workdir / "exp.json").write_text(json.dumps(cfg))
+    assert main(["evaluate", "--config", str(workdir / "exp.json")]) == 2
+    assert 'document id "d1"' in capsys.readouterr().err
+
+
 def test_calibrate_alpha_prints_grid_member(workdir, capsys):
     rc = main([
         "calibrate-alpha",

@@ -13,6 +13,7 @@ from semtax.ensemble import (
     Vote,
     aggregate,
     build_bagging_ensemble,
+    class_pools,
     derive_seed,
     draw_training_sample,
     project_category_to_label,
@@ -31,33 +32,33 @@ def docs_with(annotations):
 class TestDrawTrainingSample:
     def test_level_1_exact_only(self, toy_tax):
         docs = docs_with(["A", "A1"])
-        got = draw_training_sample(toy_tax, {"x": "A"}, docs, "1", 10, seed=0)
+        got = draw_training_sample(class_pools(toy_tax, {"x": "A"}, docs, "1"), 10, seed=0)
         assert got == {"x": ["d0"]}
 
     def test_level_2_adds_direct_subcategories(self, toy_tax):
         docs = docs_with(["A", "A1"])
-        got = draw_training_sample(toy_tax, {"x": "A"}, docs, "2", 10, seed=0)
+        got = draw_training_sample(class_pools(toy_tax, {"x": "A"}, docs, "2"), 10, seed=0)
         assert got == {"x": ["d0", "d1"]}
 
     def test_level_inf_any_descendant(self, toy_tax):
         docs = docs_with(["R", "A", "A1", "B1"])
-        got = draw_training_sample(toy_tax, {"x": "R"}, docs, "inf", 10, seed=0)
+        got = draw_training_sample(class_pools(toy_tax, {"x": "R"}, docs, "inf"), 10, seed=0)
         assert got == {"x": ["d0", "d1", "d2", "d3"]}
 
     def test_pool_smaller_than_sample(self, toy_tax):
         docs = docs_with(["A", "A"])
-        got = draw_training_sample(toy_tax, {"x": "A"}, docs, "1", 50, seed=0)
+        got = draw_training_sample(class_pools(toy_tax, {"x": "A"}, docs, "1"), 50, seed=0)
         assert got == {"x": ["d0", "d1"]}
 
     def test_no_eligible_docs_is_error(self, toy_tax):
         docs = docs_with(["B1"])
         with pytest.raises(TrainingError):
-            draw_training_sample(toy_tax, {"x": "A"}, docs, "1", 5, seed=0)
+            class_pools(toy_tax, {"x": "A"}, docs, "1")
 
     def test_seeded_and_deterministic(self, toy_tax):
         docs = docs_with(["A"] * 20)
-        a = draw_training_sample(toy_tax, {"x": "A"}, docs, "1", 5, seed=3)
-        b = draw_training_sample(toy_tax, {"x": "A"}, docs, "1", 5, seed=3)
+        a = draw_training_sample(class_pools(toy_tax, {"x": "A"}, docs, "1"), 5, seed=3)
+        b = draw_training_sample(class_pools(toy_tax, {"x": "A"}, docs, "1"), 5, seed=3)
         assert a == b and len(a["x"]) == 5
 
     def test_eligibility_monotone(self, toy_tax):
@@ -67,7 +68,7 @@ class TestDrawTrainingSample:
         pools = {}
         for level in ("1", "2", "inf"):
             pools[level] = set(
-                draw_training_sample(toy_tax, {"x": "A"}, docs, level, 100, 0)["x"]
+                class_pools(toy_tax, {"x": "A"}, docs, level)["x"]
             )
         assert pools["1"] <= pools["2"] <= pools["inf"]
 
@@ -144,8 +145,10 @@ class TestBagging:
         return bias_only({majority: 1.0})
 
     def sampler_factory(self, toy_tax, docs):
+        pools = class_pools(toy_tax, {"x": "A", "y": "B"}, docs, "2")
+
         def sampler(seed):
-            return draw_training_sample(toy_tax, {"x": "A", "y": "B"}, docs, "2", 3, seed)
+            return draw_training_sample(pools, 3, seed)
 
         return sampler
 
@@ -313,7 +316,7 @@ class TestEligibilityMonotonicityRandom:
             for level in ("1", "2", "inf"):
                 try:
                     pools[level] = set(
-                        draw_training_sample(tax, {"x": class_cat}, docs, level, 999, 0)["x"]
+                        class_pools(tax, {"x": class_cat}, docs, level)["x"]
                     )
                 except TrainingError:
                     pools[level] = set()

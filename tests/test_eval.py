@@ -4,7 +4,9 @@ import math
 
 import pytest
 
+import semtax.ensemble
 import semtax.evaluate
+import semtax.semcat
 from semtax.corpus import Document
 from semtax.errors import ConfigError, DataError, DegenerateInputError, EmptyVectorError
 from semtax.evaluate import (
@@ -69,6 +71,21 @@ class TestLinPrecision:
     def test_unmapped_label(self, toy_tax):
         with pytest.raises(DataError):
             lin_precision(["w"], ["x"], toy_tax, self.label_map)
+        # the error names the first bad label, after a good pair
+        with pytest.raises(DataError, match="'v'"):
+            lin_precision(["x", "v", "w"], ["x", "x", "x"], toy_tax, self.label_map)
+
+    def test_sim_lin_once_per_distinct_pair(self, toy_tax, monkeypatch):
+        preds = ["x", "y", "z", "x", "y", "x", "z"]
+        truths = ["x", "x", "y", "x", "x", "z", "y"]
+        want = 0.0
+        for p, t in zip(preds, truths):
+            want += sim_lin(toy_tax, self.label_map[t], self.label_map[p])
+        calls = []
+        monkeypatch.setattr(semtax.evaluate, "sim_lin",
+                            lambda *args: calls.append(args) or sim_lin(*args))
+        assert lin_precision(preds, truths, toy_tax, self.label_map) == want / len(preds)
+        assert len(calls) == len(set(zip(truths, preds))) == 4
 
     def test_lower_bounded_by_precision(self, toy_tax):
         preds = ["x", "y", "z", "x", "z"]
@@ -255,6 +272,48 @@ class TestCheckedBeforeTraining:
         assert trained == []
 
 
+class TestDocumentIds:
+    """Documents are analysed once per id, so an id that names two
+    different documents would score one with the other's features."""
+
+    @pytest.mark.parametrize("side, index", [("train_docs", 1), ("test_docs", 0),
+                                             ("test_docs", 1)],
+                             ids=["within-train", "across", "within-test"])
+    def test_id_naming_two_documents_is_a_data_error(self, toy_tax, toy_background,
+                                                     monkeypatch, side, index):
+        trained = []
+        monkeypatch.setattr(semtax.evaluate, "train_learner", lambda *args: trained.append(args))
+        cfg = TestRunExperiment().config(toy_tax, toy_background, [MethodSpec("nb", "bayes")])
+        docs = list(getattr(cfg, side))
+        # the id of the first training document, or of the first test
+        # document for within-test, on another text
+        taken = (cfg.test_docs if side == "test_docs" and index == 1 else cfg.train_docs)[0]
+        docs[index] = dataclasses.replace(docs[index], id=taken.id)
+        with pytest.raises(DataError, match='"%s"' % taken.id):
+            run_experiment(dataclasses.replace(cfg, **{side: docs}))
+        assert trained == []
+
+
+class TestOneAssignmentPerDocument:
+    def test_categories_and_concepts_bags_share_one_lookup(self, monkeypatch):
+        bench = make_gap_benchmark(docs_per_side=30, seed=5)
+        docs = bench.train_docs + bench.test_docs
+        analyzer = Analyzer(bench.taxonomy, bench.background, SemCatConfig())
+        with_terms = sum(analyzer.vector(d.text) is not None for d in docs)
+        calls = []
+        real = semtax.semcat.map_terms_to_concepts
+        monkeypatch.setattr(semtax.semcat, "map_terms_to_concepts",
+                            lambda *args: calls.append(args) or real(*args))
+        run_experiment(ExperimentConfig(
+            taxonomy=bench.taxonomy, background=bench.background,
+            train_docs=bench.train_docs, test_docs=bench.test_docs,
+            methods=[MethodSpec("nb", "bayes", features="categories"),
+                     MethodSpec("llda", "llda", features="concepts")],
+            label_categories=bench.label_categories, seed=5,
+        ))
+        assert with_terms > 0 and len(calls) == with_terms
+
+
 class TestCommitteeSharing:
     """An experiment trains one committee per distinct committee key, so
     the paper's ensemble-against-SemCom comparison trains its 50 members
@@ -276,6 +335,15 @@ class TestCommitteeSharing:
             methods=methods, label_categories=bench.label_categories, seed=5,
         ))
         return len(calls), report
+
+    def test_pools_computed_once_per_committee(self, monkeypatch):
+        pools = []
+        real = semtax.ensemble._allowed_categories
+        monkeypatch.setattr(semtax.ensemble, "_allowed_categories",
+                            lambda *args: pools.append(args[1]) or real(*args))
+        n, _ = self.draws(monkeypatch, [MethodSpec("ensemble", "ensemble", features="categories")])
+        assert n == 50
+        assert len(pools) == len(set(pools)) == 3
 
     def test_equal_specs_train_once(self, monkeypatch):
         n, report = self.draws(monkeypatch, [

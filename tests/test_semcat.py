@@ -18,7 +18,14 @@ from semtax.semcat import (
 from semtax.synth import random_taxonomy, random_term_vector
 from semtax.taxonomy import Concept, Taxonomy, mean_sim_page, parse_taxonomy, sim_page
 
-from oracles import brute_disambiguate, brute_sim, brute_sim_page, links
+from oracles import (
+    brute_concept_candidates,
+    brute_disambiguate,
+    brute_map_terms_to_concepts,
+    brute_sim,
+    brute_sim_page,
+    links,
+)
 
 
 class TestMapping:
@@ -50,6 +57,34 @@ class TestMapping:
         unamb, amb = map_terms_to_concepts({"cafè": 1.0}, tax, exact_match=False)
         assert unamb.entries == [("cafè", "p1", 1.0)]
         assert not amb
+
+
+class TestConceptMemoMatchesOracle:
+    """A memo shared by many map_terms_to_concepts calls gives each term
+    the candidates of a scan over every concept's labels, with and
+    without diacritic folding."""
+
+    # case and diacritic variants of two letters, so that labels and
+    # terms collide, fold together or miss
+    label = st.text(alphabet="aáAÁbé", min_size=1, max_size=3)
+    term = st.text(alphabet="aáAÁbé ", min_size=1, max_size=4)
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(st.lists(st.lists(label, min_size=1, max_size=2), min_size=1, max_size=6),
+           st.lists(st.dictionaries(term, st.sampled_from([0.25, 1.0]), max_size=5),
+                    min_size=1, max_size=5),
+           st.booleans())
+    def test_shared_memo(self, concept_labels, vectors, exact_match):
+        tax = parse_taxonomy(["C\tr\troot\t"] + [
+            "P\tp%d\tr\t%s" % (i, "|".join(labels)) for i, labels in enumerate(concept_labels)])
+        memo = {}
+        for v in vectors:
+            assert map_terms_to_concepts(v, tax, exact_match, memo) == \
+                brute_map_terms_to_concepts(v, tax, exact_match)
+            assert map_terms_to_concepts(v, tax, exact_match) == \
+                brute_map_terms_to_concepts(v, tax, exact_match)
+        assert memo == {t: brute_concept_candidates(tax, t, exact_match)
+                        for v in vectors for t in v}
 
 
 class TestDisambiguate:
