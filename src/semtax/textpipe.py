@@ -9,7 +9,8 @@ from __future__ import annotations
 import math
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from operator import neg
 from typing import TYPE_CHECKING
 
 from .errors import DataError, EmptyVectorError
@@ -64,7 +65,9 @@ class TermTable:
     decided once per surface on first sight: lowercase, drop stopwords,
     apply the lemma map, then drop terms outside the document-frequency
     cutoffs.  Build one table per batch of documents that share these
-    settings.
+    settings.  terms(text) gives a text's terms in order, for phrase
+    matching; counts(text) gives only each term's count, from the text's
+    letter runs counted first, for a caller with no phrases to match.
 
     Cutoffs apply only to terms the background corpus has seen; unseen
     terms are kept (they may still match concept labels).
@@ -111,6 +114,22 @@ class TermTable:
         for s in set(surfaces).difference(table):
             table[s] = self._decide(s)
         return [t for t in map(table.__getitem__, surfaces) if t is not None]
+
+    def counts(self, text: str) -> dict[str, int]:
+        """Each kept term of text with its number of tokens, in order of
+        first occurrence: Counter(self.terms(text)), but with the letter
+        runs counted first, so that each distinct surface is looked up
+        once per text."""
+        surfaces = Counter(_letter_runs(text))
+        table = self._terms
+        for s in surfaces.keys() - table.keys():
+            table[s] = self._decide(s)
+        out: dict[str, int] = {}
+        for s, n in surfaces.items():
+            t = table[s]
+            if t is not None:
+                out[t] = out.get(t, 0) + n
+        return out
 
 
 def preprocess(
@@ -165,15 +184,20 @@ def extract_phrases(tokens: list[str], index: PhraseIndex) -> list[str]:
     return out
 
 
-def tfidf_weights(terms: list[str], stats: BackgroundStats) -> dict[str, float]:
+def tfidf_weights(
+    terms: list[str] | dict[str, int], stats: BackgroundStats
+) -> dict[str, float]:
     """weight(t) = tf(t) * log(doc_count / df(t)), zero-weight terms
-    dropped, result L1-normalized.  Empty input (or all weights zero) is an
-    error: the document cannot be categorized."""
+    dropped, result L1-normalized.  terms is a document's term list, or
+    its term -> count dict in order of first occurrence (as
+    TermTable.counts makes it); both give the same weights in the same
+    order.  Empty input (or all weights zero) is an error: the document
+    cannot be categorized."""
     if stats.doc_count < 1:
         raise DataError("background stats are empty")
     if not terms:
         raise EmptyVectorError("no terms to weight")
-    tf = Counter(terms)
+    tf = terms if isinstance(terms, dict) else Counter(terms)
     weights = {}
     for t, n in tf.items():
         w = n * math.log(stats.doc_count / stats.df(t))
@@ -196,8 +220,9 @@ def top_n_terms(v: dict[str, float], n: int = 10) -> dict[str, float]:
         raise DataError("n must be >= 1")
     if len(v) <= n:
         return dict(v)
-    kept = sorted(v.items(), key=lambda kv: (-kv[1], kv[0]))[:n]
-    return l1_normalize(dict(kept))
+    # (-w, t) pairs sort as the key (-w, t) would; negating is exact
+    kept = sorted(zip(map(neg, v.values()), v))[:n]
+    return l1_normalize({t: -w for w, t in kept})
 
 
 # -- file formats --------------------------------------------------------
@@ -209,7 +234,7 @@ def load_stopwords(path) -> frozenset[str]:
 
 
 def load_lemmas(path) -> dict[str, str]:
-    """Read `surface<TAB>lemma` lines."""
+    """Read `surface<TAB>lemma` lines; neither field may be blank."""
     lemmas = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
@@ -219,15 +244,18 @@ def load_lemmas(path) -> dict[str, str]:
             pair = line.split("\t")
             if len(pair) != 2:
                 raise DataError("%s line %d: expected surface<TAB>lemma, got %r" % (path, lineno, line))
+            if not (pair[0].strip() and pair[1].strip()):
+                raise DataError("%s line %d: blank surface or lemma in %r" % (path, lineno, line))
             lemmas[pair[0]] = pair[1]
     return lemmas
 
 
 def load_background(path) -> BackgroundStats:
-    """Read `term<TAB>df` lines preceded by a `#docs=<n>` header; every
-    count is at least 1."""
+    """Read `term<TAB>df` lines and a `#docs=<n>` header, which may come
+    after them; every count is at least 1, and no df exceeds n."""
     doc_count = None
     df = {}
+    top_df, top_line = 0, None  # the first largest df and its (lineno, line)
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.rstrip("\n")
@@ -239,6 +267,8 @@ def load_background(path) -> BackgroundStats:
                 else:
                     term, n = line.split("\t")
                     df[term] = n = int(n)
+                    if n > top_df:
+                        top_df, top_line = n, (lineno, line)
             except ValueError:
                 raise DataError(
                     "%s line %d: expected #docs=<n> or term<TAB>df, got %r" % (path, lineno, line)
@@ -248,6 +278,9 @@ def load_background(path) -> BackgroundStats:
                     "%s line %d: counts must be at least 1, got %r" % (path, lineno, line))
     if doc_count is None:
         raise DataError("background stats file %s is missing the #docs= header" % path)
+    if top_df > doc_count:
+        raise DataError("%s line %d: df is larger than #docs=%d, got %r"
+                        % (path, top_line[0], doc_count, top_line[1]))
     return BackgroundStats(doc_count=doc_count, doc_freq=df)
 
 

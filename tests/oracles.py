@@ -3,7 +3,9 @@
 These work from the raw parent map and concept->category links only and
 recompute everything by naive enumeration.  The SemCla oracles score
 against every training vector and compare every pair by its own cosine.
-The text oracles decide every token afresh and try every phrase span.
+The text oracles decide every token afresh and try every phrase span,
+and the term vector oracle counts the terms one token at a time and
+picks the top terms by selection.
 The classical oracles score each label by its own loop over the bag,
 and the Labeled LDA oracle draws a topic for every token.  The Naive
 Bayes trainer oracle counts with Counter.update, and the Winnow trainer
@@ -295,6 +297,43 @@ def brute_extract_phrases(tokens, labels):
             out.append(tokens[i])
             i += 1
     return out
+
+
+def _brute_l1(weights):
+    total = sum(weights.values())
+    return {t: w / total for t, w in weights.items()}
+
+
+def brute_term_vector(text, labels, stats, top_terms, stopwords=frozenset(), lemmas=None,
+                      min_df=2, max_df_ratio=0.5):
+    """The top_terms tf-idf vector of text: brute_preprocess, then
+    brute_extract_phrases, then one count per term in order of first
+    occurrence, weight count * log(doc_count / df) with an unseen term's
+    df 1, zero weights dropped, L1.  With more than top_terms terms, the
+    heaviest are picked one at a time (ties by the smaller term) and
+    renormalized.  None when there is no term or every weight is zero."""
+    tokens = brute_preprocess(text, stopwords, lemmas, stats, min_df, max_df_ratio)
+    counts = {}
+    for t in brute_extract_phrases(tokens, labels):
+        counts[t] = counts.get(t, 0) + 1
+    weights = {}
+    for t, n in counts.items():
+        w = n * math.log(stats.doc_count / stats.doc_freq.get(t, 1))
+        if w > 0.0:
+            weights[t] = w
+    if not weights:
+        return None
+    v = _brute_l1(weights)
+    if len(v) <= top_terms:
+        return v
+    kept = {}
+    while len(kept) < top_terms:
+        best = None
+        for t, w in v.items():
+            if t not in kept and (best is None or w > v[best] or (w == v[best] and t < best)):
+                best = t
+        kept[best] = v[best]
+    return _brute_l1(kept)
 
 
 def _ranked(scores):

@@ -522,6 +522,8 @@ def test_categorize_without_background_counts_df_as_build_index_does(tmp_path, c
     ("--background", "bg.tsv", "#docs=0\nalpha\t1\n", "bg.tsv line 1"),
     ("--background", "bg.tsv", "#docs=4\nalpha\t0\n", "bg.tsv line 2"),
     ("--lemmas", "lemmas.tsv", "cars\tcar\n\nboats\n", "lemmas.tsv line 3"),
+    ("--lemmas", "lemmas.tsv", "cars\tcar\ntrees\t\n", "lemmas.tsv line 2"),
+    ("--background", "bg.tsv", "alpha\t1\nfern\t5\n#docs=2\n", "bg.tsv line 2"),
     ("--corpus", "bad.jsonl", '{"id": "d1", "text": "alpha"}\n5\n', "bad.jsonl line 2"),
     ("--corpus", "bad.jsonl", '{"id": "d1", "text": 5}\n', "bad.jsonl line 1"),
     ("--taxonomy", "bad.tsv", TOY_TAXONOMY + "P\tc1\tA1\tagain\n",
@@ -532,7 +534,7 @@ def test_categorize_without_background_counts_df_as_build_index_does(tmp_path, c
     ("--taxonomy", "bad.tsv", TOY_TAXONOMY + "X\tc8\tA1\tx\n",
      "bad.tsv line 14: unknown record kind 'X'"),
 ], ids=["background-no-tab", "background-df-not-int", "background-no-docs",
-        "background-df-zero", "lemmas-no-tab",
+        "background-df-zero", "lemmas-no-tab", "lemmas-blank-lemma", "background-df-above-docs",
         "corpus-not-object", "corpus-text-not-string",
         "taxonomy-duplicate-id", "taxonomy-empty-labels", "taxonomy-field-count",
         "taxonomy-unknown-kind"])

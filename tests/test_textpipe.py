@@ -1,10 +1,14 @@
 import math
+import re
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import brute_extract_phrases, brute_preprocess, brute_tokenize
-from semtax.errors import EmptyVectorError
+from oracles import brute_extract_phrases, brute_preprocess, brute_term_vector, brute_tokenize
+from semtax.errors import DataError, EmptyVectorError
+from semtax.semcat import Analyzer, SemCatConfig, term_vector
+from semtax.taxonomy import parse_taxonomy
 from semtax.textpipe import (
     BackgroundStats,
     PhraseIndex,
@@ -12,6 +16,8 @@ from semtax.textpipe import (
     build_background,
     extract_phrases,
     l1_normalize,
+    load_background,
+    load_lemmas,
     preprocess,
     tfidf_weights,
     tokenize,
@@ -125,6 +131,111 @@ class TestTermTableMatchesOracle:
                 assert extract_phrases(tokens, index) == brute_extract_phrases(tokens, labels)
 
 
+def _bits(v):
+    """v's keys in order with each weight's exact bits; None stays None."""
+    return None if v is None else [(t, w.hex()) for t, w in v.items()]
+
+
+def _taxonomy_of(labels):
+    """A one-category taxonomy with one concept per label, plus one
+    single-word label so that it has a concept when labels is empty."""
+    return parse_taxonomy(["C\tR\tRoot\t"] + ["P\tp%d\tR\t%s" % (i, lab)
+                                              for i, lab in enumerate(labels + ["zz"])])
+
+
+class TestTermVectorMatchesOracle:
+    """Every way of making a document's top-n tf-idf vector equals the
+    token-by-token oracle, key order and float bits both: term_vector with
+    a fresh table and with one table shared by several texts,
+    Analyzer.vector, and the root pipeline preprocess -> extract_phrases
+    -> tfidf_weights -> top_n_terms.  Indexes with no multi-word label
+    take term_vector's counting path, the others its ordered path."""
+
+    # repeats of a few words in mixed case, so that counts tie and lemmas
+    # can merge one surface into another's term
+    words = ["a", "A", "b", "B", "c", "C", "d", "cat", "Cat", "CATS", "cats", "the", "The"]
+    vocab = st.sampled_from(sorted({w.lower() for w in words}))
+    texts = st.lists(
+        st.lists(st.sampled_from(words + SEPARATORS), max_size=40).map("".join)
+        | st.lists(st.sampled_from(words), min_size=1, max_size=30).map(" ".join),
+        min_size=1, max_size=4,
+    )
+    # phrase terms can have a df too
+    df_terms = vocab | st.sampled_from(["a b", "b c", "c d a"])
+    stats = st.builds(
+        BackgroundStats, st.integers(1, 8), st.dictionaries(df_terms, st.integers(1, 8), max_size=8)
+    )
+    # none, single-word only (no phrase can form) or multi-word labels
+    labels = st.lists(st.lists(st.sampled_from("abcd"), min_size=1, max_size=3).map(" ".join),
+                      max_size=5)
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(
+        texts=texts,
+        stopwords=st.frozensets(vocab, max_size=3),
+        lemmas=st.dictionaries(vocab, vocab, max_size=4),
+        stats=stats,
+        min_df=st.integers(0, 4),
+        max_df_ratio=st.sampled_from([0.25, 0.5, 1.0]),
+        labels=labels,
+        top_terms=st.integers(1, 5),
+    )
+    # a later surface merges into an earlier term, mixed-case repeats
+    @example(texts=["b Cats a cat CATS c A"], stopwords=frozenset(),
+             lemmas={"cats": "cat", "c": "b"}, stats=BackgroundStats(4, {}), min_df=2,
+             max_df_ratio=0.5, labels=[], top_terms=3)
+    # an earlier surface's lemma is a later surface: the term enters first
+    @example(texts=["c b b a"], stopwords=frozenset(), lemmas={"c": "b"},
+             stats=BackgroundStats(4, {}), min_df=2, max_df_ratio=0.5, labels=["a", "b"],
+             top_terms=5)
+    # stopwords, a lemma onto a stopword, df cutoffs at both bounds
+    # (df == min_df kept, df / doc_count == max_df_ratio kept, one more dropped)
+    @example(texts=["The a b c d the cat", "d c b a"], stopwords=frozenset({"the", "cat"}),
+             lemmas={"cats": "cat"}, stats=BackgroundStats(4, {"a": 2, "b": 1, "c": 3, "d": 2}),
+             min_df=2, max_df_ratio=0.5, labels=[], top_terms=5)
+    # four unseen terms tie: the cut keeps the smaller terms
+    @example(texts=["d c b a", "d d c c b b a a"], stopwords=frozenset(), lemmas={},
+             stats=BackgroundStats(8, {}), min_df=2, max_df_ratio=0.5, labels=["c"], top_terms=2)
+    # phrases: overlapping labels, a phrase term with a df
+    @example(texts=["a b c d a b c", "c d a b"], stopwords=frozenset(), lemmas={},
+             stats=BackgroundStats(8, {"a b": 2, "d": 5}), min_df=2, max_df_ratio=0.5,
+             labels=["a b", "b c", "c d a", "d"], top_terms=2)
+    # every weight zero: no vector
+    @example(texts=["a a b", ""], stopwords=frozenset(), lemmas={},
+             stats=BackgroundStats(1, {}), min_df=0, max_df_ratio=1.0, labels=[], top_terms=1)
+    def test_matches_oracle(self, texts, stopwords, lemmas, stats, min_df, max_df_ratio, labels,
+                            top_terms):
+        config = SemCatConfig(top_terms=top_terms, min_df=min_df, max_df_ratio=max_df_ratio,
+                              stopwords=stopwords, lemmas=lemmas)
+        tax = _taxonomy_of(labels)
+        index = PhraseIndex(labels)
+        assert bool(index.longest) == any(" " in lab for lab in labels)
+        shared = TermTable.from_config(config, stats)
+        analyzer = Analyzer(tax, stats, config)
+
+        def vector(make):
+            try:
+                return _bits(make())
+            except EmptyVectorError:
+                return None
+
+        for text in texts:
+            expected = _bits(brute_term_vector(text, labels, stats, top_terms, stopwords, lemmas,
+                                               min_df, max_df_ratio))
+            assert vector(lambda: term_vector(text, tax, stats, config)) == expected
+            assert vector(lambda: term_vector(text, tax, stats, config, index, shared)) == expected
+            assert _bits(analyzer.vector(text)) == expected
+            assert vector(lambda: top_n_terms(tfidf_weights(extract_phrases(
+                preprocess(text, stopwords, lemmas, stats, min_df, max_df_ratio), index), stats),
+                top_terms)) == expected
+
+    def test_counts_are_the_counted_terms(self):
+        table = TermTable(frozenset({"the"}), {"cats": "cat", "c": "b"})
+        text = "c The cats b Cat CATS the b"
+        assert list(table.counts(text).items()) == [("b", 3), ("cat", 3)]
+        assert table.counts(text) == Counter(table.terms(text))
+
+
 class TestAsciiTokenizerMatchesOracle:
     """ASCII text is split by translate-and-split, any other text by the
     letter-run pattern; both equal the per-token oracle."""
@@ -213,3 +324,39 @@ def test_build_background():
     assert stats.doc_count == 2
     assert stats.doc_freq == {"a": 1, "b": 2, "c": 1}
     assert stats.df("unseen") == 1
+
+
+class TestFileFormats:
+    @pytest.mark.parametrize("body, line", [
+        ("cats\tcat\ntrees\t\n", 2),
+        ("\ttree\n", 1),
+        ("cats\tcat\n \ttree\n", 2),
+    ], ids=["empty-lemma", "empty-surface", "space-surface"])
+    def test_blank_lemma_field_names_the_line(self, tmp_path, body, line):
+        path = tmp_path / "lemmas.tsv"
+        path.write_text(body, encoding="utf-8")
+        message = "%s line %d: blank surface or lemma" % (path, line)
+        with pytest.raises(DataError, match=re.escape(message)):
+            load_lemmas(path)
+
+    def test_lemmas_round_trip(self, tmp_path):
+        path = tmp_path / "lemmas.tsv"
+        path.write_text("cats\tcat\n\ntrees\ttree\n", encoding="utf-8")
+        assert load_lemmas(path) == {"cats": "cat", "trees": "tree"}
+
+    @pytest.mark.parametrize("body, line", [
+        ("#docs=2\nfern\t5\n", 2),
+        ("moss\t1\nfern\t3\n#docs=2\n", 2),
+        ("fern\t3\nmoss\t4\nivy\t4\n#docs=3\n", 2),
+    ], ids=["header-first", "header-last", "first-largest"])
+    def test_df_above_doc_count_names_the_line(self, tmp_path, body, line):
+        path = tmp_path / "bg.tsv"
+        path.write_text(body, encoding="utf-8")
+        message = "%s line %d: df is larger than #docs=" % (path, line)
+        with pytest.raises(DataError, match=re.escape(message)):
+            load_background(path)
+
+    def test_df_equal_to_doc_count_loads(self, tmp_path):
+        path = tmp_path / "bg.tsv"
+        path.write_text("fern\t2\n#docs=2\nmoss\t1\n", encoding="utf-8")
+        assert load_background(path) == BackgroundStats(2, {"fern": 2, "moss": 1})
