@@ -8,13 +8,24 @@ a `Concept` is a named tuple, an immutable record built at tuple cost.
 
 Construction is iterative, so a taxonomy of any depth loads: one Kahn
 order over the child -> parent edges finds cycles and builds every table.
-Loading pauses the cyclic garbage collector: a load allocates tens of
-thousands of containers and a loaded taxonomy holds no reference cycles,
-so the collector's passes during a load would walk them and free nothing.
+A load streams the lines once.  The concepts are then tallied by their
+set of categories, each distinct set checked once, and read once more
+to build the label index.  Concept counts are plain sums wherever a
+category has one parent; bitsets carry only what could be reached twice
+(concepts of several categories, and the concepts below a category of
+several parents).  Loading pauses the cyclic garbage collector: a load
+allocates tens of thousands of containers and a loaded taxonomy holds no
+reference cycles, so the collector's passes during a load would walk
+them and free nothing.
+
 Ancestor sets are bitsets whose bits rank categories by IC, ties by id, so
 the most specific common abstraction (msca) of two categories, the common
 ancestor of largest IC with ties broken by smallest id, is the category at
-the highest set bit of the AND of their ancestor bitsets.
+the highest set bit of the AND of their ancestor bitsets.  Only internal
+categories, those with children, own a bit (Ait-Kaci et al. 1989): a leaf
+is a common ancestor of no other category, so its set is the union of its
+parents' sets, and every int is as wide as the number of internal
+categories.  A pair of the same category reads that category's own IC.
 """
 
 from __future__ import annotations
@@ -22,7 +33,9 @@ from __future__ import annotations
 import gc
 import math
 import unicodedata
-from functools import cache, cached_property
+from collections import Counter
+from functools import cached_property
+from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import (
@@ -70,36 +83,32 @@ class Taxonomy:
         self.category_labels = dict(category_labels)
         self.parents = {k: frozenset(parents.get(k, ())) for k in category_labels}
         self.concepts = dict(concepts)
-        self._check_categories()
-        self.children: dict[str, set[str]] = {k: set() for k in self.category_labels}
-        for child, ps in self.parents.items():
-            for p in ps:
-                self.children[p].add(child)
+        self._link_categories()
         order = self._children_first()
-        counts = self._concept_counts = self._count_concepts(order, *self._attach_concepts())
-        self.total_concepts = len(self.concepts)
-        self._ic = {
-            k: 1.0 - math.log(1 + s) / math.log(1 + self.total_concepts)
-            for k, s in counts.items()
-        }
-        # bit i of an ancestor set is _by_bit[i]: bits run in (IC ascending,
-        # id descending) order, so the highest one has the largest IC
-        self._by_bit = sorted(counts, key=lambda k: (counts[k], k), reverse=True)
-        self._ic_by_bit = [self._ic[k] for k in self._by_bit]
-        bit = {k: i for i, k in enumerate(self._by_bit)}
-        self._anc: dict[str, int] = {}
+        counts = self._concept_counts = self._count_concepts(order, self._link_concepts())
+        self.label_index = self._index_labels()
+        self.total_concepts = n = len(self.concepts)
+        ic_of = {s: 1.0 - math.log(1 + s) / math.log(1 + n) for s in set(counts.values())}
+        ic = self._ic = {k: ic_of[s] for k, s in counts.items()}
+        # only categories with children (the root alone in a one-category
+        # taxonomy) own a bit: bit i of an ancestor set is _by_bit[i], and
+        # bits run in (IC ascending, id descending) order, so the highest
+        # one has the largest IC
+        internal = [k for k, cs in self.children.items() if cs] or [self.root]
+        self._leaves = frozenset([k for k, cs in self.children.items() if not cs])
+        self._by_bit = sorted(internal, key=lambda k: (counts[k], k), reverse=True)
+        self._ic_by_bit = [ic[k] for k in self._by_bit]
+        anc = dict(zip(self._by_bit, (1 << i for i in range(len(self._by_bit)))))
+        parents = self.parents
         for k in reversed(order):
-            a = 1 << bit[k]
-            for p in self.parents[k]:
-                a |= self._anc[p]
-            self._anc[k] = a
+            a = anc.get(k, 0)
+            for p in parents[k]:
+                # a leaf of one parent shares the parent's int
+                a = a | anc[p] if a else anc[p]
+            anc[k] = a
+        self._anc = anc
         # category -> (id, ancestor bitset, IC), the rows of mean_sim_page
-        self._row = {k: (k, self._anc[k], self._ic[k]) for k in self._anc}
-        # label -> sorted concept ids
-        self.label_index: dict[str, list[str]] = {}
-        for cid in sorted(self.concepts):
-            for lab in self.concepts[cid].labels:
-                self.label_index.setdefault(lab, []).append(cid)
+        self._row = {k: (k, a, ic[k]) for k, a in anc.items()}
 
     @cached_property
     def folded_label_index(self) -> dict[str, list[str]]:
@@ -113,7 +122,9 @@ class Taxonomy:
 
     # -- validation ------------------------------------------------------
 
-    def _check_categories(self):
+    def _link_categories(self):
+        """Check for one root and for known parents, and build the child
+        sets."""
         roots = [k for k, ps in self.parents.items() if not ps]
         if len(roots) == 0:
             raise MultipleRootsError("no root category (every category has parents)")
@@ -122,37 +133,63 @@ class Taxonomy:
                 "multiple root categories: %s" % ", ".join(sorted(roots))
             )
         self.root = roots[0]
+        children: dict[str, set[str]] = {k: set() for k in self.category_labels}
         for child, ps in self.parents.items():
             for p in ps:
-                if p not in self.category_labels:
+                try:
+                    children[p].add(child)
+                except KeyError:
                     raise DanglingLinkError(
                         "category %s has unknown parent %s" % (child, p)
-                    )
+                    ) from None
+        self.children = children
 
-    def _attach_concepts(self) -> tuple[dict[str, int], dict[str, list[str]]]:
-        """Check every concept's labels and category links, in one pass
-        that also returns, per category, the number of concepts attached
-        to it alone and the ids of those it shares with other categories."""
+    def _link_concepts(self) -> Counter[frozenset[str]]:
+        """How many concepts link to each set of categories.  Each
+        distinct set is checked once, and a bad concept is named by
+        _check_concepts."""
         if not self.concepts:
             raise TaxonomyError("taxonomy has no concepts")
-        alone = dict.fromkeys(self.category_labels, 0)
-        shared: dict[str, list[str]] = {}
-        for cid, concept in self.concepts.items():
-            if not concept.labels:
+        links = Counter(map(itemgetter(2), self.concepts.values()))
+        if frozenset() in links or not frozenset().union(*links) <= self.category_labels.keys():
+            self._check_concepts()
+        return links
+
+    def _index_labels(self) -> dict[str, list[str]]:
+        """Label -> sorted concept ids, in one pass over the concepts; only
+        the labels of several concepts need sorting, and sorted() also
+        sizes their lists exactly."""
+        index: dict[str, list[str]] = {}
+        several = []
+        concepts = self.concepts
+        for cid, labels in zip(concepts, map(itemgetter(1), concepts.values())):
+            if not labels:
+                self._check_concepts()
+            for lab in labels:
+                cids = index.get(lab)
+                if cids is None:
+                    index[lab] = [cid]
+                else:
+                    cids.append(cid)
+                    if len(cids) == 2:
+                        several.append(lab)
+        for lab in several:
+            index[lab] = sorted(index[lab])
+        return index
+
+    def _check_concepts(self):
+        """Raise the error of the first concept, in order, that has no
+        label or a missing or unknown category."""
+        for cid, (_, labels, cats) in self.concepts.items():
+            if not labels:
                 raise EmptyLabelError("concept %s has no labels" % cid)
-            cats = concept.categories
             if not cats:
                 raise DanglingLinkError("concept %s links to no category" % cid)
             for k in cats:
-                if k not in alone:
+                if k not in self.category_labels:
                     raise DanglingLinkError(
                         "concept %s links to missing category %s" % (cid, k)
                     )
-                if len(cats) == 1:
-                    alone[k] += 1
-                else:
-                    shared.setdefault(k, []).append(cid)
-        return alone, shared
 
     # -- derived tables --------------------------------------------------
 
@@ -161,15 +198,14 @@ class Taxonomy:
         all of its children.  With one root and no cycle, every category
         reaches the root."""
         pending = {k: len(cs) for k, cs in self.children.items()}
-        ready = [k for k, n in pending.items() if n == 0]
-        order = []
-        while ready:
-            k = ready.pop()
-            order.append(k)
-            for p in self.parents[k]:
-                pending[p] -= 1
-                if pending[p] == 0:
-                    ready.append(p)
+        order = [k for k, n in pending.items() if n == 0]
+        parents = self.parents
+        for k in order:  # grows while it is read
+            for p in parents[k]:
+                n = pending[p] - 1
+                pending[p] = n
+                if not n:
+                    order.append(p)
         if len(order) < len(pending):
             # a category left over still waits on a child left over, so
             # walking down such children comes back to a category on a cycle
@@ -182,33 +218,55 @@ class Taxonomy:
         return order
 
     def _count_concepts(
-        self, order: list[str], alone: dict[str, int], shared: dict[str, list[str]]
+        self, order: list[str], links: Counter[frozenset[str]]
     ) -> dict[str, int]:
         """Concepts attached to each category or any descendant, each
-        counted once.  A bitset over concepts is pushed from every category
-        to its parents in children-first order and dropped once the
-        category is counted.  The concepts a category is the first to
-        claim take the next consecutive bits: first those attached to it
-        alone, then the shared ones no descendant claimed."""
-        number: dict[str, int] = {}  # bit of each claimed shared concept
+        counted once, in children-first order from `links` (concepts per
+        set of categories).
+
+        A category's plain count is the concepts attached to it alone
+        plus the plain counts of its children of one parent.  What a
+        category could reach by two paths goes into a bitset that is
+        pushed to its parents: the concepts of each set of several
+        categories take consecutive bits, and so does the plain count of
+        a category of several parents.  A category's count is its plain
+        count plus the bits set below it, so where neither lies below, as
+        everywhere in a tree, the bitset stays 0."""
+        parents = self.parents
+        plain = dict.fromkeys(self.category_labels, 0)
+        shared: dict[str, list[frozenset[str]]] = {}
+        for cats, n in links.items():
+            if len(cats) == 1:
+                for k in cats:
+                    plain[k] += n
+            else:
+                for k in cats:
+                    shared.setdefault(k, []).append(cats)
+        first: dict[frozenset[str], int] = {}  # first bit of each claimed set
         claimed = 0
         inbox: dict[str, int] = {}
         counts = {}
         for k in order:
             below = inbox.pop(k, 0)
-            start = claimed
-            claimed += alone[k]
-            for cid in shared.get(k, ()):
-                i = number.get(cid)
+            for cats in shared.get(k, ()):
+                n = links[cats]
+                i = first.get(cats)
                 if i is None:
-                    number[cid] = claimed
-                    claimed += 1
-                else:
-                    below |= 1 << i
-            below |= ((1 << (claimed - start)) - 1) << start
-            counts[k] = below.bit_count()
-            for p in self.parents[k]:
-                inbox[p] = inbox.get(p, 0) | below
+                    i = first[cats] = claimed
+                    claimed += n
+                below |= ((1 << n) - 1) << i
+            n = plain[k]
+            counts[k] = n + below.bit_count()
+            ps = parents[k]
+            if len(ps) == 1:
+                for p in ps:
+                    plain[p] += n
+            elif ps:
+                below |= ((1 << n) - 1) << claimed
+                claimed += n
+            if below:
+                for p in ps:
+                    inbox[p] = inbox.get(p, 0) | below
         return counts
 
     # -- queries ---------------------------------------------------------
@@ -221,7 +279,7 @@ class Taxonomy:
         """Categories reachable upward from k, including k."""
         self._require_category(k)
         bits = bin(self._anc[k])[:1:-1]  # character i is bit i
-        return frozenset(self._by_bit[i] for i, b in enumerate(bits) if b == "1")
+        return frozenset([k, *(self._by_bit[i] for i, b in enumerate(bits) if b == "1")])
 
     def descendants(self, k: str) -> set[str]:
         """Categories reachable downward from k, including k."""
@@ -252,12 +310,19 @@ def msca(tax: Taxonomy, k1: str, k2: str) -> str:
     """Most specific common abstraction: the common ancestor with maximal
     IC.  A category counts as its own ancestor; ties broken by smallest
     category id.  It is the category at the highest set bit of the AND of
-    the two ancestor bitsets."""
+    the two ancestor bitsets, except for a leaf against itself: a leaf has
+    no bit, and is its own msca unless an ancestor ties its IC with a
+    smaller id."""
     try:
         common = tax._anc[k1] & tax._anc[k2]
     except KeyError as exc:
         raise UnknownCategoryError("unknown category %s" % exc.args[0]) from None
-    return tax._by_bit[common.bit_length() - 1]
+    top = tax._by_bit[common.bit_length() - 1]
+    if k1 == k2 and k1 in tax._leaves:
+        counts = tax._concept_counts
+        if counts[top] != counts[k1] or k1 < top:
+            return k1
+    return top
 
 
 def lin(ic_m: float, ic1: float, ic2: float, same: bool) -> float:
@@ -307,14 +372,19 @@ def mean_sim_page(
     Each category of the concepts is one row (id, ancestor bitset, IC),
     and each context category is scored against every candidate row in
     one pass.  The IC of the msca of two categories is the IC at the
-    highest set bit of the AND of their bitsets."""
+    highest set bit of the AND of their bitsets.
+
+    A leaf owns no bit, so the pass scores a leaf against itself at the
+    IC of its best ancestor, which is no more than its own; both measures
+    grow with the msca's IC, so a candidate of that leaf then takes the
+    leaf's score at its own IC if that is higher."""
     formula = CATEGORY_MEASURES.get(measure)
     if formula is None:
         raise DataError("unknown similarity measure %r" % (measure,))
     row, concepts, ic_by_bit = tax._row, tax.concepts, tax._ic_by_bit
     try:
         categories = [concepts[c].categories for c in candidates]
-        context_rows = [list(map(row.__getitem__, concepts[x].categories)) for x in context]
+        context_categories = [concepts[x].categories for x in context]
     except KeyError as exc:
         raise UnknownConceptError("unknown concept %s" % exc.args[0]) from None
     if not context:
@@ -330,14 +400,17 @@ def mean_sim_page(
             owners.append(i)
     m = len(rows)
     rows += more
+    leaves, ic = tax._leaves, tax._ic
     bests = []  # per context concept, the best measure of each candidate
-    for xrows in context_rows:
+    for xcats in context_categories:
+        # every row is a tuple of tax._row, so two rows are of one category
+        # exactly when their ids are one object
         by_row = [
             [
-                formula(ic_by_bit[(a1 & a2).bit_length() - 1], ic1, ic2, k1 == k2)
+                formula(ic_by_bit[(a1 & a2).bit_length() - 1], ic1, ic2, k1 is k2)
                 for k1, a1, ic1 in rows
             ]
-            for k2, a2, ic2 in xrows
+            for k2, a2, ic2 in map(row.__getitem__, xcats)
         ]
         # the best of each row against this context concept's categories,
         # then of each candidate over its rows
@@ -346,6 +419,11 @@ def mean_sim_page(
         for j, i in enumerate(owners, m):
             if scores[j] > best[i]:
                 best[i] = scores[j]
+        if not leaves.isdisjoint(xcats):  # a leaf, against itself at its own IC
+            for k in leaves.intersection(xcats):
+                for i, ks in enumerate(categories):
+                    if k in ks:
+                        best[i] = max(best[i], formula(ic[k], ic[k], ic[k], True))
         bests.append(best)
     n = len(context)
     # the builtin sum, in context order: Python 3.12 compensates its float
@@ -363,15 +441,13 @@ def sim_page(tax: Taxonomy, p1: str, p2: str, measure: str = "lin") -> float:
 
 
 def _id_set(field: str) -> frozenset[str]:
-    ids = set(field.split(","))
-    ids.discard("")
-    return frozenset(ids)
+    ids = frozenset(field.split(","))
+    return ids - {""} if "" in ids else ids
 
 
 def _label_set(field: str) -> frozenset[str]:
-    labels = set(map(normalize_label, field.split("|")))
-    labels.discard("")
-    return frozenset(labels)
+    labels = frozenset(map(normalize_label, field.split("|")))
+    return labels - {""} if "" in labels else labels
 
 
 def parse_taxonomy(lines, source=None) -> Taxonomy:
@@ -398,37 +474,57 @@ def parse_taxonomy(lines, source=None) -> Taxonomy:
 
 
 def _build_taxonomy(lines, source) -> Taxonomy:
-    where = "line" if source is None else "%s line" % source
     cat_labels: dict[str, str] = {}
     parents: dict[str, frozenset[str]] = {}
     concepts: dict[str, Concept] = {}
     # homonyms share a label field and siblings a category field: each
     # distinct field is split and normalized once per load
-    id_set, label_set = cache(_id_set), cache(_label_set)
+    id_sets: dict[str, frozenset[str]] = {}
+    label_sets: dict[str, frozenset[str]] = {}
+    new_concept = tuple.__new__
     for lineno, raw in enumerate(lines, 1):
-        fields = raw.rstrip("\n").split("\t")
-        kind = fields[0]
-        if kind == "P":
-            if len(fields) != 4:
-                raise TaxonomyError("%s %d: P record needs 4 fields" % (where, lineno))
-            _, pid, cat_field, label_field = fields
-            if pid in concepts:
-                raise DuplicateIdError("%s %d: duplicate concept id %s" % (where, lineno, pid))
-            labels = label_set(label_field)
-            if not labels:
-                raise EmptyLabelError("%s %d: concept %s has no labels" % (where, lineno, pid))
-            concepts[pid] = Concept(pid, labels, id_set(cat_field))
-        elif kind == "C":
-            if len(fields) != 4:
-                raise TaxonomyError("%s %d: C record needs 4 fields" % (where, lineno))
-            _, cid, label, parent_field = fields
-            if cid in cat_labels:
-                raise DuplicateIdError("%s %d: duplicate category id %s" % (where, lineno, cid))
-            cat_labels[cid] = label
-            parents[cid] = id_set(parent_field)
-        elif raw.strip() and not raw.startswith("#"):
-            raise TaxonomyError("%s %d: unknown record kind %r" % (where, lineno, kind))
+        # the newline stays on the last field: normalizing drops it from
+        # labels, and parent fields strip it
+        fields = raw.split("\t")
+        if len(fields) == 4:
+            kind, rid, third, fourth = fields
+            if kind == "P":
+                if rid in concepts:
+                    raise _line_error(DuplicateIdError, source, lineno,
+                                      "duplicate concept id %s" % rid)
+                labels = label_sets.get(fourth)
+                if labels is None:
+                    labels = label_sets[fourth] = _label_set(fourth)
+                if not labels:
+                    raise _line_error(EmptyLabelError, source, lineno,
+                                      "concept %s has no labels" % rid)
+                cats = id_sets.get(third)
+                if cats is None:
+                    cats = id_sets[third] = _id_set(third)
+                concepts[rid] = new_concept(Concept, (rid, labels, cats))
+                continue
+            if kind == "C":
+                if rid in cat_labels:
+                    raise _line_error(DuplicateIdError, source, lineno,
+                                      "duplicate category id %s" % rid)
+                cat_labels[rid] = third
+                fourth = fourth.rstrip("\n")
+                ps = id_sets.get(fourth)
+                if ps is None:
+                    ps = id_sets[fourth] = _id_set(fourth)
+                parents[rid] = ps
+                continue
+        kind = raw.rstrip("\n").split("\t")[0]
+        if kind in ("C", "P"):
+            raise _line_error(TaxonomyError, source, lineno, "%s record needs 4 fields" % kind)
+        if raw.strip() and not raw.startswith("#"):
+            raise _line_error(TaxonomyError, source, lineno, "unknown record kind %r" % kind)
     return Taxonomy(cat_labels, parents, concepts)
+
+
+def _line_error(error, source, lineno, message):
+    where = "line" if source is None else "%s line" % source
+    return error("%s %d: %s" % (where, lineno, message))
 
 
 def load_taxonomy(path) -> Taxonomy:

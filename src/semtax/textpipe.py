@@ -233,8 +233,22 @@ def load_stopwords(path) -> frozenset[str]:
         return frozenset(line.strip() for line in fh if line.strip())
 
 
+def _first_line(path, key: str) -> str:
+    """Where `path` first has a non-blank line whose text up to the first
+    tab is `key`, read again only when a repeated entry fails a load:
+    "line N", or "an earlier line" when the file can no longer be read
+    the same way (a pipe, or a file changed since)."""
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, 1):
+            line = line.rstrip("\n")
+            if line.strip() and line.split("\t")[0] == key:
+                return "line %d" % lineno
+    return "an earlier line"
+
+
 def load_lemmas(path) -> dict[str, str]:
-    """Read `surface<TAB>lemma` lines; neither field may be blank."""
+    """Read `surface<TAB>lemma` lines; neither field may be blank, and no
+    surface may repeat."""
     lemmas = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
@@ -246,14 +260,18 @@ def load_lemmas(path) -> dict[str, str]:
                 raise DataError("%s line %d: expected surface<TAB>lemma, got %r" % (path, lineno, line))
             if not (pair[0].strip() and pair[1].strip()):
                 raise DataError("%s line %d: blank surface or lemma in %r" % (path, lineno, line))
+            if pair[0] in lemmas:
+                raise DataError("%s line %d: surface %r repeats %s"
+                                % (path, lineno, pair[0], _first_line(path, pair[0])))
             lemmas[pair[0]] = pair[1]
     return lemmas
 
 
 def load_background(path) -> BackgroundStats:
-    """Read `term<TAB>df` lines and a `#docs=<n>` header, which may come
-    after them; every count is at least 1, and no df exceeds n."""
-    doc_count = None
+    """Read `term<TAB>df` lines and one `#docs=<n>` header, which may come
+    after them; every count is at least 1, no df exceeds n, and no term
+    repeats."""
+    doc_count = doc_line = None
     df = {}
     top_df, top_line = 0, None  # the first largest df and its (lineno, line)
     with open(path, encoding="utf-8") as fh:
@@ -263,10 +281,18 @@ def load_background(path) -> BackgroundStats:
                 continue
             try:
                 if line.startswith("#docs="):
-                    doc_count = n = int(line[len("#docs=") :])
+                    n = int(line[len("#docs=") :])
+                    if doc_line is not None:
+                        raise DataError("%s line %d: #docs= header repeats line %d"
+                                        % (path, lineno, doc_line))
+                    doc_count, doc_line = n, lineno
                 else:
                     term, n = line.split("\t")
-                    df[term] = n = int(n)
+                    n = int(n)
+                    if term in df:
+                        raise DataError("%s line %d: term %r repeats %s"
+                                        % (path, lineno, term, _first_line(path, term)))
+                    df[term] = n
                     if n > top_df:
                         top_df, top_line = n, (lineno, line)
             except ValueError:

@@ -11,6 +11,7 @@ import semtax.cli
 import semtax.evaluate
 from semtax.cli import main
 from semtax.corpus import parse_corpus
+from semtax.errors import DataError
 from semtax.textpipe import PhraseIndex
 from conftest import TOY_TAXONOMY, chain_label, chain_taxonomy
 
@@ -524,8 +525,15 @@ def test_categorize_without_background_counts_df_as_build_index_does(tmp_path, c
     ("--lemmas", "lemmas.tsv", "cars\tcar\n\nboats\n", "lemmas.tsv line 3"),
     ("--lemmas", "lemmas.tsv", "cars\tcar\ntrees\t\n", "lemmas.tsv line 2"),
     ("--background", "bg.tsv", "alpha\t1\nfern\t5\n#docs=2\n", "bg.tsv line 2"),
+    ("--background", "bg.tsv", "#docs=5\nfern\t1\nfern\t3\n", "bg.tsv line 3: term 'fern' repeats line 2"),
+    ("--background", "bg.tsv", "#docs=5\nfern\t1\n#docs=4\n",
+     "bg.tsv line 3: #docs= header repeats line 1"),
+    ("--lemmas", "lemmas.tsv", "cats\tcat\ncats\tkitten\n",
+     "lemmas.tsv line 2: surface 'cats' repeats line 1"),
     ("--corpus", "bad.jsonl", '{"id": "d1", "text": "alpha"}\n5\n', "bad.jsonl line 2"),
     ("--corpus", "bad.jsonl", '{"id": "d1", "text": 5}\n', "bad.jsonl line 1"),
+    ("--corpus", "bad.jsonl", '{"id": "d1", "text": "alpha"}\n{"id": null, "text": "beta"}\n',
+     "bad.jsonl line 2: id must be a string or an integer"),
     ("--taxonomy", "bad.tsv", TOY_TAXONOMY + "P\tc1\tA1\tagain\n",
      "bad.tsv line 14: duplicate concept id c1"),
     ("--taxonomy", "bad.tsv", TOY_TAXONOMY + "P\tc8\tA1\t | \n",
@@ -535,7 +543,8 @@ def test_categorize_without_background_counts_df_as_build_index_does(tmp_path, c
      "bad.tsv line 14: unknown record kind 'X'"),
 ], ids=["background-no-tab", "background-df-not-int", "background-no-docs",
         "background-df-zero", "lemmas-no-tab", "lemmas-blank-lemma", "background-df-above-docs",
-        "corpus-not-object", "corpus-text-not-string",
+        "background-repeated-term", "background-repeated-header", "lemmas-repeated-surface",
+        "corpus-not-object", "corpus-text-not-string", "corpus-id-null",
         "taxonomy-duplicate-id", "taxonomy-empty-labels", "taxonomy-field-count",
         "taxonomy-unknown-kind"])
 def test_bad_input_file_exits_2(workdir, capsys, flag, name, body, where):
@@ -571,6 +580,20 @@ def test_corpus_record_fields_are_checked(workdir, capsys, command, field, value
     assert main(argv) == 2
     assert capsys.readouterr().err == "error: data: %s line 2: %s\n" % (bad, message)
     assert not (workdir / "nb.json").exists()
+
+
+@pytest.mark.parametrize("doc_id", [None, True, False, [1], {"a": 1}, 1.5],
+                         ids=["null", "true", "false", "list", "object", "float"])
+def test_corpus_id_must_be_a_string_or_an_integer(doc_id):
+    lines = ['{"id": "d1", "text": "alpha"}', json.dumps({"id": doc_id, "text": "beta"})]
+    with pytest.raises(DataError) as exc:
+        parse_corpus(lines, "c.jsonl")
+    assert str(exc.value) == "c.jsonl line 2: id must be a string or an integer"
+
+
+def test_corpus_integer_id_becomes_its_decimal_string():
+    lines = ['{"id": 7, "text": "alpha"}', '{"id": "7x", "text": "beta"}']
+    assert [d.id for d in parse_corpus(lines, "c.jsonl")] == ["7", "7x"]
 
 
 def test_corpus_categories_are_kept_in_order():

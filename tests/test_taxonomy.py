@@ -7,7 +7,7 @@ import sys
 import weakref
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from semtax.errors import (
     CycleError,
@@ -371,13 +371,37 @@ def small_taxonomies(draw):
     return Taxonomy({k: k for k in ids}, parents, concepts)
 
 
+def pinned_taxonomy(parents, concept_cats):
+    """A Taxonomy from category -> parent ids and concept -> category ids."""
+    concepts = {
+        pid: Concept(pid, frozenset({"w" + pid}), frozenset(cats))
+        for pid, cats in concept_cats.items()
+    }
+    return Taxonomy({k: k for k in parents}, {k: frozenset(ps) for k, ps in parents.items()},
+                    concepts)
+
+
 class TestMatchesOracles:
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(small_taxonomies())
+    # a leaf of two parents whose concept also sits on one of them
+    @example(pinned_taxonomy(
+        {"r": [], "a": ["r"], "b": ["r"], "l": ["a", "b"]},
+        {"p0": ["l", "a"], "p1": ["b"], "p2": ["l"]},
+    ))
+    # a leaf (l) of lower IC than an internal category (a), and a leaf
+    # (k2) whose parent (k1) ties its IC and has the smaller id
+    @example(pinned_taxonomy(
+        {"r": [], "a": ["r"], "c": ["a"], "l": ["r"], "k1": ["r"], "k2": ["k1"]},
+        {"p0": ["l"], "p1": ["l"], "p2": ["l"], "p3": ["k2"]},
+    ))
+    # one category, the root, which has no children
+    @example(pinned_taxonomy({"r": []}, {"p0": ["r"]}))
     def test_tables_and_measures(self, tax):
         parents, concept_cats = links(tax)
         cats = sorted(tax.category_labels)
         for k in cats:
+            assert k in tax.ancestors(k)
             assert tax.ancestors(k) == brute_ancestors(parents, k)
             assert concept_count(tax, k) == len(brute_concept_set(parents, concept_cats, k))
             assert information_content(tax, k) == brute_ic(parents, concept_cats, k)
@@ -390,6 +414,30 @@ class TestMatchesOracles:
                     assert sim_page(tax, p1, p2, measure) == brute_sim_page(
                         parents, concept_cats, sim, p1, p2
                     )
+            ids = sorted(concept_cats)
+            assert mean_sim_page(tax, ids, ids, measure) == [
+                sum(brute_sim_page(parents, concept_cats, sim, p1, p2) for p2 in ids) / len(ids)
+                for p1 in ids
+            ]
+
+
+class TestAncestorBits:
+    """Only categories with children own an ancestor bit."""
+
+    @staticmethod
+    def assert_internal_width(tax):
+        internal = sum(1 for cs in tax.children.values() if cs)
+        assert internal < len(tax.category_labels)
+        assert max(a.bit_length() for a in tax._anc.values()) <= internal
+
+    def test_toy(self, toy_tax):
+        self.assert_internal_width(toy_tax)
+
+    def test_random(self):
+        for seed in range(30):
+            tax = random_taxonomy(random.Random(seed), max_categories=40, max_concepts=60)
+            if len(tax.category_labels) > 1:
+                self.assert_internal_width(tax)
 
 
 class TestRandomDagProperties:

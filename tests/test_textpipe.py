@@ -360,3 +360,23 @@ class TestFileFormats:
         path = tmp_path / "bg.tsv"
         path.write_text("fern\t2\n#docs=2\nmoss\t1\n", encoding="utf-8")
         assert load_background(path) == BackgroundStats(2, {"fern": 2, "moss": 1})
+
+    @pytest.mark.parametrize("name, body, loader, message", [
+        ("lemmas.tsv", "cats\tcat\ncats\tkitten\n", load_lemmas,
+         "line 2: surface 'cats' repeats line 1"),
+        ("lemmas.tsv", "cats\tcat\n\ntrees\ttree\ncats\tcat\n", load_lemmas,
+         "line 4: surface 'cats' repeats line 1"),
+        ("bg.tsv", "#docs=5\nfern\t1\nfern\t3\n#docs=4\n", load_background,
+         "line 3: term 'fern' repeats line 2"),
+        ("bg.tsv", "#docs=5\nfern\t1\nmoss\t2\n#docs=4\n", load_background,
+         "line 4: #docs= header repeats line 1"),
+        ("bg.tsv", "fern\t1\n#docs=5\n\n#docs=5\n", load_background,
+         "line 4: #docs= header repeats line 2"),
+    ], ids=["lemma-surface", "lemma-surface-same-lemma", "background-term",
+            "background-header", "background-header-after-terms"])
+    def test_repeated_entry_names_both_lines(self, tmp_path, name, body, loader, message):
+        path = tmp_path / name
+        path.write_text(body, encoding="utf-8")
+        with pytest.raises(DataError) as exc:
+            loader(path)
+        assert str(exc.value) == "%s %s" % (path, message)
