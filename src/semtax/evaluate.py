@@ -11,7 +11,6 @@ import typing
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
-from scipy import stats as sps
 
 from .classics import llda_train, nb_train, winnow_train
 from .corpus import Document
@@ -135,18 +134,25 @@ def bucket_by_length(docs) -> dict[str, list]:
 
 def paired_t_test(a: list, b: list) -> tuple[float, float]:
     """Standard paired t on the differences, df = n - 1, two-sided p via
-    the Student-t distribution.  Zero variance of the differences is a
-    degenerate-input error."""
+    the Student-t distribution.  A NaN or infinite score is a data error,
+    and zero variance of the differences a degenerate-input error."""
     if len(a) != len(b):
         raise DataError("paired t-test needs equal-length score lists")
     n = len(a)
     if n < 2:
         raise DataError("paired t-test needs n >= 2")
-    diffs = np.asarray(a, dtype=float) - np.asarray(b, dtype=float)
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise DataError("paired t-test needs finite scores")
+    diffs = a - b
     sd = diffs.std(ddof=1)
     if sd == 0.0:
         raise DegenerateInputError("differences have zero variance")
     t = diffs.mean() / (sd / math.sqrt(n))
+    # imported here, not with the module: scipy.stats is most of a process's
+    # memory and start-up time, and nothing else in the package needs it
+    from scipy import stats as sps
+
     p = 2.0 * sps.t.sf(abs(t), df=n - 1)
     return float(t), float(p)
 

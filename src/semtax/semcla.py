@@ -10,7 +10,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .classics import rank_order
 from .errors import CalibrationError, ConfigError, TrainingError
@@ -172,11 +171,21 @@ def rank_separations(
     so with V and U the rows of the v's and u's the Gram matrix of the
     extended vectors is G0 + alpha*(G1 + G1^T) + alpha^2*G2, G0 = V V^T,
     G1 = V U^T and G2 = U U^T.  Their pair entries and diagonals are
-    read once; each alpha combines them in place."""
+    read once; each alpha combines them in place.
+
+    Ranks come from one sort per alpha.  The pairs in positions [a, b) of
+    the sorted order that tie all get the average rank (a + b + 1) / 2, so
+    twice the same-group rank sum is the integer sum over tie groups of
+    (a + b + 1) times the group's same-group pairs, and twice the other
+    pairs' sum is n(n + 1) less that, n the number of pairs.  Each mean
+    is then its exact half-integer sum over its count, the float that the
+    mean of tie-averaged ranks gives (the Mann-Whitney rank-sum
+    statistic)."""
     groups = np.array([group for group, _ in base_vectors], dtype=object)
     i, j = np.triu_indices(len(groups), k=1)
-    same = groups[i] == groups[j]
-    if not same.any() or same.all():
+    same = (groups[i] == groups[j]).astype(np.int64)
+    n_pairs, n_same = len(same), int(same.sum())
+    if n_same in (0, n_pairs):
         raise CalibrationError("need at least one same-group and one different-group pair")
     keys = {k for _, v in base_vectors for k in v}
     column = {k: c for c, k in enumerate(sorted(keys.union(*(tax.parents[k] for k in keys))))}
@@ -204,8 +213,18 @@ def rank_separations(
         sims *= alpha
         sims += pair0
         sims /= norm[i] * norm[j]
-        ranks = rankdata(-np.round(sims, 9, out=sims), method="average")
-        separations.append(float(np.mean(ranks[~same]) - np.mean(ranks[same])))
+        # descending similarity: rank 1 is the most similar pair
+        np.negative(np.round(sims, 9, out=sims), out=sims)
+        order = np.argsort(sims)
+        ranked = sims[order]
+        if np.isnan(ranked[-1]):  # NaN sorts last; like tie-averaged ranks, it spoils every rank
+            separations.append(math.nan)
+            continue
+        starts = np.flatnonzero(np.r_[True, ranked[1:] != ranked[:-1]])
+        ends = np.r_[starts[1:], n_pairs]
+        twice_same = int((starts + ends + 1) @ np.add.reduceat(same[order], starts))
+        twice_diff = n_pairs * (n_pairs + 1) - twice_same
+        separations.append(twice_diff / 2 / (n_pairs - n_same) - twice_same / 2 / n_same)
     return separations
 
 

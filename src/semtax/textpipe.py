@@ -269,8 +269,8 @@ def load_lemmas(path) -> dict[str, str]:
 
 def load_background(path) -> BackgroundStats:
     """Read `term<TAB>df` lines and one `#docs=<n>` header, which may come
-    after them; every count is at least 1, no df exceeds n, and no term
-    repeats."""
+    after them; every count is at least 1, no df exceeds n, and no term is
+    blank or repeats."""
     doc_count = doc_line = None
     df = {}
     top_df, top_line = 0, None  # the first largest df and its (lineno, line)
@@ -289,6 +289,8 @@ def load_background(path) -> BackgroundStats:
                 else:
                     term, n = line.split("\t")
                     n = int(n)
+                    if not term.strip():
+                        raise DataError("%s line %d: blank term in %r" % (path, lineno, line))
                     if term in df:
                         raise DataError("%s line %d: term %r repeats %s"
                                         % (path, lineno, term, _first_line(path, term)))

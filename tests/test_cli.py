@@ -528,6 +528,7 @@ def test_categorize_without_background_counts_df_as_build_index_does(tmp_path, c
     ("--background", "bg.tsv", "#docs=5\nfern\t1\nfern\t3\n", "bg.tsv line 3: term 'fern' repeats line 2"),
     ("--background", "bg.tsv", "#docs=5\nfern\t1\n#docs=4\n",
      "bg.tsv line 3: #docs= header repeats line 1"),
+    ("--background", "bg.tsv", "#docs=5\n\t3\nfern\t2\n", "bg.tsv line 2: blank term"),
     ("--lemmas", "lemmas.tsv", "cats\tcat\ncats\tkitten\n",
      "lemmas.tsv line 2: surface 'cats' repeats line 1"),
     ("--corpus", "bad.jsonl", '{"id": "d1", "text": "alpha"}\n5\n', "bad.jsonl line 2"),
@@ -543,7 +544,8 @@ def test_categorize_without_background_counts_df_as_build_index_does(tmp_path, c
      "bad.tsv line 14: unknown record kind 'X'"),
 ], ids=["background-no-tab", "background-df-not-int", "background-no-docs",
         "background-df-zero", "lemmas-no-tab", "lemmas-blank-lemma", "background-df-above-docs",
-        "background-repeated-term", "background-repeated-header", "lemmas-repeated-surface",
+        "background-repeated-term", "background-repeated-header", "background-blank-term",
+        "lemmas-repeated-surface",
         "corpus-not-object", "corpus-text-not-string", "corpus-id-null",
         "taxonomy-duplicate-id", "taxonomy-empty-labels", "taxonomy-field-count",
         "taxonomy-unknown-kind"])

@@ -142,6 +142,15 @@ class TestPairedT:
         with pytest.raises(DataError):
             paired_t_test([1.0], [1.0, 2.0])
 
+    @pytest.mark.parametrize("a, b", [
+        ([0.5, math.nan, 0.7], [0.9, 0.4, 0.6]),
+        ([0.9, 0.4, 0.6], [0.5, math.inf, 0.7]),
+        ([-math.inf, 0.4, 0.6], [0.5, 0.5, 0.7]),
+    ], ids=["nan", "inf", "minus-inf"])
+    def test_non_finite_score_is_data_error(self, a, b):
+        with pytest.raises(DataError, match="^paired t-test needs finite scores$"):
+            paired_t_test(a, b)
+
 
 def check_analyzer(text, tax, stats, config):
     """Analyzer.bag, through one shared phrase index and term table, is

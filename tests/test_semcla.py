@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -226,6 +227,12 @@ class TestCalibration:
         assert rank_separations(base, toy_tax, grid) == [3.0, 3.0, 1.5, 3.0]
         assert calibrate_alpha(groups, toy_tax, toy_background, grid=grid) == 0.1
 
+    def test_nan_similarity_gives_nan_separation(self, toy_tax):
+        # 1e200 squared overflows, and at alpha 0 the parent mass term is inf * 0
+        base = [("X", {"A1": 1e200}), ("X", {"B1": 1.0}), ("Y", {"A1": 1.0}), ("Y", {"B": 2.0})]
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert math.isnan(rank_separation(base, toy_tax, 0.0))
+
 
 @st.composite
 def grouped_vectors(draw):
@@ -278,6 +285,13 @@ class TestMatchesOracles:
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(grouped_vectors())
     @example([("X", {"R": 0.0}), ("X", {"R": 0.0}), ("Y", {"R": 0.0})])
+    # every vector identical: one tie group, separation exactly 0
+    @example([("X", {"A1": 1.0}), ("Y", {"A1": 1.0}), ("X", {"A1": 1.0}), ("Z", {"A1": 1.0})])
+    # tie groups that hold same-group and different-group pairs alike
+    @example([("X", {"A1": 1.0}), ("Y", {"A1": 1.0}), ("X", {"A1": 2.0}), ("Y", {"B1": 1.0}),
+              ("Z", {"B1": 1.0})])
+    # exactly one same-group pair
+    @example([("X", {"A": 1.0}), ("Y", {"A1": 1.0}), ("X", {"B": 2.0}), ("Z", {"B1": 0.5})])
     def test_rank_separations(self, toy_tax, pairs):
         grid = (0.0, 0.1, 0.33, 0.5, 0.05)
         groups = [g for g, _ in pairs]

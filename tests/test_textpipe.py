@@ -339,6 +339,17 @@ class TestFileFormats:
         with pytest.raises(DataError, match=re.escape(message)):
             load_lemmas(path)
 
+    @pytest.mark.parametrize("body, line", [
+        ("#docs=5\n\t3\nfern\t2\n", 2),
+        ("#docs=5\nfern\t2\n \t3\n", 3),
+    ], ids=["empty-term", "space-term"])
+    def test_blank_background_term_names_the_line(self, tmp_path, body, line):
+        path = tmp_path / "bg.tsv"
+        path.write_text(body, encoding="utf-8")
+        message = "%s line %d: blank term" % (path, line)
+        with pytest.raises(DataError, match=re.escape(message)):
+            load_background(path)
+
     def test_lemmas_round_trip(self, tmp_path):
         path = tmp_path / "lemmas.tsv"
         path.write_text("cats\tcat\n\ntrees\ttree\n", encoding="utf-8")
