@@ -170,8 +170,9 @@ def build_bagging_ensemble(
     """Train one member per trainer, each on an independently drawn
     sample.  `sampler` maps a member seed to training material, say
     draw_training_sample from pools that class_pools computed once for
-    the whole committee; a trainer maps that sample to a LinearScorer.
-    Member i's seed is derive_seed(master_seed, i)."""
+    the whole committee; a trainer maps that sample to a LinearScorer,
+    and may give members with equal samples one shared scorer.  Member
+    i's seed is derive_seed(master_seed, i)."""
     if not trainers:
         raise DataError("ensemble needs at least one member")
     members = []

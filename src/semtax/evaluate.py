@@ -134,17 +134,20 @@ def bucket_by_length(docs) -> dict[str, list]:
 
 def paired_t_test(a: list, b: list) -> tuple[float, float]:
     """Standard paired t on the differences, df = n - 1, two-sided p via
-    the Student-t distribution.  A NaN or infinite score is a data error,
-    and zero variance of the differences a degenerate-input error."""
+    the Student-t distribution.  A NaN or infinite score or difference is
+    a data error, and zero variance of the differences a degenerate-input
+    error."""
     if len(a) != len(b):
         raise DataError("paired t-test needs equal-length score lists")
     n = len(a)
     if n < 2:
         raise DataError("paired t-test needs n >= 2")
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+    # finite scores can still differ by more than the largest float
+    with np.errstate(over="ignore", invalid="ignore"):
+        diffs = a - b
+    if not np.isfinite(diffs).all():
         raise DataError("paired t-test needs finite scores")
-    diffs = a - b
     sd = diffs.std(ddof=1)
     if sd == 0.0:
         raise DegenerateInputError("differences have zero variance")
@@ -303,9 +306,10 @@ def check_experiment(cfg: ExperimentConfig):
     """ConfigError, before any training, for a seed, alpha, common_subset,
     buckets or SemCat value of another type than declared, an alpha that
     fails check_alpha, a SemCat setting out of range, an empty
-    label_categories, an unknown method kind or feature mode, a param
-    that the method's kind does not take (METHOD_PARAMS), a learner param
-    of the wrong type or not finite, or a bad SemCla or committee param.
+    label_categories or a category in it that is not a string, an
+    unknown method kind or feature mode, a param that the method's kind
+    does not take (METHOD_PARAMS), a learner param of the wrong type or
+    not finite, or a bad SemCla or committee param.
     Values are checked, not converted, so that the report echoes them as
     given.  Then a DataError for a document id that names two different
     documents, within or across train_docs and test_docs."""
@@ -321,6 +325,10 @@ def check_experiment(cfg: ExperimentConfig):
     check_alpha(cfg.alpha)
     if not isinstance(cfg.label_categories, dict) or not cfg.label_categories:
         raise ConfigError("label_categories must be a non-empty object (label -> category)")
+    for label, category in cfg.label_categories.items():
+        if not isinstance(category, str):
+            raise ConfigError("label_categories: label %s must map to a category id string, "
+                              "got %s" % (_shown(label), _shown(category)))
     for spec in cfg.methods:
         if spec.kind not in METHOD_PARAMS:
             raise ConfigError("method %s: unknown kind %s" % (spec.name, _shown(spec.kind)))
@@ -399,6 +407,13 @@ class _Predictor:
             self._ensemble = self.ctx.committee(key, lambda: self._train_committee(*key[:3]))
 
     def _train_committee(self, members, level, size):
+        """The committee of members ((kind, count) pairs), each trained on
+        its own sample of the class pools at level.  A member is a
+        deterministic function of its kind and its sampled ids (the
+        learner params are fixed per committee), so members of one kind
+        that draw the same ids share one trained model.  They do whenever
+        every class pool is no larger than size, since each member then
+        draws the whole pool."""
         cfg = self.ctx.cfg
         pools = class_pools(cfg.taxonomy, cfg.label_categories, cfg.train_docs, level)
         pooled = set().union(*pools.values())
@@ -408,10 +423,18 @@ class _Predictor:
 
         def sampler(seed):
             sample = draw_training_sample(pools, size, seed)
-            return [table[i] for ids in sample.values() for i in ids if i in table]
+            return tuple(i for ids in sample.values() for i in ids if i in table)
+
+        # (kind, sampled ids) -> the member trained on them
+        trained = {}
 
         def trainer(kind):
-            return lambda bags: self._train_classical(kind, bags).linear
+            def train(ids):
+                if (kind, ids) not in trained:
+                    bags = [table[i] for i in ids]
+                    trained[kind, ids] = self._train_classical(kind, bags).linear
+                return trained[kind, ids]
+            return train
 
         trainers = [trainer(kind) for kind, count in members for _ in range(count)]
         return build_bagging_ensemble(trainers, sampler, cfg.seed)

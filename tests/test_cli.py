@@ -858,6 +858,10 @@ def learner(cfg, kind, **params):
     (lambda cfg: dict(cfg, semcat={"top_terms": "x"}), "'semcat.top_terms' of type str, not int"),
     (lambda cfg: {k: v for k, v in cfg.items() if k != "label_categories"}, "label_categories"),
     (lambda cfg: dict(cfg, label_categories={}), "label_categories"),
+    (lambda cfg: dict(cfg, label_categories={"x": ["A"], "z": "B"}),
+     'label_categories: label "x" must map to a category id string, got ["A"]'),
+    (lambda cfg: dict(cfg, label_categories={"x": "A", "z": 5}),
+     'label_categories: label "z" must map to a category id string, got 5'),
     (lambda cfg: dict(cfg, semcat={"top_terms": 0}), "'semcat.top_terms' = 0, not at least 1"),
     (lambda cfg: dict(cfg, semcat={"disambig": "bogus"}), "'semcat.disambig' = 'bogus'"),
     (lambda cfg: dict(cfg, semcat={"measure": "bogus"}), "'semcat.measure' = 'bogus'"),
@@ -918,7 +922,8 @@ def learner(cfg, kind, **params):
      "sample_size, semcat_weights, theta, alpha, beta, epochs, a_word"),
 ], ids=["not-json", "not-object", "method-without-kind", "unknown-semcat-key",
         "semcat-value-type",
-        "no-label-categories", "empty-label-categories",
+        "no-label-categories", "empty-label-categories", "label-category-list",
+        "label-category-int",
         "semcat-top-terms-zero", "semcat-disambig-unknown", "semcat-measure-unknown",
         "committee-members-int", "committee-member-count-zero",
         "committee-aggregation-unknown", "committee-level-unknown",

@@ -1,6 +1,8 @@
+import collections
 import dataclasses
 import io
 import math
+import warnings
 
 import pytest
 
@@ -8,7 +10,8 @@ import semtax.ensemble
 import semtax.evaluate
 import semtax.semcat
 from semtax.corpus import Document
-from semtax.errors import ConfigError, DataError, DegenerateInputError, EmptyVectorError
+from semtax.errors import (ConfigError, DataError, DegenerateInputError, EmptyVectorError,
+                           TrainingError)
 from semtax.evaluate import (
     ExperimentConfig,
     MethodSpec,
@@ -24,6 +27,7 @@ from semtax.semcat import FEATURE_MODES, Analyzer, SemCatConfig, term_vector
 from semtax.textpipe import BackgroundStats
 from semtax.synth import make_gap_benchmark
 from semtax.taxonomy import parse_taxonomy, sim_lin
+from oracles import brute_committee_predict, brute_nb_train, brute_winnow_train
 
 
 class TestPrecision:
@@ -150,6 +154,17 @@ class TestPairedT:
     def test_non_finite_score_is_data_error(self, a, b):
         with pytest.raises(DataError, match="^paired t-test needs finite scores$"):
             paired_t_test(a, b)
+
+    @pytest.mark.parametrize("a, b", [
+        ([1e308, 0.0, 1.0], [-1e308, 1.0, 0.0]),
+        ([math.inf, 0.4, 0.6], [math.inf, 0.5, 0.7]),
+    ], ids=["difference-overflows", "inf-minus-inf"])
+    def test_non_finite_difference_is_data_error(self, a, b):
+        # and without a numpy RuntimeWarning on the way
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="^paired t-test needs finite scores$"):
+                paired_t_test(a, b)
 
 
 def check_analyzer(text, tax, stats, config):
@@ -379,3 +394,99 @@ class TestCommitteeSharing:
             MethodSpec("semcom", "semcom", features="concepts"),
         ])
         assert n == 100
+
+
+class TestDistinctMembersTrainOnce:
+    """A committee member is a deterministic function of its kind and its
+    sampled ids, so members of one kind that draw the same ids share one
+    trained model; a class pool no larger than sample_size makes every
+    member draw the whole pool."""
+
+    def committee(self, monkeypatch, members, sample_size=200, docs_per_side=30):
+        """The committee of members on a gap benchmark, its config, and
+        the (kind, labeled bags) of each train_learner call."""
+        bench = make_gap_benchmark(docs_per_side=docs_per_side, seed=5)
+        cfg = ExperimentConfig(
+            taxonomy=bench.taxonomy, background=bench.background,
+            train_docs=bench.train_docs, test_docs=bench.test_docs, methods=[],
+            label_categories=bench.label_categories, seed=5,
+        )
+        calls = []
+        real = semtax.evaluate.train_learner
+        monkeypatch.setattr(semtax.evaluate, "train_learner",
+                            lambda kind, bags, params: calls.append((kind, bags))
+                            or real(kind, bags, params))
+        spec = MethodSpec("ensemble", "ensemble", features="categories",
+                          params={"members": members, "sample_size": sample_size})
+        predictor = semtax.evaluate._Predictor(spec, semtax.evaluate._Context(cfg))
+        return predictor._ensemble, cfg, calls
+
+    def test_whole_pools_train_each_kind_once(self, monkeypatch):
+        ens, _, calls = self.committee(monkeypatch, [["bayes", 3], ["winnow", 3]])
+        assert [kind for kind, _ in calls] == ["bayes", "winnow"]
+        assert len(ens.members) == 6
+        assert ens.members[0] is ens.members[1] is ens.members[2]
+        assert ens.members[3] is ens.members[4] is ens.members[5]
+
+    def test_one_member_of_each_kind_stays_two_members(self, monkeypatch):
+        ens, _, calls = self.committee(monkeypatch, [["bayes", 1], ["winnow", 1]])
+        assert [kind for kind, _ in calls] == ["bayes", "winnow"]
+        assert calls[0][1] == calls[1][1]
+        assert ens.members[0] is not ens.members[1]
+        assert ens.members[0].weights_t.tolist() != ens.members[1].weights_t.tolist()
+
+    def test_failing_member_is_the_first(self, monkeypatch):
+        # no document has a bag, so every member's sample is empty
+        monkeypatch.setattr(semtax.evaluate._Context, "bag", lambda self, doc, mode: None)
+        with pytest.raises(TrainingError, match="^member 0 failed: no usable training "
+                                                "documents for ensemble$"):
+            self.committee(monkeypatch, [["bayes", 2], ["winnow", 2]])
+
+    # 10 documents per class pool drawn 9 at a time, and 2 drawn 1 at a
+    # time, where members of one kind often draw the same sample
+    @pytest.mark.parametrize("docs_per_side, sample_size", [(30, 9), (6, 1)])
+    def test_trainings_and_votes_match_members_trained_alone(self, monkeypatch,
+                                                             docs_per_side, sample_size):
+        members = [["bayes", 6], ["winnow", 6]]
+        ens, cfg, calls = self.committee(monkeypatch, members, sample_size, docs_per_side)
+        semcat = SemCatConfig()
+
+        def bag(doc):
+            try:
+                return extract_features(doc.text, "categories", cfg.taxonomy, cfg.background,
+                                        semcat)
+            except EmptyVectorError:
+                return None
+
+        bags = {d.id: bag(d) for d in cfg.train_docs}
+        labels = {d.id: d.label for d in cfg.train_docs}
+        pools = semtax.ensemble.class_pools(cfg.taxonomy, cfg.label_categories,
+                                            cfg.train_docs, "2")
+        kinds = [kind for kind, count in members for _ in range(count)]
+        samples = [[i for ids in semtax.ensemble.draw_training_sample(
+                        pools, sample_size, semtax.ensemble.derive_seed(cfg.seed, m)).values()
+                    for i in ids if bags[i] is not None]
+                   for m in range(len(kinds))]
+        distinct = {(kind, tuple(ids)) for kind, ids in zip(kinds, samples)}
+        assert len(pools["topic_a"]) > sample_size
+        assert len(calls) == len(distinct)
+        if sample_size == 1:
+            assert len(distinct) < len(kinds)
+
+        train = {"bayes": brute_nb_train, "winnow": brute_winnow_train}
+        alone = [train[kind]([(labels[i], bags[i]) for i in ids]).linear
+                 for kind, ids in zip(kinds, samples)]
+
+        def exact(scorer):
+            return (scorer.labels, scorer.columns, [x.hex() for x in scorer.bias.tolist()],
+                    [[x.hex() for x in row] for row in scorer.weights_t.tolist()])
+
+        assert [exact(m) for m in ens.members] == [exact(m) for m in alone]
+        test_bags = [b for d in cfg.test_docs if (b := bag(d)) is not None]
+        member_labels, counts = ens.vote_counts(test_bags)
+        tops = [dict(collections.Counter(m.ranking(b)[0][0] for m in alone)) for b in test_bags]
+        assert [{lab: n for lab, n in zip(member_labels, row) if n}
+                for row in counts.tolist()] == tops
+        for mode in semtax.ensemble.AGGREGATION_MODES:
+            assert ens.predict(test_bags, mode) == brute_committee_predict(
+                alone, test_bags, mode, 3, cfg.seed)
