@@ -2,6 +2,12 @@
 Winnow (one-vs-rest) and Labeled LDA.  Each trained model ranks labels
 through one linear form, score = bias + W·x, so that a committee of them
 scores every member with one matrix product.
+
+Training is pure Python.  numpy loads on the first call that computes
+with arrays: rank_order, a model's .linear scorer and the LinearScorer
+methods, so the *_predict functions and every committee.  Importing this
+module loads no numpy, and neither does the SemCat path (`semtax
+categorize`, semcat.Analyzer, taxonomy loading), which never calls them.
 """
 
 from __future__ import annotations
@@ -11,10 +17,12 @@ import random
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import ConfigError, TrainingError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 Bag = dict  # feature -> count/weight
 
@@ -24,6 +32,8 @@ def rank_order(scores: np.ndarray) -> np.ndarray:
     scores by score rounded to 9 decimals, descending, so that scores
     equal in exact arithmetic tie; ties keep index order, which is label
     order."""
+    import numpy as np
+
     # rint(-1e9 s) orders as -round(s, 9) does, in two array operations
     return np.argsort(np.rint(scores * -1e9), axis=-1, kind="stable")
 
@@ -39,6 +49,8 @@ class LinearScorer:
     BATCH = 256
 
     def __init__(self, labels, features, bias, weights, starts=(0,)):
+        import numpy as np
+
         self.labels = tuple(labels)
         self.columns = {f: j for j, f in enumerate(features)}
         self.bias = np.asarray(bias, dtype=float)
@@ -51,6 +63,8 @@ class LinearScorer:
     def stack(cls, scorers: list["LinearScorer"]) -> "LinearScorer":
         """One scorer whose groups are the given scorers' rows, in order,
         over the union of their columns."""
+        import numpy as np
+
         features = sorted({f for s in scorers for f in s.columns})
         index = {f: j for j, f in enumerate(features)}
         weights_t = np.zeros((len(features), sum(len(s.labels) for s in scorers)))
@@ -64,6 +78,8 @@ class LinearScorer:
 
     def scores(self, bags: list[Bag]) -> np.ndarray:
         """bias + W·x for each bag x: one row per bag."""
+        import numpy as np
+
         rows, cols, vals = [], [], []
         for i, bag in enumerate(bags):
             for f, v in bag.items():
@@ -82,6 +98,8 @@ class LinearScorer:
         """For each BATCH of bags, its scores and its top rows: one row
         of row indices per bag, each group's top `depth` rows by
         rank_order side by side, group after group."""
+        import numpy as np
+
         for first in range(0, len(bags), self.BATCH):
             scores = self.scores(bags[first:first + self.BATCH])
             yield scores, np.concatenate(
@@ -94,6 +112,8 @@ class LinearScorer:
     def rankings(self, bags: list[Bag], depth: int | None = None) -> list:
         """For each bag, each group's (label, score) ranking of it, cut
         to `depth` labels; scores are not rounded."""
+        import numpy as np
+
         labels = self.labels
         # the column where each group's top rows end
         cuts = np.cumsum([0] + self.widths(depth)).tolist()
@@ -137,6 +157,8 @@ class NBModel:
     @cached_property
     def linear(self) -> LinearScorer:
         """bias log P(c), weights log P(w|c) over the vocabulary."""
+        import numpy as np
+
         labels = sorted(self.priors)
         features = sorted(self.vocabulary)
         weights = [[self.likelihoods[c][w] for w in features] for c in labels]
@@ -274,6 +296,8 @@ class LLDAModel:
     @cached_property
     def linear(self) -> LinearScorer:
         """bias 0, weights log phi."""
+        import numpy as np
+
         labels = sorted(self.topics)
         features = sorted(self.vocabulary)
         weights = [[self.phi[t][w] for w in features] for t in labels]

@@ -46,6 +46,10 @@ from .textpipe import (
 def _require_path(path, what):
     if path is None:
         raise ConfigError("missing required %s path" % what)
+    # open() takes an int for a file descriptor: 0 would read stdin
+    if not isinstance(path, str) or not path:
+        raise ConfigError("%s path must be a non-empty string, got %s"
+                          % (what, json.dumps(path, default=str)))
     if not os.path.exists(path):
         raise ConfigError("%s path does not exist: %s" % (what, path))
     return path
@@ -207,7 +211,7 @@ def cmd_evaluate(args):
     tax = load_taxonomy(_require_path(raw.get("taxonomy"), "taxonomy"))
     train_docs = load_corpus(_require_path(raw.get("corpus_train"), "training corpus"))
     test_docs = load_corpus(_require_path(raw.get("corpus_test"), "test corpus"))
-    if raw.get("background"):
+    if raw.get("background") is not None:
         stats = load_background(_require_path(raw["background"], "background"))
     else:
         stats = _background(train_docs + test_docs, semcat)

@@ -6,13 +6,14 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .classics import LinearScorer
 from .errors import DataError, TrainingError
 from .taxonomy import Taxonomy, sim_lin
+
+if TYPE_CHECKING:
+    import numpy as np
 
 AGGREGATION_MODES = ("single_vote", "weighted", "rank")
 
@@ -132,6 +133,8 @@ class BaggingEnsemble:
         D - rank + 1 to each label of its top `depth`, where D is the
         deepest rank any member gives, so that at depth 1 a label's points
         count the members whose top label it is."""
+        import numpy as np
+
         stacked = self._stacked
         labels = sorted(set(stacked.labels))
         label_column = np.searchsorted(labels, stacked.labels)

@@ -10,8 +10,6 @@ import math
 import typing
 from dataclasses import dataclass, field, asdict
 
-import numpy as np
-
 from .classics import llda_train, nb_train, winnow_train
 from .corpus import Document
 from .ensemble import (
@@ -142,6 +140,8 @@ def paired_t_test(a: list, b: list) -> tuple[float, float]:
     n = len(a)
     if n < 2:
         raise DataError("paired t-test needs n >= 2")
+    import numpy as np
+
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     # finite scores can still differ by more than the largest float
     with np.errstate(over="ignore", invalid="ignore"):
@@ -306,10 +306,11 @@ def check_experiment(cfg: ExperimentConfig):
     """ConfigError, before any training, for a seed, alpha, common_subset,
     buckets or SemCat value of another type than declared, an alpha that
     fails check_alpha, a SemCat setting out of range, an empty
-    label_categories or a category in it that is not a string, an
-    unknown method kind or feature mode, a param that the method's kind
-    does not take (METHOD_PARAMS), a learner param of the wrong type or
-    not finite, or a bad SemCla or committee param.
+    label_categories or a category in it that is not a string, a method
+    name that is not a string or that two methods share, an unknown
+    method kind (any kind that is not a string) or feature mode, a param
+    that the method's kind does not take (METHOD_PARAMS), a learner param
+    of the wrong type or not finite, or a bad SemCla or committee param.
     Values are checked, not converted, so that the report echoes them as
     given.  Then a DataError for a document id that names two different
     documents, within or across train_docs and test_docs."""
@@ -329,8 +330,15 @@ def check_experiment(cfg: ExperimentConfig):
         if not isinstance(category, str):
             raise ConfigError("label_categories: label %s must map to a category id string, "
                               "got %s" % (_shown(label), _shown(category)))
+    names = set()
     for spec in cfg.methods:
-        if spec.kind not in METHOD_PARAMS:
+        # the report keys each method's counts by its name
+        if not isinstance(spec.name, str):
+            raise ConfigError("method names must be strings, got %s" % _shown(spec.name))
+        if spec.name in names:
+            raise ConfigError("method %s: two methods have this name" % spec.name)
+        names.add(spec.name)
+        if not isinstance(spec.kind, str) or spec.kind not in METHOD_PARAMS:
             raise ConfigError("method %s: unknown kind %s" % (spec.name, _shown(spec.kind)))
         if spec.features not in FEATURE_MODES:
             raise ConfigError("method %s: unknown feature mode %s"

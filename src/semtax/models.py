@@ -13,7 +13,7 @@ from .classics import LLDAModel, NBModel, WinnowModel
 from .errors import DataError
 from .semcat import SemCatConfig, check_config
 from .semcla import SemClaModel, check_alpha, class_vector
-from .textpipe import BackgroundStats
+from .textpipe import BackgroundStats, check_background
 
 MODEL_TYPES = {"bayes": NBModel, "winnow": WinnowModel, "llda": LLDAModel, "semcla": SemClaModel}
 
@@ -46,8 +46,8 @@ def save_model(model, pipeline: Pipeline, path):
 def load_model(path) -> tuple[object, Pipeline]:
     """The (model, pipeline) saved at path; DataError when the file is not
     a JSON object of a known type whose fields have the declared types,
-    or its probabilities fail check_probabilities, or its SemCla alpha
-    check_alpha."""
+    or its probabilities fail check_probabilities, its SemCla alpha
+    check_alpha or its pipeline's background check_background."""
     with open(path, encoding="utf-8") as fh:
         try:
             payload = json.load(fh)
@@ -72,9 +72,24 @@ def load_model(path) -> tuple[object, Pipeline]:
             return model, Pipeline(default, None, SemCatConfig(), None)
         pipeline = decode(Pipeline, payload["pipeline"], "pipeline")
         check_config(pipeline.semcat, "pipeline.semcat")
+        stats = pipeline.background
+        if stats is not None:
+            check_background([(None, stats.doc_count), *stats.doc_freq.items()],
+                             _background_field(stats))
         return model, pipeline
     except DataError as exc:
         raise DataError("model file %s %s" % (path, exc)) from None
+
+
+def _background_field(stats: BackgroundStats):
+    """check_background's where for a model file's background: the field
+    of an entry and its value."""
+    def where(term):
+        if term is None:
+            return "has field 'pipeline.background.doc_count'", repr(stats.doc_count)
+        return ("has field %r" % ("pipeline.background.doc_freq.%s" % term),
+                json.dumps({term: stats.doc_freq[term]}))
+    return where
 
 
 def check_probabilities(model):

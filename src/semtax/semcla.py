@@ -1,6 +1,12 @@
 """The semantic classifier: extend category vectors with super-category
 mass, compare by cosine, classify by nearest training group.  Includes the
 grid-search calibration of the extension constant alpha.
+
+Training (semcla_train, semcla_fit) and cosine are pure Python.  numpy
+loads on the first call to semcla_score, rank_separations or what calls
+them (rank_separation, calibrate_alpha); importing this module loads no
+numpy, and neither does the SemCat path (`semtax categorize`,
+semcat.Analyzer, semcat.categorize), which never calls them.
 """
 
 from __future__ import annotations
@@ -8,8 +14,6 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .classics import rank_order
 from .errors import CalibrationError, ConfigError, TrainingError
@@ -41,13 +45,18 @@ def extend_vector(
 ) -> dict[str, float]:
     """For each entry (k, w) every direct super-category of k receives an
     extra w*alpha split equally among k's direct parents.  One level only;
-    original entries are kept and summed with incoming parent mass."""
+    original entries are kept and summed with incoming parent mass.  New
+    keys come in order of first contribution, a category's parents in id
+    order, so that the float sums over the result do not depend on the
+    hash seed."""
     out = dict(v)
     for k, w in v.items():
         parents = tax.parents[k]
         if not parents or alpha == 0.0:
             continue
         share = w * alpha / len(parents)
+        if len(parents) > 1:  # a frozenset iterates in hash order
+            parents = sorted(parents)
         for p in parents:
             out[p] = out.get(p, 0.0) + share
     return out
@@ -153,6 +162,8 @@ def semcla_score(doc_vector: dict[str, float], model: SemClaModel) -> list[tuple
     the class vector, and rank the classes by rank_order: by the score
     rounded to 9 decimals, ties by label, so that scores equal in exact
     arithmetic tie."""
+    import numpy as np
+
     d = _unit(doc_vector)
     labels = sorted(model.classes)
     scores = [sum((w * model.classes[label].get(k, 0.0) for k, w in d.items()), 0.0)
@@ -181,6 +192,8 @@ def rank_separations(
     is then its exact half-integer sum over its count, the float that the
     mean of tie-averaged ranks gives (the Mann-Whitney rank-sum
     statistic)."""
+    import numpy as np
+
     groups = np.array([group for group, _ in base_vectors], dtype=object)
     i, j = np.triu_indices(len(groups), k=1)
     same = (groups[i] == groups[j]).astype(np.int64)

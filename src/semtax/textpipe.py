@@ -38,6 +38,28 @@ class BackgroundStats:
         return self.doc_freq.get(term, 1)
 
 
+def check_background(entries, where):
+    """DataError for the first bad entry of background statistics, in
+    order: entries yields (term, count) pairs, term None for the document
+    count, which must be given exactly once.  Every count is at least 1,
+    no term is blank, and the first largest df is no larger than the
+    document count.  where(term) gives the place and the shown value of
+    the entry last yielded: a file names its line, a model file its
+    field."""
+    doc_count, top_df, top = None, 0, None
+    for term, n in entries:
+        if term is None:
+            doc_count = n
+        elif not term.strip():
+            raise DataError("%s: blank term in %s" % where(term))
+        if n < 1:
+            raise DataError("%s: counts must be at least 1, got %s" % where(term))
+        if term is not None and n > top_df:
+            top_df, top = n, where(term)
+    if top_df > doc_count:
+        raise DataError("%s: df is larger than #docs=%d, got %s" % (top[0], doc_count, top[1]))
+
+
 def build_background(token_docs) -> BackgroundStats:
     """Build stats from an iterable of token sequences (one per document)."""
     df: Counter = Counter()
@@ -269,19 +291,21 @@ def load_lemmas(path) -> dict[str, str]:
 
 def load_background(path) -> BackgroundStats:
     """Read `term<TAB>df` lines and one `#docs=<n>` header, which may come
-    after them; every count is at least 1, no df exceeds n, and no term is
-    blank or repeats."""
+    after them; no term repeats, and the counts pass check_background,
+    which names the line of a bad one."""
     doc_count = doc_line = None
     df = {}
-    top_df, top_line = 0, None  # the first largest df and its (lineno, line)
-    with open(path, encoding="utf-8") as fh:
+    current = None  # the (lineno, line) of the entry last read
+
+    def entries(fh):
+        nonlocal doc_count, doc_line, current
         for lineno, line in enumerate(fh, 1):
             line = line.rstrip("\n")
             if not line.strip():
                 continue
             try:
                 if line.startswith("#docs="):
-                    n = int(line[len("#docs=") :])
+                    term, n = None, int(line[len("#docs=") :])
                     if doc_line is not None:
                         raise DataError("%s line %d: #docs= header repeats line %d"
                                         % (path, lineno, doc_line))
@@ -289,26 +313,22 @@ def load_background(path) -> BackgroundStats:
                 else:
                     term, n = line.split("\t")
                     n = int(n)
-                    if not term.strip():
-                        raise DataError("%s line %d: blank term in %r" % (path, lineno, line))
                     if term in df:
                         raise DataError("%s line %d: term %r repeats %s"
                                         % (path, lineno, term, _first_line(path, term)))
                     df[term] = n
-                    if n > top_df:
-                        top_df, top_line = n, (lineno, line)
             except ValueError:
                 raise DataError(
                     "%s line %d: expected #docs=<n> or term<TAB>df, got %r" % (path, lineno, line)
                 ) from None
-            if n < 1:
-                raise DataError(
-                    "%s line %d: counts must be at least 1, got %r" % (path, lineno, line))
-    if doc_count is None:
-        raise DataError("background stats file %s is missing the #docs= header" % path)
-    if top_df > doc_count:
-        raise DataError("%s line %d: df is larger than #docs=%d, got %r"
-                        % (path, top_line[0], doc_count, top_line[1]))
+            current = lineno, line
+            yield term, n
+        if doc_count is None:
+            raise DataError("background stats file %s is missing the #docs= header" % path)
+
+    with open(path, encoding="utf-8") as fh:
+        check_background(entries(fh), lambda term: ("%s line %d" % (path, current[0]),
+                                                    repr(current[1])))
     return BackgroundStats(doc_count=doc_count, doc_freq=df)
 
 

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import os
 import pathlib
 
 import pytest
@@ -426,6 +427,15 @@ def test_classify_with_old_format_classical_model(workdir, capsys, kind):
     assert capsys.readouterr().out.splitlines() == CLASSICAL_OLD_FORMAT_LINES[kind]
 
 
+def _semcla_with_background(background) -> str:
+    """A SemCla model file whose pipeline records background."""
+    semcat = {"top_terms": 10, "disambig": "nearest", "measure": "lin", "exact_match": True,
+              "min_df": 2, "max_df_ratio": 0.5, "stopwords": [], "lemmas": {}}
+    return json.dumps({"type": "semcla", "alpha": 0.33, "classes": {"x": {"A": 1.0}},
+                       "pipeline": {"features": "categories", "taxonomy": True,
+                                    "background": background, "semcat": semcat}})
+
+
 @pytest.mark.parametrize("body, message", [
     ("not json", "is not JSON"),
     ('{"type": "semcla"}', "lacks field 'classes'"),
@@ -478,6 +488,19 @@ def test_classify_with_old_format_classical_model(workdir, capsys, kind):
         ' "lemmas": {}}}}',
         "has field 'pipeline.semcat.disambig' = 'bogus'", id="pipeline-semcat-disambig-unknown",
     ),
+    *(pytest.param(_semcla_with_background(background), message, id="pipeline-background-" + name)
+      for name, background, message in [
+          ("doc-count-zero", {"doc_count": 0, "doc_freq": {"alpha": 1}},
+           "has field 'pipeline.background.doc_count': counts must be at least 1, got 0"),
+          ("df-zero", {"doc_count": 4, "doc_freq": {"alpha": 2, "golf": 0}},
+           "has field 'pipeline.background.doc_freq.golf': counts must be at least 1, "
+           'got {"golf": 0}'),
+          ("df-above-doc-count", {"doc_count": 4, "doc_freq": {"alpha": 5, "golf": 9}},
+           "has field 'pipeline.background.doc_freq.golf': df is larger than #docs=4, "
+           'got {"golf": 9}'),
+          ("blank-term", {"doc_count": 4, "doc_freq": {"alpha": 2, " ": 1}},
+           "has field 'pipeline.background.doc_freq. ': blank term in {\" \": 1}"),
+      ]),
     *(pytest.param('{"type": "semcla", "alpha": %s, "classes": {"x": {"A": 1.0}}}' % alpha,
                    "has field 'alpha' = %s, not a finite number of at least 0" % shown,
                    id="semcla-alpha-" + shown)
@@ -920,6 +943,17 @@ def learner(cfg, kind, **params):
     (lambda cfg: committee(cfg, kind="semcom", aggregation="rank"),
      "method semcom: unknown param aggregation; kind semcom takes members, level, "
      "sample_size, semcat_weights, theta, alpha, beta, epochs, a_word"),
+    (lambda cfg: dict(cfg, methods=[{"name": ["nb"], "kind": "bayes"}]),
+     'method names must be strings, got ["nb"]'),
+    (lambda cfg: dict(cfg, methods=[{"name": {"n": 1}, "kind": "bayes"}]),
+     'method names must be strings, got {"n": 1}'),
+    (lambda cfg: dict(cfg, methods=[{"name": "nb", "kind": ["bayes"]}]),
+     'method nb: unknown kind ["bayes"]'),
+    (lambda cfg: dict(cfg, methods=[{"name": "nb", "kind": {"bayes": 1}}]),
+     'method nb: unknown kind {"bayes": 1}'),
+    (lambda cfg: dict(cfg, methods=[{"name": "m", "kind": "bayes"},
+                                    {"name": "m", "kind": "semcat"}]),
+     "method m: two methods have this name"),
 ], ids=["not-json", "not-object", "method-without-kind", "unknown-semcat-key",
         "semcat-value-type",
         "no-label-categories", "empty-label-categories", "label-category-list",
@@ -936,7 +970,9 @@ def learner(cfg, kind, **params):
         "alpha-nan", "alpha-inf", "alpha-negative", "semcla-alpha-negative", "semcla-alpha-nan",
         "semcla-mode-unknown", "winnow-param-unknown", "bayes-param-unknown",
         "llda-param-unknown", "semcat-param-unknown", "semcla-param-unknown",
-        "committee-param-unknown", "ensemble-semcat-weights", "semcom-aggregation"])
+        "committee-param-unknown", "ensemble-semcat-weights", "semcom-aggregation",
+        "method-name-list", "method-name-object", "method-kind-list", "method-kind-object",
+        "method-name-repeated"])
 def test_evaluate_bad_config_exits_1(workdir, capsys, edit, message):
     cfg = {
         "taxonomy": str(workdir / "tax.tsv"),
@@ -953,3 +989,60 @@ def test_evaluate_bad_config_exits_1(workdir, capsys, edit, message):
     assert err.startswith("error: config: ")
     assert message in err
     assert "Traceback" not in err
+
+
+@contextlib.contextmanager
+def standard_fds_kept():
+    """Fails unless fds 0-2 still name the files they named before the
+    block; any that it closed or replaced are restored first, so that the
+    run goes on."""
+    saved = [os.dup(fd) for fd in (0, 1, 2)]
+    before = [os.fstat(fd) for fd in (0, 1, 2)]
+    yield
+    lost = []
+    for fd, copy, st in zip((0, 1, 2), saved, before):
+        try:
+            now = os.fstat(fd)
+            kept = (now.st_dev, now.st_ino) == (st.st_dev, st.st_ino)
+        except OSError:
+            kept = False
+        if not kept:
+            lost.append(fd)
+            os.dup2(copy, fd)
+        os.close(copy)
+    assert lost == []
+
+
+@pytest.mark.parametrize("key, value, what", [
+    ("taxonomy", 1, "taxonomy"),
+    ("corpus_train", ["corpus.jsonl"], "training corpus"),
+    ("corpus_test", 0, "test corpus"),
+    ("corpus_test", 1, "test corpus"),
+    ("corpus_test", True, "test corpus"),
+    ("corpus_test", 1.5, "test corpus"),
+    ("corpus_test", "", "test corpus"),
+    ("background", 0, "background"),
+    ("background", "", "background"),
+    ("background", {}, "background"),
+], ids=["taxonomy-stdout-fd", "corpus-train-list", "corpus-test-stdin-fd",
+        "corpus-test-stdout-fd", "corpus-test-true", "corpus-test-float", "corpus-test-empty",
+        "background-zero", "background-empty", "background-object"])
+def test_evaluate_config_path_must_be_a_string(workdir, capsys, key, value, what):
+    """open() takes an int for a file descriptor, so a path value that is
+    not a non-empty string is a config error before any file opens."""
+    cfg = {
+        "taxonomy": str(workdir / "tax.tsv"),
+        "corpus_train": str(workdir / "corpus.jsonl"),
+        "corpus_test": str(workdir / "corpus.jsonl"),
+        "label_categories": {"x": "A", "z": "B"},
+        "methods": [{"name": "nb", "kind": "bayes"}],
+        "seed": 7,
+        key: value,
+    }
+    (workdir / "exp.json").write_text(json.dumps(cfg))
+    with standard_fds_kept():
+        rc = main(["evaluate", "--config", str(workdir / "exp.json")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == "error: config: %s path must be a non-empty string, got %s\n" % (
+        what, json.dumps(value))

@@ -254,6 +254,21 @@ class TestProjection:
         )
         assert got == {"A1": pytest.approx(0.5)}
 
+    def test_key_order_does_not_follow_the_hash_seed(self):
+        # a concept's categories come in id order, whatever order its
+        # frozenset iterates in: six of them, so that hash order is the
+        # id order under one hash seed in 720
+        cats = ["K%d" % i for i in range(6)]
+        tax = Taxonomy(
+            {"R": "r", **dict.fromkeys(cats, "")},
+            {"R": frozenset(), **dict.fromkeys(cats, frozenset(["R"]))},
+            {"cx": Concept("cx", frozenset(["x"]), frozenset(cats)),
+             "cy": Concept("cy", frozenset(["y"]), frozenset(["K3"]))},
+        )
+        got = project_to_categories(ConceptAssignment(entries=[("y", "cy", 0.4),
+                                                               ("x", "cx", 0.6)]), tax)
+        assert list(got) == ["K3", "K0", "K1", "K2", "K4", "K5"]
+
 
 class TestCategorize:
     def test_single_path(self, toy_tax, toy_background):

@@ -1,3 +1,4 @@
+import io
 import math
 
 import numpy as np
@@ -18,6 +19,7 @@ from semtax.semcla import (
     semcla_train,
 )
 from semtax.synth import make_calibration_groups
+from semtax.taxonomy import parse_taxonomy
 from oracles import brute_extend, brute_rank_separation, brute_semcla_ranking
 
 
@@ -45,6 +47,17 @@ class TestExtendVector:
         # A1's grandparent R gets nothing from an A1-only vector
         got = extend_vector({"A1": 1.0}, toy_tax, alpha=0.5)
         assert "R" not in got
+
+    def test_key_order_does_not_follow_the_hash_seed(self):
+        # new parents come in id order, whatever order the frozenset of a
+        # category's parents iterates in: six of them, so that hash order
+        # is the id order under one hash seed in 720
+        parents = ["K%d" % i for i in range(6)]
+        lines = ["C\tR\tr\t"] + ["C\t%s\t%s\tR" % (k, k) for k in parents]
+        lines += ["C\tleaf\tleaf\t%s" % ",".join(reversed(parents)), "P\tc\tleaf\tx"]
+        tax = parse_taxonomy(io.StringIO("\n".join(lines) + "\n"))
+        got = extend_vector({"leaf": 0.5, "K4": 0.5}, tax, alpha=0.3)
+        assert list(got) == ["leaf", "K4", "K0", "K1", "K2", "K3", "K5", "R"]
 
 
 class TestCosine:
