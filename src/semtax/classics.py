@@ -25,6 +25,7 @@ if TYPE_CHECKING:
     import numpy as np
 
 Bag = dict  # feature -> count/weight
+MAX_EPOCHS = 1000  # winnow_train's bound: 20 times its default; see README
 
 
 def rank_order(scores: np.ndarray) -> np.ndarray:
@@ -237,10 +238,10 @@ def winnow_train(
     change only on mistakes and only for active features (x_i > 0): false
     negative promotes (w+ *= alpha, w- *= beta), false positive demotes
     (w+ *= beta, w- *= alpha)."""
-    if not (alpha > 1 and 0 < beta < 1 and epochs >= 1
+    if not (alpha > 1 and 0 < beta < 1 and 1 <= epochs <= MAX_EPOCHS
             and math.isfinite(theta) and math.isfinite(alpha)):
-        raise ConfigError("winnow needs alpha > 1, 0 < beta < 1, epochs >= 1, "
-                          "theta and alpha finite")
+        raise ConfigError("winnow needs alpha > 1, 0 < beta < 1, epochs in 1..%d, "
+                          "theta and alpha finite" % MAX_EPOCHS)
     labeled_vectors = list(labeled_vectors)
     if not labeled_vectors:
         raise TrainingError("empty training set")

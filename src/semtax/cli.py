@@ -208,11 +208,18 @@ def cmd_evaluate(args):
         raise ConfigError("methods must be a non-empty list of objects, each with a name, "
                           "a kind and optional features and params")
     semcat = SemCatConfig(**semcat_raw)
-    tax = load_taxonomy(_require_path(raw.get("taxonomy"), "taxonomy"))
-    train_docs = load_corpus(_require_path(raw.get("corpus_train"), "training corpus"))
-    test_docs = load_corpus(_require_path(raw.get("corpus_test"), "test corpus"))
-    if raw.get("background") is not None:
-        stats = load_background(_require_path(raw["background"], "background"))
+    # every path is checked before any file loads
+    tax_path, train_path, test_path = [_require_path(raw.get(key), what) for key, what in (
+        ("taxonomy", "taxonomy"), ("corpus_train", "training corpus"),
+        ("corpus_test", "test corpus"))]
+    background = raw.get("background")
+    if background is not None:
+        _require_path(background, "background")
+    tax = load_taxonomy(tax_path)
+    train_docs = load_corpus(train_path)
+    test_docs = load_corpus(test_path)
+    if background is not None:
+        stats = load_background(background)
     else:
         stats = _background(train_docs + test_docs, semcat)
     # run_experiment checks every value; what the file leaves out keeps

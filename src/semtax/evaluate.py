@@ -55,6 +55,7 @@ CLASSICAL_KINDS = tuple(LEARNER_PARAMS)
 COMMITTEE_DEFAULTS = {"members": (("bayes", 25), ("winnow", 25)), "level": "2",
                       "sample_size": 200, "aggregation": "single_vote",
                       "semcat_weights": (14.0, 10.0, 6.0)}
+MAX_MEMBERS = 1000  # a committee's members in all: 20 times the default; see README
 
 
 def _committee_params(own: str) -> dict:
@@ -270,6 +271,9 @@ def committee_key(spec: MethodSpec) -> tuple:
         raise ConfigError("method %s: members must be a non-empty list of [kind, count] "
                           "pairs, kind one of %s and count at least 1, got %s"
                           % (spec.name, ", ".join(CLASSICAL_KINDS), _shown(members)))
+    if sum(count for _, count in members) > MAX_MEMBERS:
+        raise ConfigError("method %s: a committee has at most %d members, got %s"
+                          % (spec.name, MAX_MEMBERS, _shown(members)))
     level = params["level"]
     if isinstance(level, bool) or not isinstance(level, (int, float, str)) or (
         level not in SAMPLE_LEVELS

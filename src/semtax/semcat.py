@@ -82,7 +82,9 @@ def map_terms_to_concepts(
     ambiguous: dict[str, list[str]] = {}
     for term in sorted(v):
         if memo is None or (candidates := memo.get(term)) is None:
-            key = normalize_label(term)
+            # a lowercase ASCII letter run is its own normal form
+            key = term if term.isalpha() and term.isascii() and term.islower() \
+                else normalize_label(term)
             candidates = tax.label_index.get(key)
             if not candidates and not exact_match:
                 candidates = tax.folded_label_index.get(fold_diacritics(key))
@@ -98,16 +100,12 @@ def map_terms_to_concepts(
 
 
 def _rank_proportions(method: str, m: int) -> list[float]:
-    if method in ("nearest",):
-        return [1.0] + [0.0] * (m - 1)
     if method == "rank_half":
         raw = [1.0 / 2**i for i in range(1, m + 1)]
     elif method == "rank_inv":
         raw = [1.0 / i for i in range(1, m + 1)]
-    elif method == "uniform":
+    else:  # uniform; disambiguate has checked the method
         raw = [1.0] * m
-    else:
-        raise DataError("unknown disambiguation method %r" % method)
     total = sum(raw)
     return [r / total for r in raw]
 
@@ -124,9 +122,9 @@ def disambiguate(
 
     Candidates are scored by mean sim_page to the context concepts and
     sorted descending (ties by concept id); the method then splits the
-    term's weight over ranks.  `nearest` with an empty context falls back
-    to `uniform`.  One taxonomy.mean_sim_page call scores the candidates
-    of every term.
+    term's weight over ranks, and `nearest` gives it all to the first
+    candidate, found by min, or with an empty context falls back to
+    `uniform`.  One taxonomy.mean_sim_page call scores every term's candidates.
     """
     if method not in DISAMBIG_METHODS:
         raise DataError("unknown disambiguation method %r" % method)
@@ -136,7 +134,11 @@ def disambiguate(
     ctx = context.context_concepts()
     pool = sorted({c for candidates in ambiguous.values() for c in candidates})
     rank = {c: (-s, c) for c, s in zip(pool, mean_sim_page(tax, pool, ctx, measure))}
-    effective = "uniform" if method == "nearest" and not ctx else method
+    if method == "nearest" and ctx:
+        result.entries += [(term, min(ambiguous[term], key=rank.__getitem__), weights[term])
+                           for term in sorted(ambiguous)]
+        return result
+    effective = "uniform" if method == "nearest" else method
     for term in sorted(ambiguous):
         scored = sorted(ambiguous[term], key=rank.__getitem__)
         props = _rank_proportions(effective, len(scored))

@@ -325,30 +325,37 @@ def msca(tax: Taxonomy, k1: str, k2: str) -> str:
     return top
 
 
-def lin(ic_m: float, ic1: float, ic2: float, same: bool) -> float:
-    """Lin similarity of two categories of IC ic1 and ic2 whose msca has
-    IC ic_m: 2*ic_m / (ic1 + ic2).  A zero denominator (both categories
-    carry the root's IC of 0) yields 1 for one category (same) and 0 for
-    two."""
-    denom = ic1 + ic2
-    if denom == 0.0:
-        return 1.0 if same else 0.0
-    return 2.0 * ic_m / denom
+def lin(ic_at, rows, k2, a2, ic2) -> list[float]:
+    """Lin similarity of category k2 (ancestor bitset a2, IC ic2) to each
+    row (id, ancestor bitset, IC ic1) of rows: 2*ic_m / (ic1 + ic2), where
+    ic_m, the IC of the two categories' msca, is ic_at[i] for the highest
+    bit i of the AND of their bitsets.  A zero denominator (both
+    categories have IC 0, as the root has) yields 1 for one category and
+    0 for two."""
+    # a zero denominator needs ic2 == 0: those rows divide by 1, then are set below
+    safe = rows if ic2 else [(k1, a1, ic1 or 1.0) for k1, a1, ic1 in rows]
+    scores = [2.0 * ic_at[(a1 & a2).bit_length() - 1] / (ic1 + ic2) for _, a1, ic1 in safe]
+    if not ic2:
+        scores = [s if ic1 else float(k1 == k2) for (k1, _, ic1), s in zip(rows, scores)]
+    return scores
 
 
-def pirro_seco(ic_m: float, ic1: float, ic2: float, same: bool) -> float:
-    """Pirro-Seco similarity of two categories of IC ic1 and ic2 whose
-    msca has IC ic_m: (3*ic_m - ic1 - ic2 + 2) / 3."""
-    return (3.0 * ic_m - ic1 - ic2 + 2.0) / 3.0
+def pirro_seco(ic_at, rows, k2, a2, ic2) -> list[float]:
+    """Pirro-Seco similarity of category k2 to each row (see lin):
+    (3*ic_m - ic1 - ic2 + 2) / 3."""
+    return [(3.0 * ic_at[(a1 & a2).bit_length() - 1] - ic1 - ic2 + 2.0) / 3.0
+            for _, a1, ic1 in rows]
 
 
-# measure name -> its formula on IC values
+# measure name -> its formula, scoring one category against rows of
+# categories
 CATEGORY_MEASURES = {"lin": lin, "pirro_seco": pirro_seco}
 
 
 def _measure(tax: Taxonomy, formula, k1: str, k2: str) -> float:
+    """formula on one pair: one row, whose one bit carries the msca's IC."""
     ic = tax._ic
-    return formula(ic[msca(tax, k1, k2)], ic[k1], ic[k2], k1 == k2)
+    return formula([ic[msca(tax, k1, k2)]], [(k1, 1, ic[k1])], k2, 1, ic[k2])[0]
 
 
 def sim_lin(tax: Taxonomy, k1: str, k2: str) -> float:
@@ -371,8 +378,9 @@ def mean_sim_page(
 
     Each category of the concepts is one row (id, ancestor bitset, IC),
     and each context category is scored against every candidate row in
-    one pass.  The IC of the msca of two categories is the IC at the
-    highest set bit of the AND of their bitsets.
+    one pass of the measure, with no Python call per pair.  The IC of the
+    msca of two categories is the IC at the highest set bit of the AND of
+    their bitsets.
 
     A leaf owns no bit, so the pass scores a leaf against itself at the
     IC of its best ancestor, which is no more than its own; both measures
@@ -403,15 +411,7 @@ def mean_sim_page(
     leaves, ic = tax._leaves, tax._ic
     bests = []  # per context concept, the best measure of each candidate
     for xcats in context_categories:
-        # every row is a tuple of tax._row, so two rows are of one category
-        # exactly when their ids are one object
-        by_row = [
-            [
-                formula(ic_by_bit[(a1 & a2).bit_length() - 1], ic1, ic2, k1 is k2)
-                for k1, a1, ic1 in rows
-            ]
-            for k2, a2, ic2 in map(row.__getitem__, xcats)
-        ]
+        by_row = [formula(ic_by_bit, rows, *row[k2]) for k2 in xcats]
         # the best of each row against this context concept's categories,
         # then of each candidate over its rows
         scores = by_row[0] if len(by_row) == 1 else list(map(max, *by_row))
@@ -421,9 +421,11 @@ def mean_sim_page(
                 best[i] = scores[j]
         if not leaves.isdisjoint(xcats):  # a leaf, against itself at its own IC
             for k in leaves.intersection(xcats):
+                # one row against itself, whose one bit carries k's IC
+                own = formula([ic[k]], [(k, 1, ic[k])], k, 1, ic[k])[0]
                 for i, ks in enumerate(categories):
                     if k in ks:
-                        best[i] = max(best[i], formula(ic[k], ic[k], ic[k], True))
+                        best[i] = max(best[i], own)
         bests.append(best)
     n = len(context)
     # the builtin sum, in context order: Python 3.12 compensates its float

@@ -123,9 +123,9 @@ class TermTable:
             return None
         tok = self.lemmas.get(tok, tok)
         stats = self.stats
-        if stats is not None and tok in stats.doc_freq:
-            df = stats.doc_freq[tok]
-            if df < self.min_df or df / stats.doc_count > self.max_df_ratio:
+        if stats is not None:
+            df = stats.doc_freq.get(tok)
+            if df is not None and (df < self.min_df or df / stats.doc_count > self.max_df_ratio):
                 return None
         return tok
 
@@ -190,19 +190,24 @@ class PhraseIndex:
 def extract_phrases(tokens: list[str], index: PhraseIndex) -> list[str]:
     """Greedy leftmost-longest match of multi-word labels; matched spans
     become single space-joined phrase terms, everything else passes
-    through.  Spans are tried only where a label starts."""
+    through.  Spans are tried only where a label starts, and the tokens
+    between such places are copied as slices."""
     longest = index.longest
-    if not longest:
+    starts = [i for i, t in enumerate(tokens) if t in longest]
+    if not starts:
         return list(tokens)
     out = []
-    i = 0
-    n = len(tokens)
-    while i < n:
-        span = min(longest.get(tokens[i], 1), n - i)
-        while span > 1 and tuple(tokens[i : i + span]) not in index.phrases:
+    i = 0  # tokens before i are done
+    for s in starts:
+        if s < i:  # inside the phrase just matched
+            continue
+        out += tokens[i:s]
+        span = min(longest[tokens[s]], len(tokens) - s)
+        while span > 1 and tuple(tokens[s : s + span]) not in index.phrases:
             span -= 1
-        out.append(" ".join(tokens[i : i + span]) if span > 1 else tokens[i])
-        i += span
+        out.append(" ".join(tokens[s : s + span]) if span > 1 else tokens[s])
+        i = s + span
+    out += tokens[i:]
     return out
 
 
@@ -220,9 +225,10 @@ def tfidf_weights(
     if not terms:
         raise EmptyVectorError("no terms to weight")
     tf = terms if isinstance(terms, dict) else Counter(terms)
+    doc_count, df, log = stats.doc_count, stats.doc_freq.get, math.log
     weights = {}
     for t, n in tf.items():
-        w = n * math.log(stats.doc_count / stats.df(t))
+        w = n * log(doc_count / df(t, 1))  # df(t, 1): as BackgroundStats.df
         if w > 0.0:
             weights[t] = w
     if not weights:

@@ -8,6 +8,7 @@ import pathlib
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import semtax.classics
 import semtax.cli
 import semtax.evaluate
 from semtax.cli import main
@@ -1046,3 +1047,165 @@ def test_evaluate_config_path_must_be_a_string(workdir, capsys, key, value, what
     err = capsys.readouterr().err
     assert err == "error: config: %s path must be a non-empty string, got %s\n" % (
         what, json.dumps(value))
+
+
+def one_method_config(workdir, method):
+    """An experiment config over the workdir's files with one method."""
+    return {
+        "taxonomy": str(workdir / "tax.tsv"),
+        "corpus_train": str(workdir / "corpus.jsonl"),
+        "corpus_test": str(workdir / "corpus.jsonl"),
+        "label_categories": {"x": "A", "z": "B"},
+        "methods": [method],
+        "seed": 7,
+    }
+
+
+def test_evaluate_checks_every_path_before_loading_any(workdir, capsys):
+    """A bad test corpus path is reported before the taxonomy loads, so
+    a malformed taxonomy file does not hide it."""
+    (workdir / "bad.tsv").write_text("X\tbroken\n", encoding="utf-8")
+    cfg = dict(one_method_config(workdir, {"name": "nb", "kind": "bayes"}),
+               taxonomy=str(workdir / "bad.tsv"), corpus_test=1.5)
+    (workdir / "exp.json").write_text(json.dumps(cfg))
+    assert main(["evaluate", "--config", str(workdir / "exp.json")]) == 1
+    assert capsys.readouterr().err == (
+        "error: config: test corpus path must be a non-empty string, got 1.5\n")
+
+
+# one above each bound: evaluate.MAX_MEMBERS and classics.MAX_EPOCHS are 1000
+@pytest.mark.parametrize("members", [[["bayes", 1001]], [["bayes", 500], ["winnow", 501]]],
+                         ids=["one-kind", "two-kinds"])
+def test_evaluate_committee_above_the_member_bound_exits_1(workdir, capsys, members):
+    method = {"name": "e", "kind": "ensemble", "params": {"members": members}}
+    (workdir / "exp.json").write_text(json.dumps(one_method_config(workdir, method)))
+    assert main(["evaluate", "--config", str(workdir / "exp.json")]) == 1
+    assert capsys.readouterr().err == (
+        "error: config: method e: a committee has at most 1000 members, got %s\n"
+        % json.dumps(members))
+
+
+def test_evaluate_winnow_epochs_above_the_bound_exits_1(workdir, capsys):
+    method = {"name": "wn", "kind": "winnow", "params": {"epochs": 1001}}
+    (workdir / "exp.json").write_text(json.dumps(one_method_config(workdir, method)))
+    assert main(["evaluate", "--config", str(workdir / "exp.json")]) == 1
+    assert "epochs in 1..1000" in capsys.readouterr().err
+
+
+def test_train_winnow_epochs_above_the_bound_exits_1(workdir, capsys):
+    out = workdir / "winnow.json"
+    rc = main(["train", "--model", "winnow", "--corpus", str(workdir / "corpus.jsonl"),
+               "--out", str(out), "--epochs", "1001"])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: config: winnow needs")
+    assert not out.exists()
+
+
+def test_member_and_epoch_bounds_are_inclusive():
+    assert (semtax.evaluate.MAX_MEMBERS, semtax.classics.MAX_EPOCHS) == (1000, 1000)
+    spec = semtax.evaluate.MethodSpec("e", "ensemble", params={"members": [["bayes", 1000]]})
+    assert semtax.evaluate.committee_key(spec)[0] == (("bayes", 1000),)
+    semtax.classics.winnow_train([("a", {"f": 1.0}), ("b", {"g": 1.0})], epochs=1000)
+
+
+# values of every JSON type, none of them a large count
+STRUCTURAL_POOL = (None, True, False, 0, 1, -1, 2, 1.5, -0.5, math.nan, math.inf, "", "x", "A",
+                   "winnow", [], ["x"], [1, 2], [["bayes", 2]], {}, {"x": 1}, {"x": "A"})
+
+
+def json_paths(value, path=()):
+    """The path of value and of each value nested in it."""
+    yield path
+    items = value.items() if isinstance(value, dict) else (
+        enumerate(value) if isinstance(value, list) else ())
+    for key, inner in items:
+        yield from json_paths(inner, path + (key,))
+
+
+def replaced(value, path, new):
+    """value with the value at path replaced by new."""
+    if not path:
+        return new
+    copy = dict(value) if isinstance(value, dict) else list(value)
+    copy[path[0]] = replaced(value[path[0]], path[1:], new)
+    return copy
+
+
+@pytest.fixture(scope="module")
+def structural_inputs(tmp_path_factory):
+    """A directory with the toy taxonomy, a corpus, a model file of each
+    kind and an experiment config; returns the directory, the corpus
+    records, the models (kind -> payload) and the config."""
+    w = tmp_path_factory.mktemp("structural")
+    (w / "tax.tsv").write_text(TOY_TAXONOMY, encoding="utf-8")
+    records = [{"id": "d1", "text": "alpha bravo charlie", "label": "x", "categories": ["A"]},
+               {"id": "d2", "text": "echo foxtrot golf jaguar", "label": "z", "categories": ["B"]},
+               {"id": 3, "text": "alpha charlie delta", "label": "x", "categories": ["A1"]},
+               {"id": "d4", "text": "echo golf foxtrot echo", "label": "z", "categories": []}]
+    (w / "corpus.jsonl").write_text("".join(json.dumps(r) + "\n" for r in records))
+    models = {}
+    with contextlib.redirect_stderr(io.StringIO()):
+        for kind in ("bayes", "winnow", "llda", "semcla"):
+            taxonomy = ["--taxonomy", str(w / "tax.tsv")] if kind == "semcla" else []
+            assert main(["train", "--model", kind, "--corpus", str(w / "corpus.jsonl"),
+                         "--out", str(w / "model.json"), "--epochs", "2", *taxonomy]) == 0
+            models[kind] = json.loads((w / "model.json").read_text())
+    config = {
+        "taxonomy": str(w / "tax.tsv"), "corpus_train": str(w / "corpus.jsonl"),
+        "corpus_test": str(w / "corpus.jsonl"), "label_categories": {"x": "A", "z": "B"},
+        "seed": 1, "alpha": 0.3, "common_subset": True, "buckets": False,
+        "semcat": {"top_terms": 5, "disambig": "rank_half", "min_df": 1},
+        "methods": [
+            {"name": "sc", "kind": "semcat", "features": "categories"},
+            {"name": "wn", "kind": "winnow", "params": {"theta": 1.0, "epochs": 2}},
+            {"name": "com", "kind": "semcom", "params": {
+                "members": [["bayes", 2], ["winnow", 1]], "level": 2, "sample_size": 2,
+                "semcat_weights": [3.0, 1.0], "epochs": 2}},
+        ],
+    }
+    with contextlib.redirect_stderr(io.StringIO()), contextlib.redirect_stdout(io.StringIO()):
+        (w / "exp.json").write_text(json.dumps(config))
+        assert main(["evaluate", "--config", str(w / "exp.json"), "--out", str(w / "out")]) == 0
+    return w, records, models, config
+
+
+def mutate(data, value):
+    """value with one to three of its values, drawn with the paths to
+    them, replaced by values of STRUCTURAL_POOL."""
+    for _ in range(data.draw(st.integers(1, 3))):
+        path = data.draw(st.sampled_from(list(json_paths(value))))
+        value = replaced(value, path, data.draw(st.sampled_from(STRUCTURAL_POOL)))
+    return value
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.sampled_from(["config", "bayes", "winnow", "llda", "semcla", "corpus"]), st.data())
+def test_structurally_mutated_json_ends_in_a_clean_exit(structural_inputs, target, data):
+    """An experiment config, a model file of each kind or a corpus record
+    whose values are replaced by values of other types: the command that
+    reads it exits 0, 1 or 2, prints no traceback and keeps fds 0-2
+    open."""
+    w, records, models, config = structural_inputs
+    fuzz = w / "fuzz"
+    fuzz.mkdir(exist_ok=True)
+    if target == "config":
+        (fuzz / "exp.json").write_text(json.dumps(mutate(data, config)))
+        argv = ["evaluate", "--config", str(fuzz / "exp.json"), "--out", str(fuzz / "out.json")]
+    elif target == "corpus":
+        i = data.draw(st.integers(0, len(records) - 1))
+        mutated = records[:i] + [mutate(data, records[i])] + records[i + 1:]
+        (fuzz / "corpus.jsonl").write_text("".join(json.dumps(r) + "\n" for r in mutated))
+        command = data.draw(st.sampled_from([["categorize", "--taxonomy", str(w / "tax.tsv")],
+                                             ["train", "--model", "bayes"]]))
+        argv = command + ["--corpus", str(fuzz / "corpus.jsonl"), "--out", str(fuzz / "out")]
+    else:
+        (fuzz / "model.json").write_text(json.dumps(mutate(data, models[target])))
+        taxonomy = ["--taxonomy", str(w / "tax.tsv")] if data.draw(st.booleans()) else []
+        argv = ["classify", "--model", str(fuzz / "model.json"),
+                "--corpus", str(w / "corpus.jsonl"), "--out", str(fuzz / "out"), *taxonomy]
+    err = io.StringIO()
+    with standard_fds_kept(), contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        rc = main(argv)
+    assert rc in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from semtax.errors import DataError, EmptyVectorError, UnknownConceptError
 from semtax.semcat import (
+    Analyzer,
     ConceptAssignment,
     SemCatConfig,
     assign_concepts,
@@ -16,7 +17,16 @@ from semtax.semcat import (
     top_n_categories,
 )
 from semtax.synth import random_taxonomy, random_term_vector
-from semtax.taxonomy import Concept, Taxonomy, mean_sim_page, parse_taxonomy, sim_page
+from semtax.taxonomy import (
+    Concept,
+    Taxonomy,
+    mean_sim_page,
+    normalize_label,
+    parse_taxonomy,
+    sim_lin,
+    sim_page,
+)
+from semtax.textpipe import BackgroundStats, PhraseIndex
 
 from oracles import (
     brute_concept_candidates,
@@ -326,3 +336,138 @@ class TestConservation:
             cats = project_to_categories(assignment, tax)
             mapped = assignment.total_weight()
             assert abs(sum(cats.values()) - mapped) <= 1e-9
+
+
+class TestLookupShortcutMatchesOracle:
+    """A term that is a lowercase ASCII letter run is looked up as it is;
+    every other term (uppercase, ß, É, padded phrases) is normalized
+    first.  Both kinds find the candidates of a scan over every label."""
+
+    label = st.text(alphabet="absßéÉ ", min_size=1, max_size=4).filter(str.strip)
+    word = st.text(alphabet="absßéÉAB", min_size=1, max_size=3)
+    term = st.one_of(
+        st.text(alphabet="abs", min_size=1, max_size=3),
+        word,
+        st.builds(lambda a, b: " %s  %s " % (a, b), word, word),
+    )
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(st.lists(st.lists(label, min_size=1, max_size=2), min_size=1, max_size=6),
+           st.lists(st.dictionaries(term, st.sampled_from([0.25, 1.0]), max_size=5),
+                    min_size=1, max_size=4),
+           st.booleans())
+    def test_terms_in_and_out_of_normal_form(self, concept_labels, vectors, exact_match):
+        tax = parse_taxonomy(["C\tr\troot\t"] + [
+            "P\tp%d\tr\t%s" % (i, "|".join(labels)) for i, labels in enumerate(concept_labels)])
+        memo = {}
+        for v in vectors:
+            assert map_terms_to_concepts(v, tax, exact_match, memo) == \
+                brute_map_terms_to_concepts(v, tax, exact_match)
+            assert map_terms_to_concepts(v, tax, exact_match) == \
+                brute_map_terms_to_concepts(v, tax, exact_match)
+            for t in v:
+                if t.isalpha() and t.isascii() and t.islower():
+                    assert normalize_label(t) == t
+
+
+class TestZeroICBelowTheRoot:
+    """root -> A with every concept under A: A's IC is 0, like the
+    root's, so lin meets its 0/0 case for a category that is not the
+    root (1 for A against itself, 0 for A against the root).  A is a leaf
+    or has children."""
+
+    TAXONOMIES = {
+        "leaf": ["C\tr\troot\t", "C\tA\tA\tr",
+                 "P\tp1\tA\tw0", "P\tp2\tA\tw0", "P\tp3\tA\tw1"],
+        "internal": ["C\tr\troot\t", "C\tA\tA\tr", "C\tB\tB\tA", "C\tC\tC\tA",
+                     "C\tD\tD\tB,C", "P\tp1\tA\tw0", "P\tp2\tB\tw0", "P\tp3\tC\tw1",
+                     "P\tp4\tD\tw1", "P\tp5\tA,B\tw0", "P\tp6\tC\tw2"],
+    }
+
+    @pytest.fixture(params=sorted(TAXONOMIES))
+    def tax(self, request):
+        tax = parse_taxonomy(self.TAXONOMIES[request.param])
+        assert sim_lin(tax, "A", "A") == 1.0 and sim_lin(tax, "A", "r") == 0.0
+        return tax
+
+    def contexts(self, tax):
+        ids = sorted(tax.concepts)
+        return [[]] + [[c] for c in ids] + [[a, b] for a in ids for b in ids if a < b] + [ids]
+
+    @pytest.mark.parametrize("measure", ["lin", "pirro_seco"])
+    def test_mean_sim_page(self, tax, measure):
+        parents, concept_cats = links(tax)
+        sim = lambda k1, k2: brute_sim(parents, concept_cats, measure, k1, k2)
+        concepts = sorted(concept_cats)
+        for ctx in self.contexts(tax):
+            assert mean_sim_page(tax, concepts, ctx, measure) == [
+                sum(brute_sim_page(parents, concept_cats, sim, c, x) for x in ctx) / len(ctx)
+                if ctx else 0.0
+                for c in concepts
+            ]
+
+    @pytest.mark.parametrize("method", ["nearest", "rank_half", "rank_inv", "uniform"])
+    def test_disambiguate(self, tax, method):
+        parents, concept_cats = links(tax)
+        ambiguous = {lab: cids for lab, cids in tax.label_index.items() if len(cids) > 1}
+        weights = {lab: 0.5 for lab in ambiguous}
+        for ctx in self.contexts(tax):
+            assignment = ConceptAssignment(entries=[("t%d" % i, c, 1.0) for i, c in enumerate(ctx)])
+            got = disambiguate(ambiguous, assignment, tax, weights, method, "lin")
+            assert got.entries == brute_disambiguate(
+                parents, concept_cats, ambiguous, ctx, weights, method, "lin")
+
+
+PHRASE_WORDS = ["ab", "cd", "ef", "gh"]
+PHRASE_LABELS = ["ab", "cd", "ef", "ab cd", "cd ef gh", "gh ab"]
+
+
+@st.composite
+def phrase_cases(draw):
+    """A random DAG whose concepts, of 1-3 categories each, share a few
+    labels, some of several words, so that most labels are homonyms and
+    phrases must be matched; background statistics over the words; and
+    texts of those words and some noise, in mixed case."""
+    n = draw(st.integers(2, 7))
+    ids = ["k%d" % i for i in range(n)]
+    parents = {ids[0]: frozenset()}
+    for i in range(1, n):
+        ps = draw(st.lists(st.integers(0, i - 1), min_size=1, max_size=2, unique=True))
+        parents[ids[i]] = frozenset(ids[j] for j in ps)
+    concepts = {}
+    for j in range(draw(st.integers(2, 9))):
+        cats = frozenset(draw(st.lists(st.sampled_from(ids), min_size=1, max_size=3, unique=True)))
+        labels = frozenset(draw(st.lists(st.sampled_from(PHRASE_LABELS), min_size=1, max_size=2)))
+        concepts["p%d" % j] = Concept("p%d" % j, labels, cats)
+    tax = Taxonomy({k: k for k in ids}, parents, concepts)
+    doc_freq = draw(st.dictionaries(st.sampled_from(PHRASE_WORDS + ["zz"]), st.integers(1, 12)))
+    stats = BackgroundStats(doc_count=20, doc_freq=doc_freq)
+    token = st.sampled_from(PHRASE_WORDS + ["zz", "AB", "Cd", "the"])
+    texts = draw(st.lists(st.lists(token, max_size=12).map(" ".join), min_size=1, max_size=4))
+    return tax, stats, texts
+
+
+class TestCategorizeMatchesAnalyzer:
+    """The root categorize, which builds its own term table and looks
+    every term up afresh, gives the category bag of an Analyzer that
+    shares them over many texts: the same keys in the same order and the
+    same float bits."""
+
+    @staticmethod
+    def bits(bag):
+        return None if bag is None else [(k, w.hex()) for k, w in bag.items()]
+
+    @pytest.mark.parametrize("method", ["nearest", "rank_half", "rank_inv", "uniform"])
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(case=phrase_cases(), measure=st.sampled_from(["lin", "pirro_seco"]))
+    def test_same_bag(self, method, case, measure):
+        tax, stats, texts = case
+        config = SemCatConfig(disambig=method, measure=measure, top_terms=3)
+        index = PhraseIndex.from_taxonomy(tax)
+        analyzer = Analyzer(tax, stats, config)
+        for text in texts:
+            try:
+                want = categorize(text, tax, stats, config, index)
+            except EmptyVectorError:
+                want = None
+            assert self.bits(analyzer.bag(text, "categories")) == self.bits(want)
