@@ -1,11 +1,13 @@
-"""Bagging ensembles, taxonomy-driven training-sample drawing, vote
-aggregation and the SemCom heterogeneous committee.
+"""Bagging committees: taxonomy-driven class pools, every member's sample
+drawn from them before any member trains, each kind's samples trained in
+one call, vote aggregation and the SemCom heterogeneous committee.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import chain
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .classics import LinearScorer
@@ -115,8 +117,9 @@ def aggregate(votes: list[Vote], mode: str = "single_vote", seed: int = 0) -> st
 
 @dataclass
 class BaggingEnsemble:
-    """Trained members, each a LinearScorer.  Their rows are stacked into
-    one scorer, so a batch of documents is scored for every member with
+    """Trained members in member order, each a LinearScorer, and their
+    seeds; train_committee builds one.  Their rows are stacked into one
+    scorer, so a batch of documents is scored for every member with
     one matrix product and the members' votes are counted per label in
     one array pass."""
 
@@ -165,29 +168,41 @@ class BaggingEnsemble:
                 for row in points.tolist()]
 
 
-def build_bagging_ensemble(
-    trainers: list[Callable],
-    sampler: Callable[[int], object],
-    master_seed: int = 0,
-) -> BaggingEnsemble:
-    """Train one member per trainer, each on an independently drawn
-    sample.  `sampler` maps a member seed to training material, say
-    draw_training_sample from pools that class_pools computed once for
-    the whole committee; a trainer maps that sample to a LinearScorer,
-    and may give members with equal samples one shared scorer.  Member
-    i's seed is derive_seed(master_seed, i)."""
-    if not trainers:
+def draw_samples(pools: dict, members, size: int, master_seed: int) -> list[tuple]:
+    """Every member's (kind, seed, ids), in member order, before any
+    member trains.  members: (kind, count) pairs.  Member i's seed is
+    derive_seed(master_seed, i), and its ids are its draw_training_sample
+    from the pools: label order, each label's ids sorted."""
+    kinds = [kind for kind, count in members for _ in range(count)]
+    seeds = [derive_seed(master_seed, i) for i in range(len(kinds))]
+    return [(kind, seed, tuple(chain(*draw_training_sample(pools, size, seed).values())))
+            for kind, seed in zip(kinds, seeds)]
+
+
+def train_committee(samples: list, train_many: Callable, master_seed: int = 0) -> BaggingEnsemble:
+    """The committee of draw_samples' (kind, seed, ids) samples.
+    train_many(kind, samples) returns one LinearScorer per sample, and is
+    called once per kind with that kind's distinct samples in member
+    order, so members of one kind with equal ids share one scorer.  A
+    DataError is a TrainingError naming the first failing member."""
+    if not samples:
         raise DataError("ensemble needs at least one member")
-    members = []
-    seeds = []
-    for i, trainer in enumerate(trainers):
-        seed = derive_seed(master_seed, i)
-        seeds.append(seed)
-        try:
-            members.append(trainer(sampler(seed)))
-        except DataError as exc:
-            raise TrainingError("member %d failed: %s" % (i, exc)) from exc
-    return BaggingEnsemble(members=members, master_seed=master_seed, member_seeds=seeds)
+    # each kind's distinct samples, in member order
+    distinct = {kind: list(dict.fromkeys(ids for k, _, ids in samples if k == kind))
+                for kind in dict.fromkeys(kind for kind, _, _ in samples)}
+    try:
+        trained = {(kind, ids): scorer for kind, many in distinct.items()
+                   for ids, scorer in zip(many, train_many(kind, many), strict=True)}
+    except DataError:
+        # train the members one at a time to name the first that fails
+        for i, (kind, _, ids) in enumerate(samples):
+            try:
+                train_many(kind, [ids])
+            except DataError as exc:
+                raise TrainingError("member %d failed: %s" % (i, exc)) from exc
+        raise
+    return BaggingEnsemble([trained[kind, ids] for kind, _, ids in samples], master_seed,
+                           [seed for _, seed, _ in samples])
 
 
 def project_category_to_label(

@@ -14,11 +14,11 @@ from .classics import llda_train, nb_train, winnow_train
 from .corpus import Document
 from .ensemble import (
     AGGREGATION_MODES,
-    build_bagging_ensemble,
     class_pools,
-    draw_training_sample,
+    draw_samples,
     project_category_to_label,
     semcom_predict,
+    train_committee,
 )
 from .errors import ConfigError, DataError, DegenerateInputError
 from .models import decode
@@ -420,36 +420,20 @@ class _Predictor:
 
     def _train_committee(self, members, level, size):
         """The committee of members ((kind, count) pairs), each trained on
-        its own sample of the class pools at level.  A member is a
-        deterministic function of its kind and its sampled ids (the
-        learner params are fixed per committee), so members of one kind
-        that draw the same ids share one trained model.  They do whenever
-        every class pool is no larger than size, since each member then
-        draws the whole pool."""
+        its sample of the class pools at level less the ids without a bag."""
         cfg = self.ctx.cfg
         pools = class_pools(cfg.taxonomy, cfg.label_categories, cfg.train_docs, level)
         pooled = set().union(*pools.values())
         # each pooled document's (label, bag) by id, when it has a bag
         table = {d.id: (d.label, bag) for d in cfg.train_docs if d.id in pooled
                  and (bag := self.ctx.bag(d, self.spec.features)) is not None}
+        samples = [(kind, seed, tuple(i for i in ids if i in table))
+                   for kind, seed, ids in draw_samples(pools, members, size, cfg.seed)]
 
-        def sampler(seed):
-            sample = draw_training_sample(pools, size, seed)
-            return tuple(i for ids in sample.values() for i in ids if i in table)
+        def train_many(kind, many):
+            return [self._train_classical(kind, [table[i] for i in ids]).linear for ids in many]
 
-        # (kind, sampled ids) -> the member trained on them
-        trained = {}
-
-        def trainer(kind):
-            def train(ids):
-                if (kind, ids) not in trained:
-                    bags = [table[i] for i in ids]
-                    trained[kind, ids] = self._train_classical(kind, bags).linear
-                return trained[kind, ids]
-            return train
-
-        trainers = [trainer(kind) for kind, count in members for _ in range(count)]
-        return build_bagging_ensemble(trainers, sampler, cfg.seed)
+        return train_committee(samples, train_many, cfg.seed)
 
     def predict_all(self, docs) -> list:
         """Each document's label, None when it is unclassified.  Classical

@@ -9,12 +9,21 @@ import random
 from dataclasses import dataclass
 
 from .corpus import Document
+from .errors import ConfigError
 from .taxonomy import Concept, Taxonomy
 from .textpipe import BackgroundStats, build_background, tokenize
 
 
 def _letters(*nums) -> str:
     return "".join(chr(ord("a") + n) for n in nums)
+
+
+def _check_letter_counts(**counts):
+    """ConfigError unless each count is in 1..26: a count names its items
+    with one letter each, and a 27th item would get a non-letter."""
+    for name, n in counts.items():
+        if not 1 <= n <= 26:
+            raise ConfigError("%s must be in 1..26, got %r" % (name, n))
 
 
 def random_taxonomy(
@@ -80,6 +89,7 @@ class GapBenchmark:
 
 
 def make_gap_benchmark(
+    *,
     n_classes: int = 3,
     subcats_per_class: int = 3,
     concepts_per_subcat: int = 4,
@@ -91,7 +101,10 @@ def make_gap_benchmark(
     vocabulary A and one from vocabulary B.  Training documents are written
     in vocabulary A, test documents in vocabulary B, so bag-of-words
     learners see completely disjoint vocabularies while the taxonomy maps
-    both sides onto the same categories."""
+    both sides onto the same categories.  n_classes, subcats_per_class
+    and concepts_per_subcat are each in 1..26 (ConfigError)."""
+    _check_letter_counts(n_classes=n_classes, subcats_per_class=subcats_per_class,
+                         concepts_per_subcat=concepts_per_subcat)
     rng = random.Random(seed)
     cat_labels = {"root": "root"}
     parents = {"root": frozenset()}
@@ -167,7 +180,9 @@ def make_calibration_groups(
     """Groups whose documents hit pairwise-distinct sibling subcategories,
     so only the super-category mass added by a positive alpha makes
     same-group documents similar.  Returns (taxonomy, background, groups).
+    n_groups and docs_per_group are each in 1..26 (ConfigError).
     """
+    _check_letter_counts(n_groups=n_groups, docs_per_group=docs_per_group)
     cat_labels = {"root": "root"}
     parents = {"root": frozenset()}
     concepts = {}

@@ -5,23 +5,24 @@ from collections import Counter
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from semtax.classics import LinearScorer
+from semtax.classics import LinearScorer, nb_train, winnow_train
 from semtax.corpus import Document
 from semtax.ensemble import (
     AGGREGATION_MODES,
     BaggingEnsemble,
     Vote,
     aggregate,
-    build_bagging_ensemble,
     class_pools,
     derive_seed,
+    draw_samples,
     draw_training_sample,
     project_category_to_label,
     semcom_predict,
+    train_committee,
 )
 from semtax.errors import DataError, TrainingError
 from semtax.synth import random_taxonomy
-from oracles import brute_committee_predict
+from oracles import brute_committee_predict, brute_nb_train, brute_winnow_train
 from test_classics import test_bags, train_all, train_bags
 
 
@@ -139,61 +140,59 @@ def bias_only(scores):
 
 
 class TestBagging:
-    def trainer(self, sample):
-        # "model" that always predicts the majority label of its sample
-        majority = max(sorted(sample), key=lambda l: len(sample[l]))
-        return bias_only({majority: 1.0})
-
-    def sampler_factory(self, toy_tax, docs):
+    def committee(self, toy_tax, docs, n_members, master_seed):
+        """The class pools, and a committee of n_members drawn from them
+        by draw_samples, each a "model" that always predicts the majority
+        label of its sample."""
         pools = class_pools(toy_tax, {"x": "A", "y": "B"}, docs, "2")
+        label = {i: lab for lab, ids in pools.items() for i in ids}
 
-        def sampler(seed):
-            return draw_training_sample(pools, 3, seed)
+        def majority(ids):
+            counts = Counter(label[i] for i in ids)
+            return max(sorted(counts), key=counts.get)
 
-        return sampler
+        samples = draw_samples(pools, [("bayes", n_members)], 3, master_seed)
+        return pools, train_committee(
+            samples, lambda kind, many: [bias_only({majority(ids): 1.0}) for ids in many],
+            master_seed)
 
     def test_single_member_degenerate(self, toy_tax):
         docs = docs_with(["A", "A1", "B", "B1"])
-        ens = build_bagging_ensemble([self.trainer], self.sampler_factory(toy_tax, docs), 0)
-        assert ens.predict([{}]) == [self.trainer(
-            self.sampler_factory(toy_tax, docs)(derive_seed(0, 0))
-        ).ranking({})[0][0]]
+        pools, ens = self.committee(toy_tax, docs, 1, 0)
+        sample = draw_training_sample(pools, 3, derive_seed(0, 0))
+        assert ens.predict([{}]) == [max(sorted(sample), key=lambda l: len(sample[l]))]
 
     def test_member_count(self, toy_tax):
         docs = docs_with(["A", "A1", "B", "B1"])
-        ens = build_bagging_ensemble([self.trainer] * 50, self.sampler_factory(toy_tax, docs), 0)
+        _, ens = self.committee(toy_tax, docs, 50, 0)
         assert len(ens.members) == 50
 
     def test_same_master_seed_reproduces(self, toy_tax):
         docs = docs_with(["A", "A1", "B", "B1"] * 3)
-        e1 = build_bagging_ensemble([self.trainer] * 5, self.sampler_factory(toy_tax, docs), 42)
-        e2 = build_bagging_ensemble([self.trainer] * 5, self.sampler_factory(toy_tax, docs), 42)
+        _, e1 = self.committee(toy_tax, docs, 5, 42)
+        _, e2 = self.committee(toy_tax, docs, 5, 42)
         assert e1.member_seeds == e2.member_seeds
         assert e1.predict([{}]) == e2.predict([{}])
 
     def test_rank_is_borda_over_top_three(self):
         def fixed(order):
-            scorer = bias_only({lab: float(len(order) - i) for i, lab in enumerate(order)})
-            return lambda sample: scorer
+            return bias_only({lab: float(len(order) - i) for i, lab in enumerate(order)})
 
-        trainers = [fixed("ACB"), fixed("ACB"), fixed("CBA"), fixed("BCA")]
-        ens = build_bagging_ensemble(trainers, lambda seed: None, 0)
+        members = [fixed("ACB"), fixed("ACB"), fixed("CBA"), fixed("BCA")]
+        ens = BaggingEnsemble(members=members, master_seed=0, member_seeds=[])
         # top votes A=2, B=1, C=1; Borda A=3+3+1+1, B=1+1+2+3, C=2+2+3+2
         assert ens.predict([{}], "single_vote") == ["A"]
         assert ens.predict([{}], "rank") == ["C"]
 
     def test_weighted_counts_top_labels_like_single_vote(self):
-        def fixed(ranking):
-            return lambda sample: bias_only(dict(ranking))
-
         # one member is far more confident on its own scale than the two
         # members it outvotes; weighted still counts one vote per member
-        trainers = [
-            fixed([("a", 100.0), ("b", 0.0)]),
-            fixed([("b", 0.51), ("a", 0.5)]),
-            fixed([("b", 0.3), ("c", 0.29), ("a", 0.1)]),
+        members = [
+            bias_only({"a": 100.0, "b": 0.0}),
+            bias_only({"b": 0.51, "a": 0.5}),
+            bias_only({"b": 0.3, "c": 0.29, "a": 0.1}),
         ]
-        ens = build_bagging_ensemble(trainers, lambda seed: None, 0)
+        ens = BaggingEnsemble(members=members, master_seed=0, member_seeds=[])
         assert ens.predict([{}], "single_vote") == ["b"]
         assert ens.predict([{}], "weighted") == ["b"]
 
@@ -207,6 +206,89 @@ class TestBagging:
             assert aggregate(shuffled, "single_vote", seed=1) == aggregate(
                 votes, "single_vote", seed=1
             )
+
+
+def exact(scorer):
+    """A scorer's labels, columns and float bits."""
+    return (scorer.labels, scorer.columns, [x.hex() for x in scorer.bias.tolist()],
+            [[x.hex() for x in row] for row in scorer.weights_t.tolist()])
+
+
+TRAIN = {"bayes": nb_train, "winnow": winnow_train}
+BRUTE_TRAIN = {"bayes": brute_nb_train, "winnow": brute_winnow_train}
+
+
+class TestCommitteeConstruction:
+    """draw_samples draws every member's sample before train_committee
+    trains each kind's distinct samples in one call, and the members
+    equal members drawn and trained alone."""
+
+    @staticmethod
+    def table(docs):
+        """Pools (label -> sorted ids) and the (label, bag) of each id
+        that has a bag, for (label, bag or None) documents."""
+        ids = ["d%02d" % i for i in range(len(docs))]
+        pools = {}
+        for i, (label, _) in zip(ids, docs):
+            pools.setdefault(label, []).append(i)
+        return pools, {i: (label, bag) for i, (label, bag) in zip(ids, docs) if bag is not None}
+
+    @staticmethod
+    def train_many(table, calls):
+        def train_many(kind, many):
+            calls.extend((kind, ids) for ids in many)
+            return [TRAIN[kind]([table[i] for i in ids]).linear for ids in many]
+        return train_many
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(["bayes", "winnow"]), st.integers(1, 3)),
+                    min_size=1, max_size=4),
+           st.lists(st.tuples(st.sampled_from("abc"),
+                              st.none() | st.dictionaries(st.sampled_from("fgh"),
+                                                          st.sampled_from([0.5, 1, 2.5]),
+                                                          max_size=3)),
+                    min_size=1, max_size=10),
+           st.integers(1, 5), st.integers(0, 2**32 - 1))
+    @example([["bayes", 1], ["winnow", 1], ["bayes", 1]],
+             [("a", {"f": 1}), ("a", {"g": 1}), ("b", {"h": 1}), ("b", None)], 1, 7)
+    def test_members_equal_members_trained_alone(self, members, docs, size, master_seed):
+        pools, table = self.table(docs)
+        kinds = [kind for kind, count in members for _ in range(count)]
+        seeds = [derive_seed(master_seed, i) for i in range(len(kinds))]
+        drawn = [tuple(i for ids in draw_training_sample(pools, size, seed).values() for i in ids)
+                 for seed in seeds]
+        assert draw_samples(pools, members, size, master_seed) == list(zip(kinds, seeds, drawn))
+
+        samples = [(kind, seed, tuple(i for i in ids if i in table))
+                   for kind, seed, ids in zip(kinds, seeds, drawn)]
+        failures = []
+        for i, (kind, _, ids) in enumerate(samples):
+            try:
+                TRAIN[kind]([table[j] for j in ids])
+            except DataError as exc:
+                failures.append("member %d failed: %s" % (i, exc))
+        calls = []
+        if failures:
+            with pytest.raises(TrainingError) as info:
+                train_committee(samples, self.train_many(table, calls), master_seed)
+            assert str(info.value) == failures[0]
+            return
+        ens = train_committee(samples, self.train_many(table, calls), master_seed)
+        assert ens.member_seeds == seeds and ens.master_seed == master_seed
+        assert len(calls) == len(set(calls)) == len({(kind, ids) for kind, _, ids in samples})
+        alone = [BRUTE_TRAIN[kind]([table[j] for j in ids]).linear for kind, _, ids in samples]
+        assert [exact(m) for m in ens.members] == [exact(m) for m in alone]
+
+    def test_first_failing_member_sits_between_two_of_another_kind(self):
+        # bayes trains first and fails on member 2, but member 1 fails first
+        _, table = self.table([("a", {"f": 1})])
+        samples = [("bayes", 1, ("d00",)), ("winnow", 2, ()), ("bayes", 3, ())]
+        with pytest.raises(TrainingError, match="^member 1 failed: empty training set$"):
+            train_committee(samples, self.train_many(table, []), 0)
+
+    def test_no_members_is_a_data_error(self):
+        with pytest.raises(DataError, match="at least one member"):
+            train_committee([], self.train_many({}, []), 0)
 
 
 class TestCommitteeMatchesOracle:

@@ -346,13 +346,13 @@ class TestCommitteeSharing:
     def draws(self, monkeypatch, methods):
         bench = make_gap_benchmark(docs_per_side=30, seed=5)
         calls = []
-        real = semtax.evaluate.draw_training_sample
+        real = semtax.ensemble.draw_training_sample
 
         def counting(*args, **kwargs):
             calls.append(args)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(semtax.evaluate, "draw_training_sample", counting)
+        monkeypatch.setattr(semtax.ensemble, "draw_training_sample", counting)
         report = run_experiment(ExperimentConfig(
             taxonomy=bench.taxonomy, background=bench.background,
             train_docs=bench.train_docs, test_docs=bench.test_docs,

@@ -2,9 +2,9 @@
 run_experiment analyses each document once however many methods use it.
 
 The pinned files hold ``run_experiment(...).to_json()`` on
-``make_gap_benchmark(210, seed=11)`` with seed 11, for the six methods of
-``scripts/run_semantic_gap.py`` and for the bagging/SemCom/LLDA committee
-methods.
+``make_gap_benchmark(docs_per_side=210, seed=11)`` with seed 11, for
+the six methods of ``scripts/run_semantic_gap.py`` and for the
+bagging/SemCom/LLDA committee methods.
 """
 
 import os
