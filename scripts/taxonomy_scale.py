@@ -8,18 +8,22 @@ load it with ``semtax.load_taxonomy`` in a fresh Python process and
 print one JSON line:
 
     {"categories": ..., "concepts": ..., "load_s": ...,
-     "ancestor_bytes": ..., "peak_rss_mb": ...}
+     "ancestor_bytes": ..., "peak_rss_mb": ..., "tracked_containers": ...}
 
 ``load_s`` is the wall time of the load, ``ancestor_bytes`` the size of
-the distinct ancestor-set ints the loaded taxonomy holds, and
+the distinct ancestor-set ints the loaded taxonomy holds,
 ``peak_rss_mb`` the child process's peak resident set size, which
-includes the interpreter and the imported package.
+includes the interpreter and the imported package, and
+``tracked_containers`` the number of objects the cyclic garbage
+collector tracks that the load leaves behind once one young-generation
+collection has untracked what it can.
 
     python3 scripts/taxonomy_scale.py                 # 20k, 40k and 80k
     python3 scripts/taxonomy_scale.py --sizes 5000 --seed 3
 """
 
 import argparse
+import gc
 import json
 import os
 import random
@@ -52,15 +56,21 @@ def measure_load(path):
     """Load one taxonomy file in this process and print its figures."""
     from semtax import load_taxonomy
 
+    gc.collect()
+    tracked_before = len(gc.get_objects())
     start = time.perf_counter()
     tax = load_taxonomy(path)
     load_s = time.perf_counter() - start
+    # ru_maxrss is in KiB on Linux
+    peak_rss_mb = round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
+    gc.collect(0)
+    tracked_containers = len(gc.get_objects()) - tracked_before
     distinct = {id(a): a for a in tax._anc.values()}
     print(json.dumps({
         "load_s": round(load_s, 4),
         "ancestor_bytes": sum(map(sys.getsizeof, distinct.values())),
-        # ru_maxrss is in KiB on Linux
-        "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
+        "peak_rss_mb": peak_rss_mb,
+        "tracked_containers": tracked_containers,
     }))
 
 

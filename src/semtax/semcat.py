@@ -154,14 +154,13 @@ def project_to_categories(
 ) -> dict[str, float]:
     """Each (concept, weight) contributes weight/m to each of the
     concept's m categories.  Keys come in order of first contribution,
-    a concept's categories in id order, so that the order, and the float
-    sums that follow it downstream, do not depend on the hash seed."""
+    a concept's categories in the id order they are stored in, so that
+    the order, and the float sums that follow it downstream, do not
+    depend on the hash seed."""
     out: dict[str, float] = {}
     for _, cid, w in assignment.entries:
         cats = tax.concepts[cid].categories
         share = w / len(cats)
-        if len(cats) > 1:  # a frozenset iterates in hash order
-            cats = sorted(cats)
         for k in cats:
             out[k] = out.get(k, 0.0) + share
     return out

@@ -55,9 +55,9 @@ def random_taxonomy(
     for j in range(n_concepts):
         cid = "p%03d" % j
         n_links = min(n_cats, rng.choice([1, 1, 2, 3]))
-        cats = frozenset(rng.sample(cat_ids, n_links))
+        cats = tuple(sorted(rng.sample(cat_ids, n_links)))
         n_labels = rng.choice([1, 1, 2])
-        labs = frozenset(rng.sample(label_pool, min(n_labels, len(label_pool))))
+        labs = tuple(sorted(rng.sample(label_pool, min(n_labels, len(label_pool)))))
         concepts[cid] = Concept(id=cid, labels=labs, categories=cats)
     return Taxonomy(labels, parents, concepts)
 
@@ -130,8 +130,8 @@ def make_gap_benchmark(
                 cid = "p_" + stem
                 concepts[cid] = Concept(
                     id=cid,
-                    labels=frozenset([word_a, word_b]),
-                    categories=frozenset([sub]),
+                    labels=(word_a, word_b),  # "qa..." sorts before "qb..."
+                    categories=(sub,),
                 )
                 vocab[(c, "a")].append(word_a)
                 vocab[(c, "b")].append(word_b)
@@ -199,9 +199,7 @@ def make_calibration_groups(
             parents[sub] = frozenset([parent])
             word = "zz" + _letters(g) + _letters(i)
             cid = "p_" + _letters(g) + _letters(i)
-            concepts[cid] = Concept(
-                id=cid, labels=frozenset([word]), categories=frozenset([sub])
-            )
+            concepts[cid] = Concept(id=cid, labels=(word,), categories=(sub,))
             text = (word + " ") * 40
             docs.append(text)
             texts.append(text)

@@ -4,11 +4,16 @@ IC-based similarity measures.
 The taxonomy is a rooted DAG of categories (edges point child -> parent).
 Concepts attach to one or more categories and carry surface-string labels
 used for matching document terms.  Everything is immutable after load;
-a `Concept` is a named tuple, an immutable record built at tuple cost.
+a `Concept` is a named tuple, an immutable record built at tuple cost,
+whose labels and categories are sorted tuples of distinct strings: a
+tuple of one or two strings takes a quarter of a frozenset's memory,
+leaves the cyclic garbage collector's tracking at its first collection,
+and iterates in id order under any hash seed.
 
 Construction is iterative, so a taxonomy of any depth loads: one Kahn
 order over the child -> parent edges finds cycles and builds every table.
-A load streams the lines once.  The concepts are then tallied by their
+A load streams the lines once and hands the tables it builds to the
+taxonomy, which keeps them with no second copy.  The concepts are then tallied by their
 set of categories, each distinct set checked once, and read once more
 to build the label index.  Concept counts are plain sums wherever a
 category has one parent; bitsets carry only what could be reached twice
@@ -63,16 +68,33 @@ def fold_diacritics(s: str) -> str:
 
 
 class Concept(NamedTuple):
+    """A concept: its id, its labels and the ids of its categories.  In
+    a taxonomy, labels (normalized when loaded) and categories are sorted
+    tuples of distinct strings, and concepts with the same label or
+    category field share one tuple."""
+
     id: str
-    labels: frozenset[str]
-    categories: frozenset[str]
+    labels: tuple[str, ...]
+    categories: tuple[str, ...]
 
 
 class Taxonomy:
     """Validated category DAG.  Derived tables (concept counts, IC,
     ancestor bitsets and the similarity rows built from them, the exact
     label index) are computed once in the constructor; the
-    diacritic-folded label index on first use."""
+    diacritic-folded label index on first use.
+
+    The constructor copies its inputs: a category missing from `parents`
+    has no parents, and each concept's labels and categories become
+    sorted tuples of distinct strings, one tuple for each distinct value
+    (labels are taken as given).  `children` maps each category to the
+    frozenset of its children, and every leaf shares one empty
+    frozenset."""
+
+    category_labels: dict[str, str]
+    parents: dict[str, frozenset[str]]
+    children: dict[str, frozenset[str]]
+    concepts: dict[str, Concept]
 
     def __init__(
         self,
@@ -80,9 +102,38 @@ class Taxonomy:
         parents: dict[str, frozenset[str]],
         concepts: dict[str, Concept],
     ):
-        self.category_labels = dict(category_labels)
-        self.parents = {k: frozenset(parents.get(k, ())) for k in category_labels}
-        self.concepts = dict(concepts)
+        shared: dict[tuple[str, ...], tuple[str, ...]] = {}
+
+        def canonical(items) -> tuple[str, ...]:
+            t = tuple(sorted(set(items)))
+            return shared.setdefault(t, t)
+
+        self._build(
+            dict(category_labels),
+            {k: frozenset(parents.get(k, ())) for k in category_labels},
+            {cid: Concept(pid, canonical(labels), canonical(cats))
+             for cid, (pid, labels, cats) in concepts.items()},
+        )
+
+    @classmethod
+    def _adopt(
+        cls,
+        category_labels: dict[str, str],
+        parents: dict[str, frozenset[str]],
+        concepts: dict[str, Concept],
+    ) -> Taxonomy:
+        """A taxonomy that owns these tables as they are: every category
+        has a parents entry, and the concepts are in the constructor's
+        form.  parse_taxonomy builds them so, and hands them over without
+        a second copy."""
+        tax = cls.__new__(cls)
+        tax._build(category_labels, parents, concepts)
+        return tax
+
+    def _build(self, category_labels, parents, concepts):
+        self.category_labels = category_labels
+        self.parents = parents
+        self.concepts = concepts
         self._link_categories()
         order = self._children_first()
         counts = self._concept_counts = self._count_concepts(order, self._link_concepts())
@@ -133,25 +184,31 @@ class Taxonomy:
                 "multiple root categories: %s" % ", ".join(sorted(roots))
             )
         self.root = roots[0]
-        children: dict[str, set[str]] = {k: set() for k in self.category_labels}
+        labels = self.category_labels
+        below: dict[str, list[str]] = {}
         for child, ps in self.parents.items():
             for p in ps:
-                try:
-                    children[p].add(child)
-                except KeyError:
+                if p not in labels:
                     raise DanglingLinkError(
                         "category %s has unknown parent %s" % (child, p)
-                    ) from None
+                    )
+                cs = below.get(p)
+                if cs is None:
+                    below[p] = [child]
+                else:
+                    cs.append(child)
+        children = dict.fromkeys(labels, frozenset())  # every leaf shares one
+        children.update((p, frozenset(cs)) for p, cs in below.items())
         self.children = children
 
-    def _link_concepts(self) -> Counter[frozenset[str]]:
+    def _link_concepts(self) -> Counter[tuple[str, ...]]:
         """How many concepts link to each set of categories.  Each
         distinct set is checked once, and a bad concept is named by
         _check_concepts."""
         if not self.concepts:
             raise TaxonomyError("taxonomy has no concepts")
         links = Counter(map(itemgetter(2), self.concepts.values()))
-        if frozenset() in links or not frozenset().union(*links) <= self.category_labels.keys():
+        if () in links or not frozenset().union(*links) <= self.category_labels.keys():
             self._check_concepts()
         return links
 
@@ -218,7 +275,7 @@ class Taxonomy:
         return order
 
     def _count_concepts(
-        self, order: list[str], links: Counter[frozenset[str]]
+        self, order: list[str], links: Counter[tuple[str, ...]]
     ) -> dict[str, int]:
         """Concepts attached to each category or any descendant, each
         counted once, in children-first order from `links` (concepts per
@@ -234,7 +291,7 @@ class Taxonomy:
         everywhere in a tree, the bitset stays 0."""
         parents = self.parents
         plain = dict.fromkeys(self.category_labels, 0)
-        shared: dict[str, list[frozenset[str]]] = {}
+        shared: dict[str, list[tuple[str, ...]]] = {}
         for cats, n in links.items():
             if len(cats) == 1:
                 for k in cats:
@@ -242,7 +299,7 @@ class Taxonomy:
             else:
                 for k in cats:
                     shared.setdefault(k, []).append(cats)
-        first: dict[frozenset[str], int] = {}  # first bit of each claimed set
+        first: dict[tuple[str, ...], int] = {}  # first bit of each claimed set
         claimed = 0
         inbox: dict[str, int] = {}
         counts = {}
@@ -442,14 +499,25 @@ def sim_page(tax: Taxonomy, p1: str, p2: str, measure: str = "lin") -> float:
 # -- loading -------------------------------------------------------------
 
 
-def _id_set(field: str) -> frozenset[str]:
-    ids = frozenset(field.split(","))
-    return ids - {""} if "" in ids else ids
+def _ids(field: str) -> tuple[str, ...]:
+    """The sorted distinct ids of a comma-separated field, empty items
+    dropped."""
+    if "," not in field:
+        return (field,) if field else ()
+    ids = set(field.split(","))
+    ids.discard("")
+    return tuple(sorted(ids))
 
 
-def _label_set(field: str) -> frozenset[str]:
-    labels = frozenset(map(normalize_label, field.split("|")))
-    return labels - {""} if "" in labels else labels
+def _labels(field: str) -> tuple[str, ...]:
+    """The sorted distinct normalized labels of a |-separated field,
+    empty labels dropped."""
+    if "|" not in field:
+        label = normalize_label(field)
+        return (label,) if label else ()
+    labels = set(map(normalize_label, field.split("|")))
+    labels.discard("")
+    return tuple(sorted(labels))
 
 
 def parse_taxonomy(lines, source=None) -> Taxonomy:
@@ -464,7 +532,8 @@ def parse_taxonomy(lines, source=None) -> Taxonomy:
 
     The cyclic garbage collector is paused, process-wide, while the
     taxonomy is built, and left as the caller had it, also when the load
-    fails.
+    fails.  The taxonomy owns the tables the parse builds, with no second
+    copy.
     """
     enabled = gc.isenabled()
     gc.disable()
@@ -479,10 +548,12 @@ def _build_taxonomy(lines, source) -> Taxonomy:
     cat_labels: dict[str, str] = {}
     parents: dict[str, frozenset[str]] = {}
     concepts: dict[str, Concept] = {}
-    # homonyms share a label field and siblings a category field: each
-    # distinct field is split and normalized once per load
-    id_sets: dict[str, frozenset[str]] = {}
-    label_sets: dict[str, frozenset[str]] = {}
+    # homonyms share a label field and siblings a category or parent
+    # field: each distinct field is split and normalized once per load,
+    # and its concepts or categories share the result
+    parent_sets: dict[str, frozenset[str]] = {}
+    category_ids: dict[str, tuple[str, ...]] = {}
+    label_tuples: dict[str, tuple[str, ...]] = {}
     new_concept = tuple.__new__
     for lineno, raw in enumerate(lines, 1):
         # the newline stays on the last field: normalizing drops it from
@@ -494,15 +565,15 @@ def _build_taxonomy(lines, source) -> Taxonomy:
                 if rid in concepts:
                     raise _line_error(DuplicateIdError, source, lineno,
                                       "duplicate concept id %s" % rid)
-                labels = label_sets.get(fourth)
+                labels = label_tuples.get(fourth)
                 if labels is None:
-                    labels = label_sets[fourth] = _label_set(fourth)
+                    labels = label_tuples[fourth] = _labels(fourth)
                 if not labels:
                     raise _line_error(EmptyLabelError, source, lineno,
                                       "concept %s has no labels" % rid)
-                cats = id_sets.get(third)
+                cats = category_ids.get(third)
                 if cats is None:
-                    cats = id_sets[third] = _id_set(third)
+                    cats = category_ids[third] = _ids(third)
                 concepts[rid] = new_concept(Concept, (rid, labels, cats))
                 continue
             if kind == "C":
@@ -511,9 +582,9 @@ def _build_taxonomy(lines, source) -> Taxonomy:
                                       "duplicate category id %s" % rid)
                 cat_labels[rid] = third
                 fourth = fourth.rstrip("\n")
-                ps = id_sets.get(fourth)
+                ps = parent_sets.get(fourth)
                 if ps is None:
-                    ps = id_sets[fourth] = _id_set(fourth)
+                    ps = parent_sets[fourth] = frozenset(_ids(fourth))
                 parents[rid] = ps
                 continue
         kind = raw.rstrip("\n").split("\t")[0]
@@ -521,7 +592,7 @@ def _build_taxonomy(lines, source) -> Taxonomy:
             raise _line_error(TaxonomyError, source, lineno, "%s record needs 4 fields" % kind)
         if raw.strip() and not raw.startswith("#"):
             raise _line_error(TaxonomyError, source, lineno, "unknown record kind %r" % kind)
-    return Taxonomy(cat_labels, parents, concepts)
+    return Taxonomy._adopt(cat_labels, parents, concepts)
 
 
 def _line_error(error, source, lineno, message):

@@ -56,7 +56,8 @@ def brute_parse_taxonomy(lines):
     """The tables of taxonomy text, read one record at a time with
     generator-built id and label sets, then checked in the loader's
     order: roots, dangling parents, cycles, concepts.  Returns
-    category_labels, parents, concepts (id -> (labels, categories)),
+    category_labels, parents, concepts (id -> (labels, categories), each
+    a sorted tuple of distinct strings),
     label_index and folded_label_index, both label -> sorted distinct
     concept ids, or raises the loader's error class."""
     cat_labels, parents, concepts = {}, {}, {}
@@ -79,12 +80,12 @@ def brute_parse_taxonomy(lines):
         else:
             if rid in concepts:
                 raise DuplicateIdError(rid)
-            labels = frozenset(
+            labels = tuple(sorted({
                 " ".join(lab.casefold().split()) for lab in fourth.split("|") if lab.strip()
-            )
+            }))
             if not labels:
                 raise EmptyLabelError(rid)
-            concepts[rid] = (labels, frozenset(c for c in third.split(",") if c))
+            concepts[rid] = (labels, tuple(sorted({c for c in third.split(",") if c})))
     roots = [k for k, ps in parents.items() if not ps]
     if len(roots) != 1:
         raise MultipleRootsError(roots)

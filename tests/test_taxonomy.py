@@ -4,6 +4,7 @@ import math
 import random
 import re
 import sys
+import tracemalloc
 import weakref
 
 import pytest
@@ -208,18 +209,84 @@ class TestConcept:
 
     def test_parsed_concepts_equal_records_built_by_hand(self, toy_tax):
         def concept(cid, cat, *labels):
-            return Concept(cid, frozenset(labels), frozenset({cat}))
+            return Concept(cid, labels, (cat,))
 
         assert toy_tax.concepts == {
             "c1": concept("c1", "A1", "alpha"),
             "c2": concept("c2", "A1", "bravo", "jaguar"),
-            "c3": concept("c3", "A2", "charlie", "black hole"),
+            "c3": concept("c3", "A2", "black hole", "charlie"),
             "c4": concept("c4", "A", "delta"),
             "c5": concept("c5", "B1", "echo", "jaguar"),
             "c6": concept("c6", "B1", "foxtrot"),
             "c7": concept("c7", "B", "golf"),
         }
         assert all(type(c) is Concept for c in toy_tax.concepts.values())
+
+
+class TestLeanRecords:
+    """A loaded concept's labels and categories are sorted tuples of
+    distinct strings, shared by the concepts of one field, and every
+    leaf's child set is one empty frozenset."""
+
+    def test_category_field_gives_sorted_distinct_ids(self):
+        tax = parse_taxonomy(io.StringIO("C\tR\tr\t\nC\tA\ta\tR\nC\tB\tb\tR\nP\tc1\tB,A,,B\tx\n"))
+        assert tax.concepts["c1"].categories == ("A", "B")
+
+    def test_label_field_gives_sorted_distinct_normalized_labels(self):
+        tax = parse_taxonomy(io.StringIO("C\tR\tr\t\nP\tc1\tR\tJaguar|jaguar| \n"))
+        assert tax.concepts["c1"].labels == ("jaguar",)
+
+    def test_homonyms_share_one_tuple(self):
+        tax = parse_taxonomy(io.StringIO(TOY_TAXONOMY + "P\tc8\tA2\tjaguar\nP\tc9\tB\tjaguar\n"))
+        assert tax.concepts["c8"].labels is tax.concepts["c9"].labels == ("jaguar",)
+        built = Taxonomy(tax.category_labels, tax.parents, {
+            "x": Concept("x", frozenset({"jaguar"}), frozenset({"A1"})),
+            "y": Concept("y", ["jaguar"], ["A1"]),
+        })
+        assert built.concepts["x"].labels is built.concepts["y"].labels == ("jaguar",)
+        assert built.concepts["x"].categories is built.concepts["y"].categories == ("A1",)
+
+    def test_every_leaf_shares_one_empty_child_set(self, toy_tax):
+        leaves = [cs for cs in toy_tax.children.values() if not cs]
+        assert len(leaves) == 3
+        assert all(cs is leaves[0] for cs in leaves)
+        assert leaves[0] == frozenset()
+        assert all(type(cs) is frozenset for cs in toy_tax.children.values())
+        assert toy_tax.children["A"] == {"A1", "A2"}
+
+    def test_direct_taxonomy_does_not_follow_caller_dicts(self):
+        labels = {"R": "r", "A": "a"}
+        parents = {"A": {"R"}}
+        concepts = {"c1": Concept("c1", {"x"}, {"A"})}
+        tax = Taxonomy(labels, parents, concepts)
+        labels["B"] = "b"
+        parents["A"].add("B")
+        parents["B"] = {"R"}
+        concepts["c1"].labels.add("y")
+        concepts["c2"] = Concept("c2", {"z"}, {"R"})
+        assert tax.category_labels == {"R": "r", "A": "a"}
+        assert tax.parents == {"R": frozenset(), "A": frozenset({"R"})}
+        assert tax.concepts == {"c1": Concept("c1", ("x",), ("A",))}
+        assert tax.children == {"R": frozenset({"A"}), "A": frozenset()}
+        assert tax.label_index == {"x": ["c1"]}
+
+    def test_a_parsed_concept_retains_at_most_450_bytes(self):
+        # 1,000 categories in an 8-ary tree and 5,000 single-label
+        # concepts on 3,000 labels; the bound sits between the frozenset
+        # records (518 bytes a concept on Python 3.11) and the tuples (372)
+        rng = random.Random(24)
+        lines = ["C\tk0\tcategory 0\t\n"]
+        lines += ["C\tk%d\tcategory %d\tk%d\n" % (i, i, (i - 1) // 8) for i in range(1, 1000)]
+        lines += ["P\tp%d\tk%d\tlabel %d\n" % (j, rng.randrange(1000), rng.randrange(3000))
+                  for j in range(5000)]
+        tracemalloc.start()
+        try:
+            tax = parse_taxonomy(lines)
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(tax.concepts) == 5000
+        assert retained / len(tax.concepts) <= 450
 
 
 class TestConceptCount:
