@@ -10,9 +10,14 @@ print one JSON line:
     {"categories": ..., "concepts": ..., "load_s": ...,
      "ancestor_bytes": ..., "peak_rss_mb": ..., "tracked_containers": ...}
 
-``load_s`` is the wall time of the load, ``ancestor_bytes`` the size of
-the distinct ancestor-set ints the loaded taxonomy holds,
-``peak_rss_mb`` the child process's peak resident set size, which
+``load_s`` is the wall time of the load and of one young-generation
+collection after it.  The load pauses the cyclic collector, so the young
+pass it leaves runs at the next tracked allocation, and whether that
+falls inside the load or after it depends on the allocator's free lists,
+not on the load's work; stopping the clock only after ``gc.collect(0)``
+counts that pass in every run.  ``ancestor_bytes`` is the size of the
+distinct ancestor-set ints the loaded taxonomy holds, ``peak_rss_mb``
+the child process's peak resident set size, which
 includes the interpreter and the imported package, and
 ``tracked_containers`` the number of objects the cyclic garbage
 collector tracks that the load leaves behind once one young-generation
@@ -60,10 +65,10 @@ def measure_load(path):
     tracked_before = len(gc.get_objects())
     start = time.perf_counter()
     tax = load_taxonomy(path)
+    gc.collect(0)
     load_s = time.perf_counter() - start
     # ru_maxrss is in KiB on Linux
     peak_rss_mb = round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
-    gc.collect(0)
     tracked_containers = len(gc.get_objects()) - tracked_before
     distinct = {id(a): a for a in tax._anc.values()}
     print(json.dumps({

@@ -82,9 +82,10 @@ def _semcat_config(args) -> SemCatConfig:
 def _background(docs, config):
     """Document frequencies over the corpus's tokens after stopwords and
     lemmas: what build-index writes, and what a command without
-    --background uses."""
+    --background uses.  A document's distinct terms are the keys of its
+    term counts."""
     table = TermTable.from_config(config)
-    return build_background(table.terms(d.text) for d in docs)
+    return build_background(table.counts(d.text) for d in docs)
 
 
 def _load_background_or_build(args, docs, config):

@@ -22,8 +22,10 @@ if TYPE_CHECKING:
 # Unicode letter runs only: language-neutral tokenization.
 _TOKEN_RE = re.compile(r"[^\W\d_]+", re.UNICODE)
 # On ASCII text the letter runs are the runs of [A-Za-z]; every other
-# ASCII character, whitespace included, separates them.
-_ASCII_GAPS = str.maketrans({chr(c): " " for c in range(128) if not chr(c).isalpha()})
+# ASCII character, whitespace included, separates them.  One translate
+# pass lowercases A-Z and turns each separator into a space.
+_ASCII_RUNS = str.maketrans({chr(c): chr(c).lower() if chr(c).isalpha() else " "
+                             for c in range(128) if not chr(c).islower()})
 
 
 @dataclass(frozen=True)
@@ -61,7 +63,9 @@ def check_background(entries, where):
 
 
 def build_background(token_docs) -> BackgroundStats:
-    """Build stats from an iterable of token sequences (one per document)."""
+    """Build stats from an iterable of token sequences (one per document);
+    a sequence may repeat a token, or be a term -> count dict, whose keys
+    are its tokens."""
     df: Counter = Counter()
     n = 0
     for tokens in token_docs:
@@ -72,24 +76,31 @@ def build_background(token_docs) -> BackgroundStats:
 
 def _letter_runs(text: str) -> list[str]:
     """text's letter runs, in order: ASCII text is translated and split
-    in C, any other text goes through _TOKEN_RE."""
+    in C, and its runs come out lowercased; any other text goes through
+    _TOKEN_RE, with each run as written.  (Lowercasing a whole non-ASCII
+    text is not the same: "İ" lowers to "i" and a combining dot, which
+    is no letter, and a final sigma depends on what follows it.)"""
     if text.isascii():
-        return text.translate(_ASCII_GAPS).split()
+        return text.translate(_ASCII_RUNS).split()
     return _TOKEN_RE.findall(text)
 
 
 def tokenize(text: str) -> list[str]:
-    return [s.lower() for s in _letter_runs(text)]
+    """text's letter runs, each lowercased."""
+    runs = _letter_runs(text)
+    return runs if text.isascii() else [s.lower() for s in runs]
 
 
 class TermTable:
     """Each surface token's term, or None when the token is dropped,
     decided once per surface on first sight: lowercase, drop stopwords,
     apply the lemma map, then drop terms outside the document-frequency
-    cutoffs.  Build one table per batch of documents that share these
-    settings.  terms(text) gives a text's terms in order, for phrase
-    matching; counts(text) gives only each term's count, from the text's
-    letter runs counted first, for a caller with no phrases to match.
+    cutoffs.  ASCII surfaces come lowercased from _letter_runs, so every
+    case form of an ASCII word shares one entry.  Build one table per
+    batch of documents that share these settings.  terms(text) gives a
+    text's terms in order, for phrase matching; counts(text) gives only
+    each term's count, from the text's letter runs counted first, for a
+    caller with no phrases to match.
 
     Cutoffs apply only to terms the background corpus has seen; unseen
     terms are kept (they may still match concept labels).
@@ -168,14 +179,17 @@ def preprocess(
 
 class PhraseIndex:
     """Multi-word concept labels, indexed for greedy longest-match:
-    `longest` maps each first token to the length of the longest label
-    it starts."""
+    `phrases` holds each label's tokens, casefolded as concept labels
+    are, and `longest` maps each first token to the length of the longest
+    label it starts."""
 
     def __init__(self, phrases):
         self.phrases: set[tuple[str, ...]] = set()
         self.longest: dict[str, int] = {}
         for p in phrases:
-            toks = tuple(tokenize(p))
+            toks = tokenize(p)
+            # a lowercased ASCII token is its own casefold
+            toks = tuple(toks if p.isascii() else map(str.casefold, toks))
             if len(toks) >= 2:
                 self.phrases.add(toks)
                 self.longest[toks[0]] = max(self.longest.get(toks[0], 0), len(toks))
@@ -190,10 +204,15 @@ class PhraseIndex:
 def extract_phrases(tokens: list[str], index: PhraseIndex) -> list[str]:
     """Greedy leftmost-longest match of multi-word labels; matched spans
     become single space-joined phrase terms, everything else passes
-    through.  Spans are tried only where a label starts, and the tokens
-    between such places are copied as slices."""
+    through.  A span matches a label when its tokens' casefolds do
+    ("große straße" matches "grosse strasse"), and the phrase term joins
+    the tokens as they are.  Lowercase ASCII tokens are their own
+    casefolds, so they are folded only when some token is not ASCII.
+    Spans are tried only where a label starts, and the tokens between
+    such places are copied as slices."""
     longest = index.longest
-    starts = [i for i, t in enumerate(tokens) if t in longest]
+    keys = tokens if "".join(tokens).isascii() else [t.casefold() for t in tokens]
+    starts = [i for i, t in enumerate(keys) if t in longest]
     if not starts:
         return list(tokens)
     out = []
@@ -202,8 +221,8 @@ def extract_phrases(tokens: list[str], index: PhraseIndex) -> list[str]:
         if s < i:  # inside the phrase just matched
             continue
         out += tokens[i:s]
-        span = min(longest[tokens[s]], len(tokens) - s)
-        while span > 1 and tuple(tokens[s : s + span]) not in index.phrases:
+        span = min(longest[keys[s]], len(tokens) - s)
+        while span > 1 and tuple(keys[s : s + span]) not in index.phrases:
             span -= 1
         out.append(" ".join(tokens[s : s + span]) if span > 1 else tokens[s])
         i = s + span

@@ -278,8 +278,10 @@ def brute_preprocess(text, stopwords=frozenset(), lemmas=None, stats=None,
 
 def brute_extract_phrases(tokens, labels):
     """Greedy leftmost-longest match of the multi-word labels: at every
-    position try each span from the longest label's length down to 2."""
-    phrases = {tuple(brute_tokenize(lab)) for lab in labels}
+    position try each span from the longest label's length down to 2.  A
+    span matches a label when each token's casefold equals the casefold
+    of the label's token at its place; a match joins the tokens as given."""
+    phrases = {tuple(t.casefold() for t in brute_tokenize(lab)) for lab in labels}
     phrases = {p for p in phrases if len(p) >= 2}
     max_len = max((len(p) for p in phrases), default=1)
     out = []
@@ -289,7 +291,7 @@ def brute_extract_phrases(tokens, labels):
         matched = False
         for span in range(min(max_len, n - i), 1, -1):
             cand = tuple(tokens[i : i + span])
-            if cand in phrases:
+            if tuple(t.casefold() for t in cand) in phrases:
                 out.append(" ".join(cand))
                 i += span
                 matched = True

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import pathlib
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,10 +13,12 @@ import semtax.classics
 import semtax.cli
 import semtax.evaluate
 from semtax.cli import main
-from semtax.corpus import parse_corpus
+from semtax.corpus import Document, parse_corpus
 from semtax.errors import DataError
+from semtax.semcat import SemCatConfig
 from semtax.textpipe import PhraseIndex
 from conftest import TOY_TAXONOMY, chain_label, chain_taxonomy
+from oracles import brute_preprocess, brute_tokenize
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -518,6 +521,29 @@ def test_bad_model_file_exits_2(workdir, capsys, body, message):
     err = capsys.readouterr().err
     assert err.startswith("error: data: model file ")
     assert message in err
+
+
+BACKGROUND_WORDS = ["The", "the", "THE", "Cat", "CATS", "cats", "sat", "Große", "grosse",
+                    "İstanbul", "ΟΔΟΣ", "οδος", "naïve"]
+BACKGROUND_VOCAB = sorted({t for w in BACKGROUND_WORDS for t in brute_tokenize(w)})
+
+
+@settings(derandomize=True, max_examples=200)
+@given(
+    texts=st.lists(st.lists(st.sampled_from(BACKGROUND_WORDS + [" ", ", ", "42", "\u0307"]),
+                            max_size=20).map("".join), max_size=6),
+    stopwords=st.frozensets(st.sampled_from(BACKGROUND_VOCAB), max_size=3),
+    lemmas=st.dictionaries(st.sampled_from(BACKGROUND_VOCAB), st.sampled_from(BACKGROUND_VOCAB),
+                           max_size=4),
+)
+def test_background_counts_each_document_s_distinct_terms(texts, stopwords, lemmas):
+    """The df table of build-index and of a command without --background
+    counts each document's distinct terms after stopwords and lemmas."""
+    docs = [Document("d%d" % i, text) for i, text in enumerate(texts)]
+    stats = semtax.cli._background(docs, SemCatConfig(stopwords=stopwords, lemmas=lemmas))
+    assert stats.doc_count == max(len(texts), 1)
+    assert stats.doc_freq == Counter(
+        t for text in texts for t in set(brute_preprocess(text, stopwords, lemmas)))
 
 
 def test_categorize_without_background_counts_df_as_build_index_does(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """A seed fixes every output byte for byte, whatever PYTHONHASHSEED is.  A
-concept's categories are a frozenset, and the order of a set of strings
+concept's categories are a sorted tuple, but a category's parents
+(Taxonomy.parents) are a frozenset, and the order of a set of strings
 follows the hash seed, so only the sorting in each output keeps it fixed.
 categorize, train, classify and evaluate run on a taxonomy with homonyms
 and concepts of several categories, once under each of two hash seeds,

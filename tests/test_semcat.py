@@ -302,6 +302,17 @@ class TestCategorize:
         got = categorize("black hole", toy_tax, toy_background)
         assert got == {"A2": pytest.approx(1.0)}
 
+    def test_phrase_matches_label_whose_casefold_differs_from_its_lowercase(self):
+        # labels are casefolded ("Große Straße" -> "grosse strasse"), and a
+        # document's terms are only lowercased, so the phrase matches on
+        # the terms' casefolds; the one-word concepts must not win
+        tax = parse_taxonomy(["C\tR\tRoot\t", "C\tk\tK\tR", "C\tj\tJ\tR",
+                              "P\tp1\tk\tGroße Straße", "P\tp2\tj\tgrosse",
+                              "P\tp3\tj\tstrasse"])
+        stats = BackgroundStats(doc_count=10, doc_freq={})
+        for text in ("Große Straße", "grosse strasse", "GROSSE STRASSE", "große STRASSE"):
+            assert categorize(text, tax, stats) == {"k": 1.0}
+
     def test_order_invariance(self, toy_tax):
         terms = [("alpha", 0.2), ("jaguar", 0.5), ("echo", 0.3)]
         a = categorize_vector(dict(terms), toy_tax, SemCatConfig())

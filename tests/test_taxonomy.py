@@ -596,7 +596,8 @@ class TestLoaderMatchesOracle:
         assert tax.label_index == want["label_index"]
         assert tax.folded_label_index == want["folded_label_index"]
         index = PhraseIndex.from_taxonomy(tax)
-        phrases = {tuple(brute_tokenize(lab)) for labs, _ in want["concepts"].values() for lab in labs}
+        phrases = {tuple(t.casefold() for t in brute_tokenize(lab))
+                   for labs, _ in want["concepts"].values() for lab in labs}
         phrases = {p for p in phrases if len(p) >= 2}
         assert index.phrases == phrases
         longest = {}

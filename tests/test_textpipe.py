@@ -121,6 +121,11 @@ class TestTermTableMatchesOracle:
              max_df_ratio=0.5, labels=[])
     @example(texts=["a b c d a c b c d a b", "a b a"], stopwords=frozenset(), lemmas={},
              stats=None, min_df=2, max_df_ratio=0.5, labels=["a b", "a b c", "a c", "b c d", "a"])
+    # phrases match on casefolds: ß folds to ss, and a final sigma, which
+    # lowercasing keeps, folds to σ
+    @example(texts=["Große Straße, grosse STRASSE", "ΟΔΟΣ ΟΔΟΣ οδοσ ΟΔΟΣ"], stopwords=frozenset(),
+             lemmas={}, stats=None, min_df=2, max_df_ratio=0.5,
+             labels=["grosse strasse", "Οδοσ οδοσ"])
     def test_matches_oracle(self, texts, stopwords, lemmas, stats, min_df, max_df_ratio, labels):
         table = TermTable(stopwords, lemmas, stats, min_df, max_df_ratio)
         index = PhraseIndex(labels)
@@ -246,10 +251,39 @@ class TestAsciiTokenizerMatchesOracle:
     @example("İstanbul")
     @example("")
     @example("The café opens at nine, Tuesdays\tto\x0bFridays.")
+    @example("The CAT sat")
+    @example("McDONALD's ABC")
     def test_matches_oracle(self, text):
         assert tokenize(text) == brute_tokenize(text)
         stopwords, lemmas = frozenset({"the", "b"}), {"istanbul": "city", "d": "a"}
         assert TermTable(stopwords, lemmas).terms(text) == brute_preprocess(text, stopwords, lemmas)
+
+    # mixed-case ASCII words, so that one lowercase form has several surfaces
+    words = ["The", "the", "THE", "Cat", "cat", "CATS", "McDonald", "mcdonald", "A", "b", "Sat"]
+    vocab = st.sampled_from(sorted({w.lower() for w in words}))
+
+    @settings(derandomize=True, max_examples=300)
+    @given(
+        texts=st.lists(st.lists(st.sampled_from(words + [" ", ", ", "'s ", "42", "_"]), max_size=25)
+                       .map("".join), min_size=1, max_size=4),
+        stopwords=st.frozensets(vocab, max_size=3),
+        lemmas=st.dictionaries(vocab, vocab, max_size=4),
+        stats=st.builds(BackgroundStats, st.integers(1, 8),
+                        st.dictionaries(vocab, st.integers(1, 8), max_size=6)),
+        min_df=st.integers(0, 4),
+        max_df_ratio=st.sampled_from([0.25, 0.5, 1.0]),
+    )
+    @example(texts=["The CAT sat", "the cat SAT cats", "McDONALD's ABC"],
+             stopwords=frozenset({"the"}), lemmas={"cats": "cat", "mcdonald": "b"},
+             stats=BackgroundStats(4, {"cat": 2, "sat": 3, "b": 1}), min_df=2,
+             max_df_ratio=0.5)
+    def test_mixed_case_with_cutoffs_matches_oracle(self, texts, stopwords, lemmas, stats,
+                                                    min_df, max_df_ratio):
+        table = TermTable(stopwords, lemmas, stats, min_df, max_df_ratio)
+        for text in texts:
+            terms = table.terms(text)
+            assert terms == brute_preprocess(text, stopwords, lemmas, stats, min_df, max_df_ratio)
+            assert list(table.counts(text).items()) == list(Counter(terms).items())
 
 
 class TestTfidf:
