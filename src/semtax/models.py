@@ -74,8 +74,7 @@ def load_model(path) -> tuple[object, Pipeline]:
         check_config(pipeline.semcat, "pipeline.semcat")
         stats = pipeline.background
         if stats is not None:
-            check_background([(None, stats.doc_count), *stats.doc_freq.items()],
-                             _background_field(stats))
+            check_background(stats.doc_count, stats.doc_freq, _background_field(stats))
         return model, pipeline
     except DataError as exc:
         raise DataError("model file %s %s" % (path, exc)) from None

@@ -158,8 +158,9 @@ def project_to_categories(
     the order, and the float sums that follow it downstream, do not
     depend on the hash seed."""
     out: dict[str, float] = {}
+    categories = tax.concept_categories
     for _, cid, w in assignment.entries:
-        cats = tax.concepts[cid].categories
+        cats = categories[cid]
         share = w / len(cats)
         for k in cats:
             out[k] = out.get(k, 0.0) + share

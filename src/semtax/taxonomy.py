@@ -3,12 +3,15 @@ IC-based similarity measures.
 
 The taxonomy is a rooted DAG of categories (edges point child -> parent).
 Concepts attach to one or more categories and carry surface-string labels
-used for matching document terms.  Everything is immutable after load;
-a `Concept` is a named tuple, an immutable record built at tuple cost,
-whose labels and categories are sorted tuples of distinct strings: a
-tuple of one or two strings takes a quarter of a frozenset's memory,
-leaves the cyclic garbage collector's tracking at its first collection,
-and iterates in id order under any hash seed.
+used for matching document terms.  Everything is immutable after load.
+A taxonomy keeps its concepts as two columns, `concept_labels` and
+`concept_categories`, each a dict from concept id to a sorted tuple of
+distinct strings: a tuple of one or two strings takes a quarter of a
+frozenset's memory, leaves the cyclic garbage collector's tracking at its
+first collection, and iterates in id order under any hash seed, and the
+concepts of one field share one tuple.  No per-concept record is kept, so
+a load leaves the collector no container per concept; `concepts` is a
+read-only mapping that builds a `Concept` named tuple when it is read.
 
 Construction is iterative, so a taxonomy of any depth loads: one Kahn
 order over the child -> parent edges finds cycles and builds every table.
@@ -39,8 +42,8 @@ import gc
 import math
 import unicodedata
 from collections import Counter
+from collections.abc import Mapping
 from functools import cached_property
-from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import (
@@ -78,14 +81,45 @@ class Concept(NamedTuple):
     categories: tuple[str, ...]
 
 
+class ConceptView(Mapping):
+    """A taxonomy's concepts as a read-only mapping from id to `Concept`,
+    in the order the concepts were given.  Each read builds its record
+    from the two columns, so the fields are the columns' shared tuples."""
+
+    __slots__ = ("_labels", "_categories")
+
+    def __init__(self, labels: dict[str, tuple[str, ...]],
+                 categories: dict[str, tuple[str, ...]]):
+        self._labels = labels
+        self._categories = categories
+
+    def __getitem__(self, cid: str) -> Concept:
+        return Concept(cid, self._labels[cid], self._categories[cid])
+
+    def __contains__(self, cid) -> bool:
+        return cid in self._labels
+
+    def __iter__(self):
+        return iter(self._labels)
+
+    def __len__(self) -> int:
+        return len(self._labels)
+
+
 class Taxonomy:
     """Validated category DAG.  Derived tables (concept counts, IC,
     ancestor bitsets and the similarity rows built from them, the exact
     label index) are computed once in the constructor; the
     diacritic-folded label index on first use.
 
+    Concepts are kept as two columns: `concept_labels` and
+    `concept_categories` map each concept id, in the order given, to its
+    labels and to the ids of its categories, and `concepts` is a
+    read-only view of both that builds a `Concept` per read.
+
     The constructor copies its inputs: a category missing from `parents`
-    has no parents, and each concept's labels and categories become
+    has no parents, each concept must be stored under its own id
+    (TaxonomyError), and each concept's labels and categories become
     sorted tuples of distinct strings, one tuple for each distinct value
     (labels are taken as given).  `children` maps each category to the
     frozenset of its children, and every leaf shares one empty
@@ -94,13 +128,15 @@ class Taxonomy:
     category_labels: dict[str, str]
     parents: dict[str, frozenset[str]]
     children: dict[str, frozenset[str]]
-    concepts: dict[str, Concept]
+    concept_labels: dict[str, tuple[str, ...]]
+    concept_categories: dict[str, tuple[str, ...]]
+    concepts: ConceptView
 
     def __init__(
         self,
         category_labels: dict[str, str],
         parents: dict[str, frozenset[str]],
-        concepts: dict[str, Concept],
+        concepts: Mapping[str, Concept],
     ):
         shared: dict[tuple[str, ...], tuple[str, ...]] = {}
 
@@ -108,11 +144,17 @@ class Taxonomy:
             t = tuple(sorted(set(items)))
             return shared.setdefault(t, t)
 
+        concept_labels, concept_categories = {}, {}
+        for key, (cid, labels, cats) in concepts.items():
+            if cid != key:
+                raise TaxonomyError("concept under key %s has id %s" % (key, cid))
+            concept_labels[key] = canonical(labels)
+            concept_categories[key] = canonical(cats)
         self._build(
             dict(category_labels),
             {k: frozenset(parents.get(k, ())) for k in category_labels},
-            {cid: Concept(pid, canonical(labels), canonical(cats))
-             for cid, (pid, labels, cats) in concepts.items()},
+            concept_labels,
+            concept_categories,
         )
 
     @classmethod
@@ -120,25 +162,28 @@ class Taxonomy:
         cls,
         category_labels: dict[str, str],
         parents: dict[str, frozenset[str]],
-        concepts: dict[str, Concept],
+        concept_labels: dict[str, tuple[str, ...]],
+        concept_categories: dict[str, tuple[str, ...]],
     ) -> Taxonomy:
         """A taxonomy that owns these tables as they are: every category
-        has a parents entry, and the concepts are in the constructor's
-        form.  parse_taxonomy builds them so, and hands them over without
-        a second copy."""
+        has a parents entry, and the concept columns are in the
+        constructor's form, with their ids in one order.  parse_taxonomy
+        builds them so, and hands them over without a second copy."""
         tax = cls.__new__(cls)
-        tax._build(category_labels, parents, concepts)
+        tax._build(category_labels, parents, concept_labels, concept_categories)
         return tax
 
-    def _build(self, category_labels, parents, concepts):
+    def _build(self, category_labels, parents, concept_labels, concept_categories):
         self.category_labels = category_labels
         self.parents = parents
-        self.concepts = concepts
+        self.concept_labels = concept_labels
+        self.concept_categories = concept_categories
+        self.concepts = ConceptView(concept_labels, concept_categories)
         self._link_categories()
         order = self._children_first()
         counts = self._concept_counts = self._count_concepts(order, self._link_concepts())
         self.label_index = self._index_labels()
-        self.total_concepts = n = len(self.concepts)
+        self.total_concepts = n = len(concept_labels)
         ic_of = {s: 1.0 - math.log(1 + s) / math.log(1 + n) for s in set(counts.values())}
         ic = self._ic = {k: ic_of[s] for k, s in counts.items()}
         # only categories with children (the root alone in a one-category
@@ -205,9 +250,9 @@ class Taxonomy:
         """How many concepts link to each set of categories.  Each
         distinct set is checked once, and a bad concept is named by
         _check_concepts."""
-        if not self.concepts:
+        if not self.concept_categories:
             raise TaxonomyError("taxonomy has no concepts")
-        links = Counter(map(itemgetter(2), self.concepts.values()))
+        links = Counter(self.concept_categories.values())
         if () in links or not frozenset().union(*links) <= self.category_labels.keys():
             self._check_concepts()
         return links
@@ -218,8 +263,7 @@ class Taxonomy:
         sizes their lists exactly."""
         index: dict[str, list[str]] = {}
         several = []
-        concepts = self.concepts
-        for cid, labels in zip(concepts, map(itemgetter(1), concepts.values())):
+        for cid, labels in self.concept_labels.items():
             if not labels:
                 self._check_concepts()
             for lab in labels:
@@ -237,7 +281,9 @@ class Taxonomy:
     def _check_concepts(self):
         """Raise the error of the first concept, in order, that has no
         label or a missing or unknown category."""
-        for cid, (_, labels, cats) in self.concepts.items():
+        categories = self.concept_categories
+        for cid, labels in self.concept_labels.items():
+            cats = categories[cid]
             if not labels:
                 raise EmptyLabelError("concept %s has no labels" % cid)
             if not cats:
@@ -446,10 +492,10 @@ def mean_sim_page(
     formula = CATEGORY_MEASURES.get(measure)
     if formula is None:
         raise DataError("unknown similarity measure %r" % (measure,))
-    row, concepts, ic_by_bit = tax._row, tax.concepts, tax._ic_by_bit
+    row, concept_categories, ic_by_bit = tax._row, tax.concept_categories, tax._ic_by_bit
     try:
-        categories = [concepts[c].categories for c in candidates]
-        context_categories = [concepts[x].categories for x in context]
+        categories = [concept_categories[c] for c in candidates]
+        context_categories = [concept_categories[x] for x in context]
     except KeyError as exc:
         raise UnknownConceptError("unknown concept %s" % exc.args[0]) from None
     if not context:
@@ -547,14 +593,14 @@ def parse_taxonomy(lines, source=None) -> Taxonomy:
 def _build_taxonomy(lines, source) -> Taxonomy:
     cat_labels: dict[str, str] = {}
     parents: dict[str, frozenset[str]] = {}
-    concepts: dict[str, Concept] = {}
+    concept_labels: dict[str, tuple[str, ...]] = {}
+    concept_categories: dict[str, tuple[str, ...]] = {}
     # homonyms share a label field and siblings a category or parent
     # field: each distinct field is split and normalized once per load,
     # and its concepts or categories share the result
     parent_sets: dict[str, frozenset[str]] = {}
     category_ids: dict[str, tuple[str, ...]] = {}
     label_tuples: dict[str, tuple[str, ...]] = {}
-    new_concept = tuple.__new__
     for lineno, raw in enumerate(lines, 1):
         # the newline stays on the last field: normalizing drops it from
         # labels, and parent fields strip it
@@ -562,7 +608,7 @@ def _build_taxonomy(lines, source) -> Taxonomy:
         if len(fields) == 4:
             kind, rid, third, fourth = fields
             if kind == "P":
-                if rid in concepts:
+                if rid in concept_labels:
                     raise _line_error(DuplicateIdError, source, lineno,
                                       "duplicate concept id %s" % rid)
                 labels = label_tuples.get(fourth)
@@ -574,7 +620,8 @@ def _build_taxonomy(lines, source) -> Taxonomy:
                 cats = category_ids.get(third)
                 if cats is None:
                     cats = category_ids[third] = _ids(third)
-                concepts[rid] = new_concept(Concept, (rid, labels, cats))
+                concept_labels[rid] = labels
+                concept_categories[rid] = cats
                 continue
             if kind == "C":
                 if rid in cat_labels:
@@ -592,7 +639,7 @@ def _build_taxonomy(lines, source) -> Taxonomy:
             raise _line_error(TaxonomyError, source, lineno, "%s record needs 4 fields" % kind)
         if raw.strip() and not raw.startswith("#"):
             raise _line_error(TaxonomyError, source, lineno, "unknown record kind %r" % kind)
-    return Taxonomy._adopt(cat_labels, parents, concepts)
+    return Taxonomy._adopt(cat_labels, parents, concept_labels, concept_categories)
 
 
 def _line_error(error, source, lineno, message):

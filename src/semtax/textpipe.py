@@ -6,7 +6,9 @@ L1-normalized so that downstream category weights form a distribution.
 
 from __future__ import annotations
 
+import itertools
 import math
+import os
 import re
 from collections import Counter
 from dataclasses import dataclass
@@ -40,26 +42,33 @@ class BackgroundStats:
         return self.doc_freq.get(term, 1)
 
 
-def check_background(entries, where):
+def check_background(doc_count, doc_freq, where, header_at=0, complete=True):
     """DataError for the first bad entry of background statistics, in
-    order: entries yields (term, count) pairs, term None for the document
-    count, which must be given exactly once.  Every count is at least 1,
-    no term is blank, and the first largest df is no larger than the
-    document count.  where(term) gives the place and the shown value of
-    the entry last yielded: a file names its line, a model file its
-    field."""
-    doc_count, top_df, top = None, 0, None
-    for term, n in entries:
-        if term is None:
-            doc_count = n
-        elif not term.strip():
-            raise DataError("%s: blank term in %s" % where(term))
-        if n < 1:
-            raise DataError("%s: counts must be at least 1, got %s" % where(term))
-        if term is not None and n > top_df:
-            top_df, top = n, where(term)
+    order: the terms of doc_freq, with the document count after the
+    first header_at of them (doc_count None: not given).  Every count is
+    at least 1, no term is blank, and, when the statistics are complete,
+    the first largest df is no larger than the document count.  The
+    counts are checked in bulk, and the entries are walked only to name
+    a bad one: where(term) gives the place and the shown value of an
+    entry, term None for the document count; a file names its line, a
+    model file its field."""
+    counts = doc_freq.values()
+    if ((doc_count is not None and doc_count < 1) or min(counts, default=1) < 1
+            or not all(map(str.strip, doc_freq))):
+        entries = list(doc_freq.items())
+        if doc_count is not None:
+            entries.insert(header_at, (None, doc_count))
+        for term, n in entries:
+            if term is not None and not term.strip():
+                raise DataError("%s: blank term in %s" % where(term))
+            if n < 1:
+                raise DataError("%s: counts must be at least 1, got %s" % where(term))
+    if not complete:
+        return
+    top_df = max(counts, default=0)
     if top_df > doc_count:
-        raise DataError("%s: df is larger than #docs=%d, got %s" % (top[0], doc_count, top[1]))
+        place, shown = where(next(t for t, n in doc_freq.items() if n == top_df))
+        raise DataError("%s: df is larger than #docs=%d, got %s" % (place, doc_count, shown))
 
 
 def build_background(token_docs) -> BackgroundStats:
@@ -197,8 +206,10 @@ class PhraseIndex:
     @classmethod
     def from_taxonomy(cls, tax: Taxonomy) -> "PhraseIndex":
         """The index of tax's distinct labels; a label that is one letter
-        run is one token, never a phrase, so it is not tokenized."""
-        return cls(lab for lab in tax.label_index if not _TOKEN_RE.fullmatch(lab))
+        run is one token, never a phrase, so it is not tokenized.  An
+        ASCII label is one run when it is all letters."""
+        return cls(lab for lab in tax.label_index
+                   if not (lab.isalpha() if lab.isascii() else _TOKEN_RE.fullmatch(lab)))
 
 
 def extract_phrases(tokens: list[str], index: PhraseIndex) -> list[str]:
@@ -317,43 +328,77 @@ def load_lemmas(path) -> dict[str, str]:
 def load_background(path) -> BackgroundStats:
     """Read `term<TAB>df` lines and one `#docs=<n>` header, which may come
     after them; no term repeats, and the counts pass check_background,
-    which names the line of a bad one."""
-    doc_count = doc_line = None
-    df = {}
-    current = None  # the (lineno, line) of the entry last read
+    which names the line of a bad one.
 
-    def entries(fh):
-        nonlocal doc_count, doc_line, current
-        for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            try:
-                if line.startswith("#docs="):
-                    term, n = None, int(line[len("#docs=") :])
-                    if doc_line is not None:
-                        raise DataError("%s line %d: #docs= header repeats line %d"
-                                        % (path, lineno, doc_line))
-                    doc_count, doc_line = n, lineno
-                else:
-                    term, n = line.split("\t")
-                    n = int(n)
-                    if term in df:
-                        raise DataError("%s line %d: term %r repeats %s"
-                                        % (path, lineno, term, _first_line(path, term)))
-                    df[term] = n
-            except ValueError:
-                raise DataError(
-                    "%s line %d: expected #docs=<n> or term<TAB>df, got %r" % (path, lineno, line)
-                ) from None
-            current = lineno, line
-            yield term, n
-        if doc_count is None:
-            raise DataError("background stats file %s is missing the #docs= header" % path)
+    The file is streamed, and a line of one tab whose count parses, and
+    that is no header, is stored as it is read.  Its checks wait for
+    check_background over the whole table, or, at a line that fails to
+    load, over the entries before it, so the first error in line order
+    is the one raised."""
+    doc_count = doc_line = header_at = None
+    df = {}
+    blanks = []  # the blank lines, which hold no entry
+
+    def where(term):
+        """The line of an entry and its text, read again from a regular
+        file (a pipe cannot be), else as parsed."""
+        if term is None:
+            lineno, key, text = doc_line, "#docs=", "#docs=%d" % doc_count
+        else:
+            i = list(df).index(term)
+            # the entry's place among the non-blank lines, then its line
+            lineno = i + 1 + (header_at is not None and i >= header_at)
+            for b in blanks:
+                if b > lineno:
+                    break
+                lineno += 1
+            key, text = term + "\t", "%s\t%d" % (term, df[term])
+        if os.path.isfile(path):
+            with open(path, encoding="utf-8") as fh:
+                line = next(itertools.islice(fh, lineno - 1, None), "").rstrip("\n")
+            if line.startswith(key):
+                text = line
+        return "%s line %d" % (path, lineno), repr(text)
 
     with open(path, encoding="utf-8") as fh:
-        check_background(entries(fh), lambda term: ("%s line %d" % (path, current[0]),
-                                                    repr(current[1])))
+        for lineno, line in enumerate(fh, 1):
+            term, _, count = line.partition("\t")
+            if "\t" not in count and line[0] != "#":
+                try:
+                    n = int(count)  # int() drops the newline
+                except ValueError:
+                    pass
+                else:
+                    if term not in df:
+                        df[term] = n
+                        continue
+            # a blank line, the header, a repeated term or a bad line
+            text = line.rstrip("\n")
+            if not text.strip():
+                blanks.append(lineno)
+                continue
+            try:
+                if text.startswith("#docs="):
+                    n = int(text[len("#docs=") :])
+                    if doc_line is None:
+                        doc_count, doc_line, header_at = n, lineno, len(df)
+                        continue
+                    message = "#docs= header repeats line %d" % doc_line
+                else:
+                    term, n = text.split("\t")
+                    n = int(n)
+                    if term not in df:
+                        df[term] = n
+                        continue
+                    message = "term %r repeats %s" % (term, _first_line(path, term))
+            except ValueError:
+                message = "expected #docs=<n> or term<TAB>df, got %r" % text
+            check_background(doc_count, df, where, header_at, complete=False)
+            raise DataError("%s line %d: %s" % (path, lineno, message))
+    if doc_count is None:
+        check_background(None, df, where, complete=False)
+        raise DataError("background stats file %s is missing the #docs= header" % path)
+    check_background(doc_count, df, where, header_at)
     return BackgroundStats(doc_count=doc_count, doc_freq=df)
 
 

@@ -13,7 +13,8 @@ oracle keeps each weight pair as a tuple in a per-label dict.  The
 concept lookup oracle scans every concept's labels.  The committee
 oracle has each member rank each bag on its own and casts one vote per
 ranked label.  The taxonomy file oracle reads one record at a time and
-builds both label indexes eagerly.  The disambiguation oracle scores each candidate by its own
+builds both label indexes eagerly.  The background file oracle checks
+each line in full as it reads it.  The disambiguation oracle scores each candidate by its own
 brute_sim_page against every context concept.
 """
 
@@ -31,6 +32,7 @@ from semtax.ensemble import Vote, aggregate
 from semtax.errors import (
     CycleError,
     DanglingLinkError,
+    DataError,
     DuplicateIdError,
     EmptyLabelError,
     MultipleRootsError,
@@ -112,6 +114,55 @@ def brute_parse_taxonomy(lines):
         "label_index": label_index,
         "folded_label_index": {key: sorted(cids) for key, cids in folded.items()},
     }
+
+
+def brute_load_background(path):
+    """The (doc_count, doc_freq) of a background file, each line checked
+    in full as it is read, and the document count against the first
+    largest df at the end; or the loader's DataError message."""
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().split("\n")
+    doc_count = doc_line = top = None
+    df, first = {}, {}
+    for lineno, text in enumerate(lines, 1):
+        if not text.strip():
+            continue
+        where = "%s line %d" % (path, lineno)
+        bad = "%s: expected #docs=<n> or term<TAB>df, got %r" % (where, text)
+        if text.startswith("#docs="):
+            if not _is_int(text[6:]):
+                raise DataError(bad)
+            if doc_line is not None:
+                raise DataError("%s: #docs= header repeats line %d" % (where, doc_line))
+            n = int(text[6:])
+            doc_count, doc_line = n, lineno
+        else:
+            fields = text.split("\t")
+            if len(fields) != 2 or not _is_int(fields[1]):
+                raise DataError(bad)
+            term, n = fields[0], int(fields[1])
+            if term in df:
+                raise DataError("%s: term %r repeats line %d" % (where, term, first[term]))
+            if not term.strip():
+                raise DataError("%s: blank term in %r" % (where, text))
+            df[term], first[term] = n, lineno
+            if top is None or n > top[0]:
+                top = n, where, text
+        if n < 1:
+            raise DataError("%s: counts must be at least 1, got %r" % (where, text))
+    if doc_count is None:
+        raise DataError("background stats file %s is missing the #docs= header" % path)
+    if top is not None and top[0] > doc_count:
+        raise DataError("%s: df is larger than #docs=%d, got %r" % (top[1], doc_count, top[2]))
+    return doc_count, df
+
+
+def _is_int(s):
+    try:
+        int(s)
+    except ValueError:
+        return False
+    return True
 
 
 def brute_concept_set(parents, concept_cats, k):

@@ -289,6 +289,56 @@ class TestLeanRecords:
         assert retained / len(tax.concepts) <= 450
 
 
+class TestConceptColumns:
+    """A taxonomy keeps its concepts as two id-keyed columns, and
+    `concepts` is a read-only view that builds each record on a read."""
+
+    @staticmethod
+    def tracked_after_load(n):
+        """Containers the collector tracks after loading n concepts on one
+        label field and one category field, once a young pass has
+        untracked what it can."""
+        lines = ["C\tR\troot\t\n", "C\tA\ta\tR\n"]
+        lines += ["P\tp%d\tA\tjaguar|cat\n" % j for j in range(n)]
+        gc.collect()
+        before = len(gc.get_objects())
+        tax = parse_taxonomy(lines)
+        gc.collect(0)
+        tracked = len(gc.get_objects()) - before
+        assert len(tax.concepts) == n
+        return tracked
+
+    def test_a_load_tracks_no_container_per_concept(self):
+        assert self.tracked_after_load(1000) == self.tracked_after_load(2000)
+
+    def test_view_reads_the_columns(self, toy_tax):
+        concepts = toy_tax.concepts
+        assert list(concepts) == ["c1", "c2", "c3", "c4", "c5", "c6", "c7"]  # file order
+        assert len(concepts) == 7
+        assert concepts == {cid: Concept(cid, toy_tax.concept_labels[cid],
+                                         toy_tax.concept_categories[cid])
+                            for cid in toy_tax.concept_labels}
+        assert "c1" in concepts and "c9" not in concepts
+        with pytest.raises(KeyError):
+            concepts["c9"]
+        c2 = concepts["c2"]
+        assert c2 == ("c2", ("bravo", "jaguar"), ("A1",))
+        assert c2.labels is toy_tax.concept_labels["c2"]
+        assert c2.categories is toy_tax.concept_categories["c2"]
+        with pytest.raises(TypeError):
+            concepts["c2"] = c2
+
+    def test_constructor_copies_a_concept_view(self, toy_tax):
+        built = Taxonomy(toy_tax.category_labels, toy_tax.parents, toy_tax.concepts)
+        assert built.concepts == toy_tax.concepts
+        assert built.label_index == toy_tax.label_index
+
+    def test_concept_stored_under_another_id_is_an_error(self):
+        concepts = {"c1": Concept("c1", ("x",), ("R",)), "c2": Concept("c3", ("y",), ("R",))}
+        with pytest.raises(DataError, match="^concept under key c2 has id c3$"):
+            Taxonomy({"R": "r"}, {}, concepts)
+
+
 class TestConceptCount:
     def test_root_covers_all(self, toy_tax):
         assert concept_count(toy_tax, "R") == 7

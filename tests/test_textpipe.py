@@ -5,11 +5,18 @@ from collections import Counter
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import brute_extract_phrases, brute_preprocess, brute_term_vector, brute_tokenize
+from oracles import (
+    brute_extract_phrases,
+    brute_load_background,
+    brute_preprocess,
+    brute_term_vector,
+    brute_tokenize,
+)
 from semtax.errors import DataError, EmptyVectorError
 from semtax.semcat import Analyzer, SemCatConfig, term_vector
 from semtax.taxonomy import parse_taxonomy
 from semtax.textpipe import (
+    _TOKEN_RE,
     BackgroundStats,
     PhraseIndex,
     TermTable,
@@ -71,6 +78,29 @@ class TestExtractPhrases:
     def test_triple_beats_pair(self):
         index = PhraseIndex(["a b", "a b c"])
         assert extract_phrases(["a", "b", "c"], index) == ["a b c"]
+
+
+class TestPhraseIndexFromTaxonomy:
+    @settings(derandomize=True, max_examples=500)
+    @given(st.text(alphabet=st.characters(max_codepoint=127), max_size=8))
+    @example("")
+    @example("_")
+    def test_an_ascii_label_is_one_letter_run_when_it_is_all_letters(self, label):
+        # from_taxonomy settles ASCII labels by isalpha(), not the regex
+        assert label.isalpha() == bool(_TOKEN_RE.fullmatch(label))
+
+    @settings(derandomize=True, deadline=None)
+    @given(st.lists(st.text(alphabet="ab İß²-_ 1é", min_size=1, max_size=6), min_size=1,
+                    max_size=6))
+    def test_indexes_what_every_label_indexes(self, labels):
+        lines = ["C\tR\tr\t\n"] + ["P\tp%d\tR\t%s\n" % (i, lab) for i, lab in enumerate(labels)]
+        try:
+            tax = parse_taxonomy(lines)
+        except DataError:  # every label blank
+            return
+        index = PhraseIndex.from_taxonomy(tax)
+        every = PhraseIndex(tax.label_index)
+        assert (index.phrases, index.longest) == (every.phrases, every.longest)
 
 
 # surfaces whose lowercase forms differ in interesting ways: "İ" lowers
@@ -383,6 +413,39 @@ class TestFileFormats:
         message = "%s line %d: blank term" % (path, line)
         with pytest.raises(DataError, match=re.escape(message)):
             load_background(path)
+
+    # counts that int() reads, or not, in several spellings, and terms
+    # that are blank, repeat, or look like the header
+    COUNTS = st.sampled_from(["0", "1", "2", "3", "12", " 2", "+1", "-1", "007", "2 ", "1_0",
+                              "x", "", "2.0"])
+    TERMS = st.sampled_from(["fern", "moss", "ivy", "fern ", " ", "", "#x", "#docs=1"])
+    LINES = st.one_of(
+        st.builds("#docs={}".format, COUNTS),
+        st.builds("{}\t{}".format, TERMS, COUNTS),
+        st.sampled_from(["", "  ", "\t", " \t ", "fern", "fern\t1\t2", "#docs=2\t1",
+                         "# note", "#docs=3\r"]),
+    )
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(st.lists(LINES, max_size=8), st.booleans())
+    @example(["fern\t 03", "moss\t0", "#docs=4"], True)
+    @example(["#docs=1", "", "fern\t+2", "moss\t1"], False)
+    @example(["fern\t1", "#docs=2", "\t", "moss\tx"], True)
+    @example(["#docs=0", "fern\t1", "fern\t2"], True)
+    @example(["fern\t2", " \t1", "", "moss"], False)
+    def test_load_background_matches_oracle(self, tmp_path_factory, lines, newline):
+        """The stats, or the message of the first error in line order,
+        that a loader checking each line in full as it reads it gives."""
+        path = tmp_path_factory.getbasetemp() / "oracle_bg.tsv"
+        path.write_text("\n".join(lines) + "\n" * newline, encoding="utf-8")
+        try:
+            want = brute_load_background(path)
+        except DataError as exc:
+            with pytest.raises(DataError) as got:
+                load_background(path)
+            assert str(got.value) == str(exc)
+        else:
+            assert load_background(path) == BackgroundStats(*want)
 
     def test_lemmas_round_trip(self, tmp_path):
         path = tmp_path / "lemmas.tsv"
