@@ -16,7 +16,10 @@ read-only mapping that builds a `Concept` named tuple when it is read.
 Construction is iterative, so a taxonomy of any depth loads: one Kahn
 order over the child -> parent edges finds cycles and builds every table.
 A load streams the lines once and hands the tables it builds to the
-taxonomy, which keeps them with no second copy.  The concepts are then tallied by their
+taxonomy, which keeps them with no second copy.  Each distinct label or
+id field is read once, and the common ones take a fast path: a label of
+one lowercase ASCII word is its own normal form, and a field of two ids
+needs one comparison to sort.  The concepts are then tallied by their
 set of categories, each distinct set checked once, and read once more
 to build the label index.  Concept counts are plain sums wherever a
 category has one parent; bitsets carry only what could be reached twice
@@ -258,24 +261,23 @@ class Taxonomy:
         return links
 
     def _index_labels(self) -> dict[str, list[str]]:
-        """Label -> sorted concept ids, in one pass over the concepts; only
-        the labels of several concepts need sorting, and sorted() also
-        sizes their lists exactly."""
+        """Label -> sorted concept ids: one pass over the concepts appends
+        each id to its labels' lists, then each list of several ids is
+        replaced by a sorted() copy, which is also exactly sized.  A
+        concept with no label is named by _check_concepts."""
         index: dict[str, list[str]] = {}
-        several = []
         for cid, labels in self.concept_labels.items():
-            if not labels:
-                self._check_concepts()
             for lab in labels:
                 cids = index.get(lab)
                 if cids is None:
                     index[lab] = [cid]
                 else:
                     cids.append(cid)
-                    if len(cids) == 2:
-                        several.append(lab)
-        for lab in several:
-            index[lab] = sorted(index[lab])
+        if not all(self.concept_labels.values()):
+            self._check_concepts()
+        for lab, cids in index.items():
+            if len(cids) > 1:
+                index[lab] = sorted(cids)
         return index
 
     def _check_concepts(self):
@@ -331,33 +333,27 @@ class Taxonomy:
         plus the plain counts of its children of one parent.  What a
         category could reach by two paths goes into a bitset that is
         pushed to its parents: the concepts of each set of several
-        categories take consecutive bits, and so does the plain count of
-        a category of several parents.  A category's count is its plain
-        count plus the bits set below it, so where neither lies below, as
-        everywhere in a tree, the bitset stays 0."""
+        categories take consecutive bits, all claimed in one pass over
+        `links` before the walk, and the plain count of a category of
+        several parents takes the next ones in the walk.  A category's
+        count is its plain count plus the bits set below it, so where
+        neither lies below, as everywhere in a tree, the bitset stays 0."""
         parents = self.parents
         plain = dict.fromkeys(self.category_labels, 0)
-        shared: dict[str, list[tuple[str, ...]]] = {}
+        own: dict[str, int] = {}  # category -> bits of its sets of several
+        claimed = 0
         for cats, n in links.items():
             if len(cats) == 1:
-                for k in cats:
-                    plain[k] += n
+                plain[cats[0]] += n
             else:
+                bits = ((1 << n) - 1) << claimed
+                claimed += n
                 for k in cats:
-                    shared.setdefault(k, []).append(cats)
-        first: dict[tuple[str, ...], int] = {}  # first bit of each claimed set
-        claimed = 0
+                    own[k] = own.get(k, 0) | bits
         inbox: dict[str, int] = {}
         counts = {}
         for k in order:
-            below = inbox.pop(k, 0)
-            for cats in shared.get(k, ()):
-                n = links[cats]
-                i = first.get(cats)
-                if i is None:
-                    i = first[cats] = claimed
-                    claimed += n
-                below |= ((1 << n) - 1) << i
+            below = inbox.pop(k, 0) | own.pop(k, 0)
             n = plain[k]
             counts[k] = n + below.bit_count()
             ps = parents[k]
@@ -547,9 +543,13 @@ def sim_page(tax: Taxonomy, p1: str, p2: str, measure: str = "lin") -> float:
 
 def _ids(field: str) -> tuple[str, ...]:
     """The sorted distinct ids of a comma-separated field, empty items
-    dropped."""
+    dropped.  A field of one id or of two non-empty ids, the common
+    shapes, is read with no set and no sort."""
     if "," not in field:
         return (field,) if field else ()
+    a, _, b = field.partition(",")
+    if a and b and "," not in b:
+        return (a,) if a == b else (a, b) if a < b else (b, a)
     ids = set(field.split(","))
     ids.discard("")
     return tuple(sorted(ids))
@@ -557,9 +557,15 @@ def _ids(field: str) -> tuple[str, ...]:
 
 def _labels(field: str) -> tuple[str, ...]:
     """The sorted distinct normalized labels of a |-separated field,
-    empty labels dropped."""
+    empty labels dropped.  A field of one lowercase ASCII word, less its
+    trailing whitespace (the record's newline), is its own normal form,
+    by the test semcat.map_terms_to_concepts applies to query terms, so
+    it is taken as it is, with no case-fold, split or join."""
     if "|" not in field:
-        label = normalize_label(field)
+        word = field.rstrip()
+        if word.isalpha() and word.isascii() and word.islower():
+            return (word,)
+        label = normalize_label(word)
         return (label,) if label else ()
     labels = set(map(normalize_label, field.split("|")))
     labels.discard("")
@@ -596,44 +602,46 @@ def _build_taxonomy(lines, source) -> Taxonomy:
     concept_labels: dict[str, tuple[str, ...]] = {}
     concept_categories: dict[str, tuple[str, ...]] = {}
     # homonyms share a label field and siblings a category or parent
-    # field: each distinct field is split and normalized once per load,
-    # and its concepts or categories share the result
+    # field: each distinct field is split and normalized once per load
+    # (checked for labels then, too), and its concepts or categories
+    # share the result
     parent_sets: dict[str, frozenset[str]] = {}
     category_ids: dict[str, tuple[str, ...]] = {}
     label_tuples: dict[str, tuple[str, ...]] = {}
     for lineno, raw in enumerate(lines, 1):
         # the newline stays on the last field: normalizing drops it from
         # labels, and parent fields strip it
-        fields = raw.split("\t")
-        if len(fields) == 4:
-            kind, rid, third, fourth = fields
-            if kind == "P":
-                if rid in concept_labels:
-                    raise _line_error(DuplicateIdError, source, lineno,
-                                      "duplicate concept id %s" % rid)
-                labels = label_tuples.get(fourth)
-                if labels is None:
-                    labels = label_tuples[fourth] = _labels(fourth)
+        try:
+            kind, rid, third, fourth = raw.split("\t")
+        except ValueError:  # not a record of 4 fields
+            kind = None
+        if kind == "P":
+            if rid in concept_labels:
+                raise _line_error(DuplicateIdError, source, lineno,
+                                  "duplicate concept id %s" % rid)
+            labels = label_tuples.get(fourth)
+            if labels is None:
+                labels = label_tuples[fourth] = _labels(fourth)
                 if not labels:
                     raise _line_error(EmptyLabelError, source, lineno,
                                       "concept %s has no labels" % rid)
-                cats = category_ids.get(third)
-                if cats is None:
-                    cats = category_ids[third] = _ids(third)
-                concept_labels[rid] = labels
-                concept_categories[rid] = cats
-                continue
-            if kind == "C":
-                if rid in cat_labels:
-                    raise _line_error(DuplicateIdError, source, lineno,
-                                      "duplicate category id %s" % rid)
-                cat_labels[rid] = third
-                fourth = fourth.rstrip("\n")
-                ps = parent_sets.get(fourth)
-                if ps is None:
-                    ps = parent_sets[fourth] = frozenset(_ids(fourth))
-                parents[rid] = ps
-                continue
+            cats = category_ids.get(third)
+            if cats is None:
+                cats = category_ids[third] = _ids(third)
+            concept_labels[rid] = labels
+            concept_categories[rid] = cats
+            continue
+        if kind == "C":
+            if rid in cat_labels:
+                raise _line_error(DuplicateIdError, source, lineno,
+                                  "duplicate category id %s" % rid)
+            cat_labels[rid] = third
+            fourth = fourth.rstrip("\n")
+            ps = parent_sets.get(fourth)
+            if ps is None:
+                ps = parent_sets[fourth] = frozenset(_ids(fourth))
+            parents[rid] = ps
+            continue
         kind = raw.rstrip("\n").split("\t")[0]
         if kind in ("C", "P"):
             raise _line_error(TaxonomyError, source, lineno, "%s record needs 4 fields" % kind)

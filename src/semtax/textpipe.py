@@ -295,7 +295,10 @@ def _first_line(path, key: str) -> str:
     """Where `path` first has a non-blank line whose text up to the first
     tab is `key`, read again only when a repeated entry fails a load:
     "line N", or "an earlier line" when the file can no longer be read
-    the same way (a pipe, or a file changed since)."""
+    the same way (a pipe, or a file changed since).  Only a regular file
+    is opened again: reopening a FIFO would wait for another writer."""
+    if not os.path.isfile(path):
+        return "an earlier line"
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.rstrip("\n")

@@ -1,4 +1,5 @@
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -67,6 +68,24 @@ class TestMapping:
         unamb, amb = map_terms_to_concepts({"cafè": 1.0}, tax, exact_match=False)
         assert unamb.entries == [("cafè", "p1", 1.0)]
         assert not amb
+
+
+class TestLookupKey:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.one_of(st.text(alphabet="aBz09 \r\nİßΣ", min_size=1, max_size=8),
+                     st.text(min_size=1, max_size=8)))
+    def test_key_is_the_normalized_term(self, term):
+        # the inline lowercase-ASCII test in map_terms_to_concepts must
+        # look up what normalize_label gives
+        keys = []
+
+        class Index(dict):
+            def get(self, key, default=None):
+                keys.append(key)
+                return default
+
+        map_terms_to_concepts({term: 1.0}, SimpleNamespace(label_index=Index()))
+        assert keys == [normalize_label(term)]
 
 
 class TestConceptMemoMatchesOracle:

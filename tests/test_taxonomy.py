@@ -25,11 +25,14 @@ from semtax.synth import random_taxonomy
 from semtax.taxonomy import (
     Concept,
     Taxonomy,
+    _ids,
+    _labels,
     concept_count,
     information_content,
     load_taxonomy,
     mean_sim_page,
     msca,
+    normalize_label,
     parse_taxonomy,
     sim_lin,
     sim_page,
@@ -336,6 +339,12 @@ class TestConceptColumns:
     def test_concept_stored_under_another_id_is_an_error(self):
         concepts = {"c1": Concept("c1", ("x",), ("R",)), "c2": Concept("c3", ("y",), ("R",))}
         with pytest.raises(DataError, match="^concept under key c2 has id c3$"):
+            Taxonomy({"R": "r"}, {}, concepts)
+
+    def test_constructor_names_the_first_concept_with_no_labels(self):
+        concepts = {cid: Concept(cid, labels, ("R",))
+                    for cid, labels in [("c1", ("x",)), ("c2", ()), ("c3", ("x",)), ("c4", ())]}
+        with pytest.raises(EmptyLabelError, match="^concept c2 has no labels$"):
             Taxonomy({"R": "r"}, {}, concepts)
 
 
@@ -660,13 +669,48 @@ class TestLoaderMatchesOracle:
             assert information_content(tax, k) == brute_ic(want["parents"], concept_cats, k)
 
 
+class TestFieldFastPaths:
+    """The fast paths of the field readers give what the general rule
+    gives: sorted distinct non-empty items, labels normalized."""
+
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(st.text(alphabet="aBz09 \r|İßΣ", max_size=8), st.booleans())
+    @example("alpha", True)
+    @example("Alpha", True)
+    @example("a b", True)
+    @example("a\r", True)
+    @example("", True)
+    @example("", False)
+    @example("ß", False)
+    @example("İ", True)
+    @example("a|a", True)
+    def test_labels(self, text, newline):
+        field = text + "\n" * newline
+        want = tuple(sorted({normalize_label(item) for item in field.split("|")} - {""}))
+        assert _labels(field) == want
+
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(st.text(alphabet="abAB,", max_size=8))
+    @example("a,a")
+    @example(",a")
+    @example("a,")
+    @example("a,b,c")
+    @example("b,a")
+    @example(",")
+    def test_ids(self, field):
+        assert _ids(field) == tuple(sorted(set(field.split(",")) - {""}))
+
+
 class TestLoadErrorsNameTheLine:
     @pytest.mark.parametrize("line, error, message", [
         ("P\tc1\tA1\tagain", DuplicateIdError, "duplicate concept id c1"),
         ("C\tA\tA again\tR", DuplicateIdError, "duplicate category id A"),
         ("P\tc8\tA1\t | ", EmptyLabelError, "concept c8 has no labels"),
+        ("P\tc8\tA1\t", EmptyLabelError, "concept c8 has no labels"),
         ("P\tc8\tA1", TaxonomyError, "P record needs 4 fields"),
+        ("P\tc8\tA1\tx\ty", TaxonomyError, "P record needs 4 fields"),
         ("C\tA3\tA3\tA\tx", TaxonomyError, "C record needs 4 fields"),
+        ("C\tA3\tA3", TaxonomyError, "C record needs 4 fields"),
         ("X\tc8\tA1\tx", TaxonomyError, "unknown record kind 'X'"),
     ])
     def test_record_errors(self, line, error, message):

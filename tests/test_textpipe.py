@@ -1,5 +1,7 @@
 import math
+import os
 import re
+import threading
 from collections import Counter
 
 import pytest
@@ -488,3 +490,42 @@ class TestFileFormats:
         with pytest.raises(DataError) as exc:
             loader(path)
         assert str(exc.value) == "%s %s" % (path, message)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    @pytest.mark.parametrize("body, loader, message", [
+        ("#docs=5\nfern\t1\nfern\t3\n", load_background,
+         "line 3: term 'fern' repeats an earlier line"),
+        ("cats\tcat\ncats\tkitten\n", load_lemmas,
+         "line 2: surface 'cats' repeats an earlier line"),
+    ], ids=["background-term", "lemma-surface"])
+    def test_repeated_entry_in_a_fifo_is_not_read_again(self, tmp_path, body, loader, message):
+        # opening a FIFO again to find the first line would wait for a
+        # writer that never comes, so the load runs in a thread and a
+        # hang fails the test instead of stalling it
+        path = tmp_path / "pipe.tsv"
+        os.mkfifo(path)
+        outcome = {}
+
+        def write():
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(body)
+
+        def load():
+            try:
+                loader(path)
+            except DataError as exc:
+                outcome["error"] = str(exc)
+
+        writer = threading.Thread(target=write, daemon=True)
+        reader = threading.Thread(target=load, daemon=True)
+        writer.start()
+        reader.start()
+        reader.join(timeout=10)
+        hung = reader.is_alive()
+        if hung:
+            # a writer that opens and closes the FIFO releases the reader
+            os.close(os.open(path, os.O_WRONLY | os.O_NONBLOCK))
+            reader.join(timeout=10)
+        writer.join(timeout=10)
+        assert not hung, "the load waited on a second open of the FIFO"
+        assert outcome == {"error": "%s %s" % (path, message)}
