@@ -141,24 +141,65 @@ def paired_t_test(a: list, b: list) -> tuple[float, float]:
     n = len(a)
     if n < 2:
         raise DataError("paired t-test needs n >= 2")
-    import numpy as np
-
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     # finite scores can still differ by more than the largest float
-    with np.errstate(over="ignore", invalid="ignore"):
-        diffs = a - b
-    if not np.isfinite(diffs).all():
+    diffs = [float(x) - float(y) for x, y in zip(a, b)]
+    if not all(map(math.isfinite, diffs)):
         raise DataError("paired t-test needs finite scores")
-    sd = diffs.std(ddof=1)
+    # plain float sums, as numpy's mean and std would take them: an
+    # overflow gives inf, never an exception
+    mean = sum(diffs) / n
+    sd = math.sqrt(sum([(d - mean) * (d - mean) for d in diffs]) / (n - 1))
     if sd == 0.0:
         raise DegenerateInputError("differences have zero variance")
-    t = diffs.mean() / (sd / math.sqrt(n))
-    # imported here, not with the module: scipy.stats is most of a process's
-    # memory and start-up time, and nothing else in the package needs it
-    from scipy import stats as sps
+    t = mean / sd * math.sqrt(n)
+    return t, _t_two_sided_p(t, n - 1)
 
-    p = 2.0 * sps.t.sf(abs(t), df=n - 1)
-    return float(t), float(p)
+
+def _t_two_sided_p(t: float, df: int) -> float:
+    """P(|T| >= |t|) for Student's t with df degrees of freedom: the
+    regularized incomplete beta I_x(df/2, 1/2), x = df / (df + t^2),
+    with 1 - x taken as t^2 / (df + t^2), so that neither loses digits to
+    a difference from 1."""
+    tt = t * t
+    if math.isnan(tt):
+        return math.nan
+    if math.isinf(tt):
+        return 0.0
+    a, b = df / 2.0, 0.5
+    x, y = df / (df + tt), tt / (df + tt)
+    if y == 0.0:
+        return 1.0
+    if x == 0.0:
+        return 0.0
+    front = math.exp(math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+                     + a * math.log(x) + b * math.log(y))
+    # the continued fraction converges fast below the mean of the beta
+    # distribution; above it, use I_x(a, b) = 1 - I_y(b, a)
+    if x < (a + 1.0) / (a + b + 2.0):
+        return front * _beta_fraction(a, b, x) / a
+    return 1.0 - front * _beta_fraction(b, a, y) / b
+
+
+def _beta_fraction(a: float, b: float, x: float) -> float:
+    """The continued fraction of the incomplete beta function, by the
+    modified Lentz method (Numerical Recipes, 3rd ed., section 6.4)."""
+    tiny, eps = 1e-300, 1e-16
+    c, d = 1.0, 1.0 - (a + b) * x / (a + 1.0)
+    d = 1.0 / (d if abs(d) > tiny else tiny)
+    h = d
+    # it needs of the order of sqrt(max(a, b)) terms
+    for m in range(1, 100 + int(10 * math.sqrt(max(a, b)))):
+        m2 = 2 * m
+        for num in (m * (b - m) * x / ((a + m2 - 1.0) * (a + m2)),
+                    -(a + m) * (a + b + m) * x / ((a + m2) * (a + m2 + 1.0))):
+            d = 1.0 + num * d
+            d = 1.0 / (d if abs(d) > tiny else tiny)
+            c = 1.0 + num / c
+            c = c if abs(c) > tiny else tiny
+            h *= d * c
+        if abs(d * c - 1.0) < eps:
+            break
+    return h
 
 
 def extract_features(

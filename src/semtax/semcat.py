@@ -7,6 +7,7 @@ total weight of the terms that mapped to some concept.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .errors import ConfigError, DataError, EmptyVectorError
@@ -201,18 +202,20 @@ def term_vector(
 ) -> dict[str, float]:
     """The document's top-n tf-idf vector.  A caller that loops over
     documents passes one phrase index of tax and one term table of
-    (config, stats) to every call.  When the index has no multi-word
-    label, no token can join a phrase, so the term counts come straight
-    from the text's letter runs (TermTable.counts); otherwise the ordered
-    terms go through extract_phrases first.  Both give the same vector."""
+    (config, stats) to every call, whose kept idfs then weigh every
+    document.  When the index has no multi-word label, no token can join
+    a phrase, so the term counts come straight from the text's letter
+    runs (TermTable.counts); otherwise the ordered terms go through
+    extract_phrases first.  Both give the same vector."""
     table = term_table if term_table is not None else TermTable.from_config(config, stats)
     index = phrase_index if phrase_index is not None else PhraseIndex.from_taxonomy(tax)
     if index.longest:
-        terms = extract_phrases(table.terms(text), index)
+        counts = Counter(extract_phrases(table.terms(text), index))
     else:
-        terms = table.counts(text)
-    v = tfidf_weights(terms, stats)
-    return top_n_terms(v, config.top_terms)
+        counts = table.counts(text)
+    if table.stats is stats:
+        return table.vector(counts, config.top_terms)
+    return top_n_terms(tfidf_weights(counts, stats), config.top_terms)
 
 
 def categorize(

@@ -184,25 +184,36 @@ def rank_separations(
     G1 = V U^T and G2 = U U^T.  Their pair entries and diagonals are
     read once; each alpha combines them in place.
 
-    Ranks come from one sort per alpha.  The pairs in positions [a, b) of
-    the sorted order that tie all get the average rank (a + b + 1) / 2, so
-    twice the same-group rank sum is the integer sum over tie groups of
-    (a + b + 1) times the group's same-group pairs, and twice the other
-    pairs' sum is n(n + 1) less that, n the number of pairs.  Each mean
-    is then its exact half-integer sum over its count, the float that the
-    mean of tie-averaged ranks gives (the Mann-Whitney rank-sum
-    statistic)."""
+    Ranks come from one sort per alpha.  A pair's similarity s becomes
+    the integer rint(-1e9 s), which orders as -round(s, 9) and ties where
+    it does (classics.rank_order's rule), shifted left one bit to hold
+    the pair's same-group flag, and the int64 keys are sorted in place.
+    A tie group is then a run of equal key >> 1, with its different-group
+    pairs first.  Over the pairs in positions [a, b) of a group, d of them
+    different-group and m same-group, tie-averaged ranks give each pair
+    (a + b + 1) / 2, so the same-group pairs' ranks sum to m(a + b + 1) / 2,
+    which is the sum of their untied ranks p + 1 (p their positions) less
+    md / 2.  Twice the same-group rank sum is thus an integer: twice the
+    untied ranks of the same-group pairs, less md for each group that has
+    both kinds, found where an even key is followed by the next odd one.
+    Twice the other pairs' sum is n(n + 1) less that, n the number of
+    pairs.  Each mean is then its exact half-integer sum over its count,
+    the float that the mean of tie-averaged ranks gives (the Mann-Whitney
+    rank-sum statistic).  A NaN similarity spoils every rank, as it would
+    tie-averaged ones, and makes the separation NaN."""
     import numpy as np
 
-    groups = np.array([group for group, _ in base_vectors], dtype=object)
-    i, j = np.triu_indices(len(groups), k=1)
+    code: dict[str, int] = {}
+    groups = np.array([code.setdefault(group, len(code)) for group, _ in base_vectors])
+    n_docs = len(groups)
+    i, j = np.triu_indices(n_docs, k=1)
     same = (groups[i] == groups[j]).astype(np.int64)
     n_pairs, n_same = len(same), int(same.sum())
     if n_same in (0, n_pairs):
         raise CalibrationError("need at least one same-group and one different-group pair")
     keys = {k for _, v in base_vectors for k in v}
     column = {k: c for c, k in enumerate(sorted(keys.union(*(tax.parents[k] for k in keys))))}
-    V = np.zeros((len(groups), len(column)))
+    V = np.zeros((n_docs, len(column)))
     U = np.zeros_like(V)
     for row, (_, v) in enumerate(base_vectors):
         for k, w in v.items():
@@ -210,13 +221,17 @@ def rank_separations(
             parents = tax.parents[k]
             for p in parents:
                 U[row, column[p]] += w / len(parents)
+    # the flat positions of the pair entries (i, j) and (j, i) of an
+    # n_docs x n_docs matrix
+    upper, lower = i * n_docs + j, j * n_docs + i
     G = V @ V.T
-    pair0, diag0 = G[i, j], G.diagonal().copy()
+    pair0, diag0 = G.take(upper), G.diagonal().copy()
     G = V @ U.T
-    pair1, diag1 = G[i, j] + G[j, i], 2.0 * G.diagonal()
+    pair1, diag1 = G.take(upper) + G.take(lower), 2.0 * G.diagonal()
     G = U @ U.T
-    pair2, diag2 = G[i, j], G.diagonal().copy()
-    del G
+    pair2, diag2 = G.take(upper), G.diagonal().copy()
+    del G, upper, lower
+    untied = np.arange(1, n_pairs + 1)  # the rank of each sorted position
     separations = []
     for alpha in grid:
         norm = np.sqrt(diag0 + alpha * (diag1 + alpha * diag2))
@@ -225,17 +240,22 @@ def rank_separations(
         sims += pair1
         sims *= alpha
         sims += pair0
-        sims /= norm[i] * norm[j]
-        # descending similarity: rank 1 is the most similar pair
-        np.negative(np.round(sims, 9, out=sims), out=sims)
-        order = np.argsort(sims)
-        ranked = sims[order]
-        if np.isnan(ranked[-1]):  # NaN sorts last; like tie-averaged ranks, it spoils every rank
+        sims /= norm.take(i) * norm.take(j)
+        # descending similarity: the smallest key is the most similar pair
+        np.rint(np.multiply(sims, -1e9, out=sims), out=sims)
+        if np.isnan(sims).any():
             separations.append(math.nan)
             continue
-        starts = np.flatnonzero(np.r_[True, ranked[1:] != ranked[:-1]])
-        ends = np.r_[starts[1:], n_pairs]
-        twice_same = int((starts + ends + 1) @ np.add.reduceat(same[order], starts))
+        ranked = sims.astype(np.int64)
+        ranked <<= 1
+        ranked |= same
+        ranked.sort()
+        twice_same = 2 * int(untied @ (ranked & 1))
+        mixed = ranked[np.flatnonzero((ranked[1:] ^ ranked[:-1]) == 1)]
+        if len(mixed):  # the even keys of the groups with both kinds of pair
+            d = ranked.searchsorted(mixed, "right") - ranked.searchsorted(mixed)
+            m = ranked.searchsorted(mixed + 1, "right") - ranked.searchsorted(mixed + 1)
+            twice_same -= int(d @ m)
         twice_diff = n_pairs * (n_pairs + 1) - twice_same
         separations.append(twice_diff / 2 / (n_pairs - n_same) - twice_same / 2 / n_same)
     return separations

@@ -609,8 +609,8 @@ def _build_taxonomy(lines, source) -> Taxonomy:
     category_ids: dict[str, tuple[str, ...]] = {}
     label_tuples: dict[str, tuple[str, ...]] = {}
     for lineno, raw in enumerate(lines, 1):
-        # the newline stays on the last field: normalizing drops it from
-        # labels, and parent fields strip it
+        # the newline, "\n" or "\r\n", stays on the last field:
+        # normalizing drops it from labels, and parent fields strip it
         try:
             kind, rid, third, fourth = raw.split("\t")
         except ValueError:  # not a record of 4 fields
@@ -636,13 +636,13 @@ def _build_taxonomy(lines, source) -> Taxonomy:
                 raise _line_error(DuplicateIdError, source, lineno,
                                   "duplicate category id %s" % rid)
             cat_labels[rid] = third
-            fourth = fourth.rstrip("\n")
+            fourth = fourth.rstrip("\r\n")
             ps = parent_sets.get(fourth)
             if ps is None:
                 ps = parent_sets[fourth] = frozenset(_ids(fourth))
             parents[rid] = ps
             continue
-        kind = raw.rstrip("\n").split("\t")[0]
+        kind = raw.rstrip("\r\n").split("\t")[0]
         if kind in ("C", "P"):
             raise _line_error(TaxonomyError, source, lineno, "%s record needs 4 fields" % kind)
         if raw.strip() and not raw.startswith("#"):

@@ -100,6 +100,9 @@ def tokenize(text: str) -> list[str]:
     return runs if text.isascii() else [s.lower() for s in runs]
 
 
+_UNSEEN = object()  # a surface with no decision yet
+
+
 class TermTable:
     """Each surface token's term, or None when the token is dropped,
     decided once per surface on first sight: lowercase, drop stopwords,
@@ -112,7 +115,10 @@ class TermTable:
     caller with no phrases to match.
 
     Cutoffs apply only to terms the background corpus has seen; unseen
-    terms are kept (they may still match concept labels).
+    terms are kept (they may still match concept labels).  With stats,
+    the table also keeps each kept term's idf, stored when the term is
+    first seen (a phrase term's when first weighed), so that
+    vector(counts, n) weighs a document with no df lookup or log.
     """
 
     def __init__(
@@ -129,6 +135,7 @@ class TermTable:
         self.min_df = min_df
         self.max_df_ratio = max_df_ratio
         self._terms: dict[str, str | None] = {}
+        self.idf = _Idf.of(stats) if stats is not None else None
 
     @classmethod
     def from_config(
@@ -145,8 +152,14 @@ class TermTable:
         stats = self.stats
         if stats is not None:
             df = stats.doc_freq.get(tok)
-            if df is not None and (df < self.min_df or df / stats.doc_count > self.max_df_ratio):
+            if df is None:
+                df = 1
+            elif df < self.min_df or df / stats.doc_count > self.max_df_ratio:
                 return None
+            # the term's _Idf entry, from the df at hand; with no valid
+            # log, weighing raises what it raised before
+            if df > 0 and stats.doc_count >= 1:
+                self.idf[tok] = math.log(stats.doc_count / df)
         return tok
 
     def terms(self, text: str) -> list[str]:
@@ -162,16 +175,20 @@ class TermTable:
         first occurrence: Counter(self.terms(text)), but with the letter
         runs counted first, so that each distinct surface is looked up
         once per text."""
-        surfaces = Counter(_letter_runs(text))
         table = self._terms
-        for s in surfaces.keys() - table.keys():
-            table[s] = self._decide(s)
         out: dict[str, int] = {}
-        for s, n in surfaces.items():
-            t = table[s]
+        for s, n in Counter(_letter_runs(text)).items():
+            t = table.get(s, _UNSEEN)
+            if t is _UNSEEN:
+                t = table[s] = self._decide(s)
             if t is not None:
                 out[t] = out.get(t, 0) + n
         return out
+
+    def vector(self, counts: dict[str, int], n: int) -> dict[str, float]:
+        """top_n_terms(tfidf_weights(counts, self.stats), n), bit for bit,
+        with each term's idf taken from the table."""
+        return _vector(counts, self.stats, self.idf, n)
 
 
 def preprocess(
@@ -241,6 +258,68 @@ def extract_phrases(tokens: list[str], index: PhraseIndex) -> list[str]:
     return out
 
 
+class _Idf(dict):
+    """term -> idf under stats, log(doc_count / df(term)) with an unseen
+    term's df 1 (as BackgroundStats.df), so that novel vocabulary keeps a
+    high idf: computed at a term's first lookup unless TermTable._decide
+    stored it first, then kept."""
+
+    __slots__ = ("stats",)
+
+    @staticmethod
+    def of(stats: BackgroundStats) -> "_Idf":
+        idf = _Idf()  # dict's own constructor: no Python-level __init__ call
+        idf.stats = stats
+        return idf
+
+    def __missing__(self, term: str) -> float:
+        stats = self.stats
+        idf = self[term] = math.log(stats.doc_count / stats.doc_freq.get(term, 1))
+        return idf
+
+
+def _vector(
+    tf: dict[str, int], stats: BackgroundStats, idf: _Idf, n: int | None = None
+) -> dict[str, float]:
+    """The one weighting rule: weight(t) = tf(t) * idf[t] in tf's order,
+    zero weights dropped, L1-normalized, then, when n is given, cut to
+    the n heaviest as top_n_terms cuts.  Raises tfidf_weights' errors,
+    then top_n_terms'."""
+    if stats.doc_count < 1:
+        raise DataError("background stats are empty")
+    if not tf:
+        raise EmptyVectorError("no terms to weight")
+    weights = {}
+    for t, c in tf.items():
+        w = c * idf[t]
+        if w > 0.0:
+            weights[t] = w
+    if not weights:
+        raise EmptyVectorError("all term weights are zero")
+    if n is not None:
+        _check_n(n)
+        if len(weights) > n:
+            total = sum(weights.values())
+            # l1_normalize's weights, negated: -(w / total) is w / -total
+            return _heaviest(zip([w / -total for w in weights.values()], weights), n)
+    return l1_normalize(weights)
+
+
+def _check_n(n: int):
+    if n < 1:
+        raise DataError("n must be >= 1")
+
+
+def _heaviest(pairs, n: int) -> dict[str, float]:
+    """The terms of the n smallest (-weight, term) pairs, in that order
+    (the heaviest, ties by lexicographic term order), renormalized to
+    L1 = 1.  The sum of the negated weights is the negated sum, so each
+    quotient is the one of the weights themselves."""
+    kept = sorted(pairs)[:n]
+    total = sum([w for w, _ in kept])
+    return {t: w / total for w, t in kept}
+
+
 def tfidf_weights(
     terms: list[str] | dict[str, int], stats: BackgroundStats
 ) -> dict[str, float]:
@@ -250,20 +329,8 @@ def tfidf_weights(
     TermTable.counts makes it); both give the same weights in the same
     order.  Empty input (or all weights zero) is an error: the document
     cannot be categorized."""
-    if stats.doc_count < 1:
-        raise DataError("background stats are empty")
-    if not terms:
-        raise EmptyVectorError("no terms to weight")
     tf = terms if isinstance(terms, dict) else Counter(terms)
-    doc_count, df, log = stats.doc_count, stats.doc_freq.get, math.log
-    weights = {}
-    for t, n in tf.items():
-        w = n * log(doc_count / df(t, 1))  # df(t, 1): as BackgroundStats.df
-        if w > 0.0:
-            weights[t] = w
-    if not weights:
-        raise EmptyVectorError("all term weights are zero")
-    return l1_normalize(weights)
+    return _vector(tf, stats, _Idf.of(stats))
 
 
 def l1_normalize(weights: dict[str, float]) -> dict[str, float]:
@@ -274,13 +341,10 @@ def l1_normalize(weights: dict[str, float]) -> dict[str, float]:
 def top_n_terms(v: dict[str, float], n: int = 10) -> dict[str, float]:
     """Keep the n highest-weight terms (ties by lexicographic term order)
     and renormalize to L1 = 1."""
-    if n < 1:
-        raise DataError("n must be >= 1")
+    _check_n(n)
     if len(v) <= n:
         return dict(v)
-    # (-w, t) pairs sort as the key (-w, t) would; negating is exact
-    kept = sorted(zip(map(neg, v.values()), v))[:n]
-    return l1_normalize({t: -w for w, t in kept})
+    return _heaviest(zip(map(neg, v.values()), v), n)
 
 
 # -- file formats --------------------------------------------------------

@@ -25,7 +25,6 @@ import unicodedata
 from collections import Counter, defaultdict
 
 import numpy as np
-from scipy.stats import rankdata
 
 from semtax.classics import NBModel, WinnowModel
 from semtax.ensemble import Vote, aggregate
@@ -64,7 +63,7 @@ def brute_parse_taxonomy(lines):
     concept ids, or raises the loader's error class."""
     cat_labels, parents, concepts = {}, {}, {}
     for raw in lines:
-        line = raw.rstrip("\n")
+        line = raw.rstrip("\r\n")
         if not line.strip() or line.startswith("#"):
             continue
         fields = line.split("\t")
@@ -288,6 +287,14 @@ def brute_semcla_ranking(doc, classes, mode):
     return sorted(scores, key=lambda ls: (-round(ls[1], 9), ls[0]))
 
 
+def brute_average_ranks(values):
+    """The rank of each value, 1 for the smallest, with tied values
+    given the mean of their ranks: the L values below v and the E equal
+    to it (v included) give ranks L + 1 .. L + E, of mean (2L + E + 1) / 2."""
+    return [(2 * sum(u < v for u in values) + sum(u == v for u in values) + 1) / 2
+            for v in values]
+
+
 def brute_rank_separation(parents, base_vectors, alpha):
     """Mean rank of different-group pairs minus mean rank of same-group
     pairs, from the cosine of every pair of extended vectors rounded to 9
@@ -298,7 +305,7 @@ def brute_rank_separation(parents, base_vectors, alpha):
         for j in range(i + 1, len(extended)):
             sims.append(round(brute_cosine(extended[i][1], extended[j][1]), 9))
             same.append(extended[i][0] == extended[j][0])
-    ranks = rankdata([-s for s in sims], method="average")
+    ranks = brute_average_ranks([-s for s in sims])
     same_ranks = [r for r, s in zip(ranks, same) if s]
     diff_ranks = [r for r, s in zip(ranks, same) if not s]
     return float(np.mean(diff_ranks) - np.mean(same_ranks))

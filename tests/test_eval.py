@@ -19,6 +19,7 @@ from semtax.evaluate import (
     bucket_by_length,
     extract_features,
     lin_precision,
+    _t_two_sided_p,
     paired_t_test,
     precision,
     run_experiment,
@@ -115,6 +116,40 @@ class TestBuckets:
         assert sorted(ids) == sorted(d.id for d in docs)
 
 
+# (t, df, two-sided p), p from scipy.stats as 2 * t.sf(abs(t), df)
+STUDENT_T_POINTS = [
+    (0.01, 1, 0.993634014470186),
+    (0.5, 1, 0.7048327646991335),
+    (1.0, 1, 0.5000000000000001),
+    (12.7062, 1, 0.0500000185607104),
+    (35.0, 1, 0.01818418935129687),
+    (-318.3, 1, 0.0020000555383436376),
+    (1.0, 2, 0.4226497308103742),
+    (4.303, 2, 0.0499925249852145),
+    (-2.5, 3, 0.08770664700806556),
+    (0.2, 5, 0.8493605139958288),
+    (3.0, 5, 0.030099247897462586),
+    (31.6, 5, 5.959637473902006e-07),
+    (2.262, 9, 0.05001284550245463),
+    (-5.0, 9, 0.0007389679098032426),
+    (1.699, 29, 0.10002420437072623),
+    (40.0, 29, 6.346877329729342e-27),
+    (0.05, 100, 0.9602221217419742),
+    (1.984, 100, 0.04999677379616732),
+    (-6.5, 100, 3.179014026235434e-09),
+    (3.3, 1000, 0.00100099672500209),
+    (33.0, 1000, 3.7468790852704256e-162),
+]
+
+
+@pytest.mark.parametrize("t, df, p", STUDENT_T_POINTS)
+def test_p_value_matches_student_t(t, df, p):
+    """The continued-fraction p-value agrees with scipy's Student t to a
+    relative 1e-8 (it is within about 1e-13 at these points), from
+    df = 1 to 1000 and at |t| beyond 30."""
+    assert _t_two_sided_p(t, df) == pytest.approx(p, rel=1e-8, abs=0)
+
+
 class TestPairedT:
     def test_identical_lists_degenerate(self):
         with pytest.raises(DegenerateInputError):
@@ -133,7 +168,8 @@ class TestPairedT:
         expected_t = 0.2 / (sd / math.sqrt(5))
         assert t == pytest.approx(expected_t, abs=1e-9)
         assert round(t, 3) == 0.408
-        assert 0.0 < p < 1.0
+        # scipy.stats: 2 * t.sf(0.408248290463863, 4)
+        assert p == pytest.approx(0.7040000000000001, rel=1e-8)
 
     def test_antisymmetric(self):
         a = [0.9, 0.4, 0.6, 0.8]

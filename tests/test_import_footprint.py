@@ -1,11 +1,11 @@
 """What importing the package, and running its SemCat path, loads.  numpy
-and scipy.stats are most of a process's memory and start-up time; only
-the classical learners, committees, SemCla scoring, calibration and the
-paired t-test compute with them, and each of those imports them where it
-runs.  So no module may import either when it loads, and `semtax
-categorize` and semtax.categorize never load numpy.  Each check runs in
-a fresh interpreter, because this one has loaded whatever other tests
-imported."""
+is most of a process's memory and start-up time; only the classical
+learners, committees, SemCla scoring and calibration compute with it,
+and each of those imports it where it runs.  So no module may import it
+when it loads, and `semtax categorize` and semtax.categorize never load
+it.  scipy is no dependency: nothing loads it, and the tests pass
+without it.  Each check runs in a fresh interpreter, because this one
+has loaded whatever other tests imported."""
 
 import functools
 import json
@@ -110,3 +110,42 @@ def test_train_and_classify_load_numpy_when_they_score(tmp_path):
     assert codes == [0, 0]
     assert len((w / "out.tsv").read_text().splitlines()) == len(CORPUS)
     assert "numpy" in loaded
+
+
+def test_paired_t_test_loads_neither_numpy_nor_scipy():
+    t, loaded = _run("import json, sys\n"
+                     "from semtax.evaluate import paired_t_test\n"
+                     "print(json.dumps(paired_t_test([0.9, 0.4, 0.6], [0.5, 0.5, 0.2])))\n"
+                     + LOADED)
+    assert len(t) == 2
+    assert not {"numpy", "scipy"} & set(loaded)
+
+
+# a meta path finder that fails every import of scipy, installed before
+# pytest starts
+NO_SCIPY = """\
+import sys
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "scipy":
+            raise ModuleNotFoundError("No module named %r" % name, name=name)
+
+sys.meta_path.insert(0, NoScipy())
+import pytest
+
+sys.exit(pytest.main(sys.argv[1:]))
+"""
+
+
+def test_tests_pass_without_scipy():
+    """The whole suite, this test left out, passes in an interpreter
+    where importing scipy fails."""
+    root = SRC.parent
+    this = "%s::%s" % (pathlib.Path(__file__).resolve().relative_to(root).as_posix(),
+                       test_tests_pass_without_scipy.__name__)
+    run = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY, "-q", "-x", "-p", "no:cacheprovider",
+         "--deselect", this, "tests"],
+        cwd=root, capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(SRC)))
+    assert run.returncode == 0, run.stdout[-3000:] + run.stderr[-3000:]

@@ -246,6 +246,41 @@ class TestCalibration:
         with np.errstate(over="ignore", invalid="ignore"):
             assert math.isnan(rank_separation(base, toy_tax, 0.0))
 
+    def test_tie_group_with_both_kinds_of_pair(self, toy_tax):
+        """Ties are by similarity rounded to 9 decimals, whatever the
+        groups.  The four A1-heavy vectors tie at cosine 1 (the fourth's
+        differs only from the 11th decimal), in 2 same-group and 4
+        different-group pairs, ranks 1-6; the Y pair of cosine 1e-5 is
+        rank 7; the three pairs with the B1 vector tie at 0, ranks 8-10,
+        one same-group.  Same-group mean (3.5 + 3.5 + 7 + 9) / 4, the other
+        (4 * 3.5 + 2 * 9) / 6: the separation is 16/3 - 23/4 = -5/12.  Tie
+        groups split by group would give -2.5."""
+        base = [("X", {"A1": 1.0}), ("X", {"A1": 1.0}), ("Y", {"A1": 1.0}),
+                ("Y", {"A1": 1.0, "B1": 1e-5}), ("Y", {"B1": 1.0})]
+        assert rank_separations(base, toy_tax, [0.0]) == [16 / 3 - 23 / 4]
+        grid = (0.0, 0.2, 0.5)
+        assert rank_separations(base, toy_tax, grid) == [
+            brute_rank_separation(toy_tax.parents, base, a) for a in grid]
+
+    def test_gap_label_groups_pinned(self):
+        """The separations of the gap benchmark's training label groups,
+        as calibrate_alpha builds them, over the default grid, bit for
+        bit: every different-label pair has cosine 0 and every same-label
+        pair more, at every alpha."""
+        from semtax.semcat import Analyzer, SemCatConfig
+        from semtax.synth import make_gap_benchmark
+
+        bench = make_gap_benchmark(docs_per_side=210, seed=11)
+        analyzer = Analyzer(bench.taxonomy, bench.background, SemCatConfig())
+        groups = {}
+        for doc in bench.train_docs:
+            groups.setdefault(doc.label, []).append(doc.text)
+        base = [(label, analyzer.bag(text, "categories"))
+                for label in sorted(groups) for text in groups[label]]
+        got = rank_separations(base, bench.taxonomy, DEFAULT_ALPHA_GRID)
+        assert DEFAULT_ALPHA_GRID == (0.0, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.45, 0.5)
+        assert [s.hex() for s in got] == ["0x1.56e4000000000p+13"] * 11
+
 
 @st.composite
 def grouped_vectors(draw):

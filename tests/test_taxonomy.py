@@ -633,7 +633,22 @@ def taxonomy_texts(draw):
     bad = draw(st.integers(0, 3 * len(MALFORMED_LINES)))
     lines += MALFORMED_LINES[bad : bad + 1]
     lines = draw(st.permutations(lines))
-    return "".join(line + "\n" for line in lines)
+    newline = draw(st.sampled_from(("\n", "\r\n")))
+    return "".join(line + newline for line in lines)
+
+
+def test_crlf_lines_parse_as_lf_lines():
+    """A CRLF line's last field keeps its "\r" after the split: a
+    category's parent field "\r" must still read as no parent, and "r\r"
+    as the parent r."""
+    crlf = "C\tr\troot\t\r\nC\ta\tA\tr\r\nP\tp\ta\tx\r\n"
+    tax = parse_taxonomy(io.StringIO(crlf))
+    lf = parse_taxonomy(io.StringIO(crlf.replace("\r\n", "\n")))
+    assert tax.root == "r"
+    assert tax.parents == lf.parents == {"r": frozenset(), "a": frozenset({"r"})}
+    assert tax.label_index == lf.label_index == {"x": ["p"]}
+    with pytest.raises(TaxonomyError, match="unknown record kind 'Q'"):
+        parse_taxonomy(io.StringIO(crlf + "Q\r\n"))
 
 
 class TestLoaderMatchesOracle:

@@ -273,6 +273,72 @@ class TestTermVectorMatchesOracle:
         assert table.counts(text) == Counter(table.terms(text))
 
 
+class TestTableVectorMatchesWeighting:
+    """TermTable.vector, which weighs with the idfs the table keeps,
+    gives top_n_terms(tfidf_weights(counts, stats), n) in key order and
+    float bits, and raises what that raises, message included, with one
+    table shared by every text."""
+
+    # surfaces that share a term: ASCII case forms, non-ASCII case
+    # forms (lowercased one run at a time), and lemma targets
+    words = ["a", "b", "c", "d", "cat", "Cat", "CATS", "cats", "ärger", "Ärger", "ÄRGER",
+             "émile", "Émile", "zz"]
+    vocab = st.sampled_from(sorted({w.lower() for w in words}))
+
+    @staticmethod
+    def outcome(make):
+        try:
+            return _bits(make())
+        except DataError as exc:
+            return type(exc).__name__, str(exc)
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(
+        texts=st.lists(st.lists(st.sampled_from(words + [" ", ", ", "42"]), max_size=30)
+                       .map("".join), min_size=1, max_size=4),
+        lemmas=st.dictionaries(vocab, vocab, max_size=3),
+        doc_count=st.integers(1, 6),
+        df=st.dictionaries(vocab, st.integers(1, 8), max_size=8),
+        min_df=st.integers(0, 2),
+        max_df_ratio=st.sampled_from([0.5, 1.0, 2.0]),
+        n=st.integers(0, 8),
+    )
+    # df >= doc_count kept by the cutoff: idf 0 (a) and below 0 (b)
+    @example(texts=["a a b cat b"], lemmas={}, doc_count=2, df={"a": 2, "b": 3}, min_df=0,
+             max_df_ratio=2.0, n=3)
+    # equal weights: the cut keeps the smaller terms
+    @example(texts=["d c b a", "zz d c b a"], lemmas={}, doc_count=4, df={}, min_df=2,
+             max_df_ratio=0.5, n=2)
+    # n at least the number of terms: no cut
+    @example(texts=["c a b"], lemmas={}, doc_count=4, df={"a": 1}, min_df=0,
+             max_df_ratio=0.5, n=8)
+    # one table over texts whose surfaces merge: a lemma maps cats onto
+    # cat, and three case forms of ärger and two of émile share a term
+    @example(texts=["Cat CATS cats ärger Ärger", "ÄRGER émile cat Émile émile a", "cats zz"],
+             lemmas={"cats": "cat"}, doc_count=5, df={"cat": 2, "ärger": 1}, min_df=0,
+             max_df_ratio=0.5, n=2)
+    # both empty-vector errors, kept apart: no term, then only idf-0 terms
+    @example(texts=["", "42, 42", "a a", "a b"], lemmas={}, doc_count=4, df={"a": 4, "b": 4},
+             min_df=0, max_df_ratio=1.0, n=1)
+    def test_matches_weighting(self, texts, lemmas, doc_count, df, min_df, max_df_ratio, n):
+        stats = BackgroundStats(doc_count, df)
+        table = TermTable(frozenset(), lemmas, stats, min_df, max_df_ratio)
+        for text in texts:
+            counts = table.counts(text)
+            assert self.outcome(lambda: table.vector(counts, n)) == self.outcome(
+                lambda: top_n_terms(tfidf_weights(counts, stats), n))
+
+    def test_error_messages(self):
+        stats = BackgroundStats(4, {"a": 4})
+        table = TermTable(stats=stats, max_df_ratio=1.0)
+        assert self.outcome(lambda: table.vector(table.counts("42"), 3)) == (
+            "EmptyVectorError", "no terms to weight")
+        assert self.outcome(lambda: table.vector(table.counts("a a"), 3)) == (
+            "EmptyVectorError", "all term weights are zero")
+        assert self.outcome(lambda: table.vector(table.counts("b"), 0)) == (
+            "DataError", "n must be >= 1")
+
+
 class TestAsciiTokenizerMatchesOracle:
     """ASCII text is split by translate-and-split, any other text by the
     letter-run pattern; both equal the per-token oracle."""
