@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import islice, repeat
 
 from .corpus import Document
 from .errors import ConfigError
@@ -102,15 +103,21 @@ def make_gap_benchmark(
     in vocabulary A, test documents in vocabulary B, so bag-of-words
     learners see completely disjoint vocabularies while the taxonomy maps
     both sides onto the same categories.  n_classes, subcats_per_class
-    and concepts_per_subcat are each in 1..26 (ConfigError)."""
+    and concepts_per_subcat are each in 1..26, and docs_per_side and
+    words_per_doc are each at least 1 (ConfigError).  The seed fixes
+    every byte of the documents and the background."""
     _check_letter_counts(n_classes=n_classes, subcats_per_class=subcats_per_class,
                          concepts_per_subcat=concepts_per_subcat)
+    for name, n in (("docs_per_side", docs_per_side), ("words_per_doc", words_per_doc)):
+        if n < 1:
+            raise ConfigError("%s must be at least 1, got %r" % (name, n))
     rng = random.Random(seed)
     cat_labels = {"root": "root"}
     parents = {"root": frozenset()}
     concepts = {}
     label_categories = {}
     vocab = {}  # (class, side) -> word list
+    classes = []  # class -> (its category, its label, its subcategories)
     for c in range(n_classes):
         class_cat = "class_" + _letters(c)
         label = "topic_" + _letters(c)
@@ -119,8 +126,11 @@ def make_gap_benchmark(
         label_categories[label] = class_cat
         vocab[(c, "a")] = []
         vocab[(c, "b")] = []
+        subs = []
+        classes.append((class_cat, label, subs))
         for s in range(subcats_per_class):
             sub = class_cat + "_sub_" + _letters(s)
+            subs.append(sub)
             cat_labels[sub] = sub
             parents[sub] = frozenset([class_cat])
             for i in range(concepts_per_subcat):
@@ -140,19 +150,37 @@ def make_gap_benchmark(
     # filler words present in every document: removed by the frequent-term
     # cutoff, never mapped to a concept
     fillers = ["lorem", "ipsum", "dolor"]
+    # A draw below n follows random.choice and random.shuffle: take
+    # n.bit_length() bits and redraw while the value is n or more (a pool
+    # of one word still uses up bits).  Drawn from getrandbits here, so
+    # the stream, and every byte made from it, is theirs.
+    getrandbits = rng.getrandbits
+    shuffle_steps = [(i, (i + 1).bit_length())
+                     for i in range(words_per_doc + len(fillers) - 1, 0, -1)]
+    doc_words = []  # each document's words, once: its text repeats them
 
     def make_doc(doc_id, c, side):
-        words = [rng.choice(vocab[(c, side)]) for _ in range(words_per_doc)] + fillers
-        rng.shuffle(words)
+        pool = vocab[(c, side)]
+        n = len(pool)
+        k = n.bit_length()
+        # the draws below n are the first words_per_doc values below n
+        # among k-bit draws; islice stops without drawing one more
+        below_n = filter(n.__gt__, map(getrandbits, repeat(k)))
+        words = [pool[r] for r in islice(below_n, words_per_doc)]
+        words += fillers
+        for i, bits in shuffle_steps:
+            j = getrandbits(bits)
+            while j > i:
+                j = getrandbits(bits)
+            words[i], words[j] = words[j], words[i]
+        doc_words.append(words)
         text = " ".join(words)
         while len(text) < 1100:  # keep out of the excluded length bucket
             text = text + " " + text
-        sub = "class_%s_sub_%s" % (_letters(c), _letters(rng.randrange(subcats_per_class)))
-        annotation = sub if rng.random() < 0.7 else "class_" + _letters(c)
-        return Document(
-            id=doc_id, text=text, label="topic_" + _letters(c),
-            categories=(annotation,),
-        )
+        class_cat, label, subs = classes[c]
+        sub = subs[rng.randrange(subcats_per_class)]
+        annotation = sub if rng.random() < 0.7 else class_cat
+        return Document(id=doc_id, text=text, label=label, categories=(annotation,))
 
     train_docs = [
         make_doc("train%04d" % i, i % n_classes, "a") for i in range(docs_per_side)
@@ -160,9 +188,9 @@ def make_gap_benchmark(
     test_docs = [
         make_doc("test%04d" % i, i % n_classes, "b") for i in range(docs_per_side)
     ]
-    background = build_background(
-        tokenize(d.text) for d in train_docs + test_docs
-    )
+    # every vocabulary word and filler is one lowercase ASCII letter run,
+    # so a document's tokens are its words, repeated
+    background = build_background(doc_words)
     return GapBenchmark(
         taxonomy=tax,
         background=background,

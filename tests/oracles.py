@@ -15,7 +15,9 @@ oracle has each member rank each bag on its own and casts one vote per
 ranked label.  The taxonomy file oracle reads one record at a time and
 builds both label indexes eagerly.  The background file oracle checks
 each line in full as it reads it.  The disambiguation oracle scores each candidate by its own
-brute_sim_page against every context concept.
+brute_sim_page against every context concept.  The gap generator oracle
+draws each word with rng.choice, mixes each document with rng.shuffle
+and counts the background from every token of each doubled text.
 """
 
 import math
@@ -27,6 +29,7 @@ from collections import Counter, defaultdict
 import numpy as np
 
 from semtax.classics import NBModel, WinnowModel
+from semtax.corpus import Document
 from semtax.ensemble import Vote, aggregate
 from semtax.errors import (
     CycleError,
@@ -40,6 +43,7 @@ from semtax.errors import (
 )
 from semtax.semcat import ConceptAssignment
 from semtax.taxonomy import fold_diacritics, normalize_label
+from semtax.textpipe import build_background, tokenize
 
 
 def brute_ancestors(parents, k):
@@ -591,3 +595,34 @@ def brute_map_terms_to_concepts(v, tax, exact_match):
         else:
             ambiguous[term] = candidates
     return unambiguous, ambiguous
+
+
+def brute_gap_documents(*, n_classes, subcats_per_class, concepts_per_subcat,
+                        docs_per_side, words_per_doc, seed):
+    """(train documents, test documents, background) of the gap
+    benchmark as make_gap_benchmark made them with rng.choice and
+    rng.shuffle: each class's words in vocabulary order, each document's
+    words drawn and then shuffled with the three fillers, its text
+    doubled past 1,100 characters, and the background counted from every
+    token of every text."""
+    rng = random.Random(seed)
+
+    def letter(n):
+        return chr(ord("a") + n)
+
+    def make_doc(doc_id, c, side):
+        pool = ["q" + side + letter(c) + letter(s) + letter(i)
+                for s in range(subcats_per_class) for i in range(concepts_per_subcat)]
+        words = [rng.choice(pool) for _ in range(words_per_doc)] + ["lorem", "ipsum", "dolor"]
+        rng.shuffle(words)
+        text = " ".join(words)
+        while len(text) < 1100:
+            text = text + " " + text
+        sub = "class_%s_sub_%s" % (letter(c), letter(rng.randrange(subcats_per_class)))
+        annotation = sub if rng.random() < 0.7 else "class_" + letter(c)
+        return Document(id=doc_id, text=text, label="topic_" + letter(c),
+                        categories=(annotation,))
+
+    train = [make_doc("train%04d" % i, i % n_classes, "a") for i in range(docs_per_side)]
+    test = [make_doc("test%04d" % i, i % n_classes, "b") for i in range(docs_per_side)]
+    return train, test, build_background(tokenize(d.text) for d in train + test)
