@@ -1,7 +1,12 @@
+import gc
 import io
+import json
+import pathlib
+import random
 
 import pytest
 
+from semtax.synth import random_taxonomy
 from semtax.taxonomy import parse_taxonomy
 from semtax.textpipe import BackgroundStats
 
@@ -35,6 +40,48 @@ def chain_taxonomy(depth: int) -> str:
         lines.append("C\tc%d\tlevel %d\t%s" % (i, i, "c%d" % (i - 1) if i else ""))
         lines.append("P\tp%d\tc%d\t%s" % (i, i, chain_label(i)))
     return "\n".join(lines) + "\n"
+
+
+def write_command_inputs(w: pathlib.Path, docs: int = 40):
+    """Write into w a random taxonomy with homonyms and concepts of several
+    categories (tax.tsv), a labeled corpus of `docs` documents
+    (corpus.jsonl), each a prefix of the next larger one, and an
+    experiment config over both with paths relative to w (exp.json)."""
+    rng = random.Random(23)
+    tax = random_taxonomy(rng, max_categories=30, max_concepts=80)
+    lines = ["C\t%s\t%s\t%s" % (k, tax.category_labels[k], ",".join(sorted(tax.parents[k])))
+             for k in sorted(tax.category_labels)]
+    lines += ["P\t%s\t%s\t%s" % (c.id, ",".join(sorted(c.categories)), "|".join(sorted(c.labels)))
+              for c in sorted(tax.concepts.values())]
+    (w / "tax.tsv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    words = sorted(tax.label_index)
+    cats = sorted(tax.category_labels)
+    with open(w / "corpus.jsonl", "w", encoding="utf-8") as fh:
+        for i in range(docs):
+            text = " ".join(rng.choice(words) for _ in range(12))
+            fh.write(json.dumps({"id": "d%02d" % i, "text": text, "label": "xz"[i % 2],
+                                 "categories": [rng.choice(cats)]}) + "\n")
+    root = min(cats)
+    (w / "exp.json").write_text(json.dumps({
+        "taxonomy": "tax.tsv", "corpus_train": "corpus.jsonl", "corpus_test": "corpus.jsonl",
+        "label_categories": {"x": root, "z": cats[1]}, "buckets": False, "seed": 5,
+        "methods": [
+            {"name": "nb", "kind": "bayes", "features": "categories"},
+            {"name": "llda", "kind": "llda", "features": "concepts"},
+            {"name": "semcat", "kind": "semcat"},
+            {"name": "semcla", "kind": "semcla"},
+            {"name": "ensemble", "kind": "ensemble", "features": "categories",
+             "params": {"members": [["bayes", 3]], "level": "inf", "sample_size": 8}},
+        ],
+    }), encoding="utf-8")
+
+
+@pytest.fixture
+def collector_state_restored():
+    """Leave the cyclic collector enabled or disabled as the test found it."""
+    was = gc.isenabled()
+    yield
+    (gc.enable if was else gc.disable)()
 
 
 @pytest.fixture(scope="session")

@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import io
 import json
 import math
@@ -14,10 +15,10 @@ import semtax.cli
 import semtax.evaluate
 from semtax.cli import main
 from semtax.corpus import Document, parse_corpus
-from semtax.errors import DataError
+from semtax.errors import ConfigError, DataError
 from semtax.semcat import SemCatConfig
 from semtax.textpipe import PhraseIndex
-from conftest import TOY_TAXONOMY, chain_label, chain_taxonomy
+from conftest import TOY_TAXONOMY, chain_label, chain_taxonomy, write_command_inputs
 from oracles import brute_preprocess, brute_tokenize
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -1235,3 +1236,92 @@ def test_structurally_mutated_json_ends_in_a_clean_exit(structural_inputs, targe
         rc = main(argv)
     assert rc in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
+
+
+@pytest.mark.usefixtures("collector_state_restored")
+class TestCollectorPause:
+    """main pauses the cyclic collector while the command runs and leaves
+    it as it found it."""
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("raised, code", [
+        (None, 0), (ConfigError("bad"), 1), (DataError("bad"), 2), (OSError("bad"), 2),
+        (RuntimeError("bad"), None),
+    ], ids=["exit-0", "config-error", "data-error", "os-error", "unexpected"])
+    def test_state_kept(self, monkeypatch, capsys, enabled, raised, code):
+        seen = []
+
+        def command(args):
+            seen.append(gc.isenabled())
+            if raised is not None:
+                raise raised
+            return 0
+
+        monkeypatch.setattr(semtax.cli, "cmd_build_index", command)
+        (gc.enable if enabled else gc.disable)()
+        argv = ["build-index", "--corpus", "c.jsonl", "--out", "bg.tsv"]
+        if code is None:
+            with pytest.raises(RuntimeError):
+                main(argv)
+        else:
+            assert main(argv) == code
+        assert seen == [False]
+        assert gc.isenabled() is enabled
+
+    def test_no_collection_while_categorize_runs(self, tmp_path, monkeypatch, capsys):
+        """Pins the gain: with a threshold so low that almost any young
+        allocation starts a collection, none starts inside the command."""
+        write_command_inputs(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        assert main(["build-index", "--corpus", "corpus.jsonl", "--out", "bg.tsv"]) == 0
+        running, starts = [], []
+        categorize = semtax.cli.cmd_categorize
+
+        def command(args):
+            running.append(True)
+            try:
+                return categorize(args)
+            finally:
+                running.pop()
+
+        def hook(phase, info):
+            if phase == "start" and running:
+                starts.append(info["generation"])
+
+        monkeypatch.setattr(semtax.cli, "cmd_categorize", command)
+        threshold = gc.get_threshold()
+        gc.enable()
+        gc.set_threshold(10)
+        gc.callbacks.append(hook)
+        try:
+            assert main(["categorize", "--taxonomy", "tax.tsv", "--corpus", "corpus.jsonl",
+                         "--background", "bg.tsv", "--out", "cat.tsv"]) == 0
+        finally:
+            gc.callbacks.remove(hook)
+            gc.set_threshold(*threshold)
+        assert starts == []
+
+    def test_no_command_leaves_a_cycle_per_document(self, tmp_path, monkeypatch, capsys):
+        """Pins the premise: what a command leaves to the collector does not
+        grow with the corpus, so the pause lets nothing build up."""
+        argvs = [
+            "build-index --corpus corpus.jsonl --out bg.tsv",
+            "categorize --taxonomy tax.tsv --corpus corpus.jsonl --out cat.tsv",
+            "train --model semcla --taxonomy tax.tsv --corpus corpus.jsonl --out semcla.json",
+            "classify --model semcla.json --taxonomy tax.tsv --corpus corpus.jsonl --out sc.tsv",
+            "evaluate --config exp.json --out report.json",
+        ]
+        cyclic = {}
+        gc.disable()
+        for docs in (8, 8, 80):  # the first run of a command may import modules
+            w = tmp_path / str(docs)
+            w.mkdir(exist_ok=True)
+            write_command_inputs(w, docs)
+            monkeypatch.chdir(w)
+            counts = []
+            for argv in argvs:
+                gc.collect()
+                assert main(argv.split()) == 0
+                counts.append(gc.collect())
+            cyclic[docs] = counts
+        assert cyclic[80] == cyclic[8]

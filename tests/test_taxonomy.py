@@ -135,14 +135,9 @@ class TestLoad:
             gc.enable()
 
 
+@pytest.mark.usefixtures("collector_state_restored")
 class TestCollectorPause:
     """A load pauses the cyclic collector and leaves it as it found it."""
-
-    @pytest.fixture(autouse=True)
-    def restore_collector(self):
-        was = gc.isenabled()
-        yield
-        (gc.enable if was else gc.disable)()
 
     @pytest.fixture
     def toy_file(self, tmp_path):
