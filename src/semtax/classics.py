@@ -237,7 +237,8 @@ def winnow_train(
     sum_i (w+ - w-) x_i > theta.  Weights start at w+ = 1, w- = 0.5 and
     change only on mistakes and only for active features (x_i > 0): false
     negative promotes (w+ *= alpha, w- *= beta), false positive demotes
-    (w+ *= beta, w- *= alpha)."""
+    (w+ *= beta, w- *= alpha).  TrainingError when a weight ends up
+    infinite."""
     if not (alpha > 1 and 0 < beta < 1 and 1 <= epochs <= MAX_EPOCHS
             and math.isfinite(theta) and math.isfinite(alpha)):
         raise ConfigError("winnow needs alpha > 1, 0 < beta < 1, epochs in 1..%d, "
@@ -272,6 +273,10 @@ def winnow_train(
                     wn[j] *= down
         if mistakes == 0:
             break
+    for lab, wp, wn in rows:
+        if not all(map(math.isfinite, wp)) or not all(map(math.isfinite, wn)):
+            raise TrainingError("winnow alpha %r drove a weight of label %s past the float range"
+                                % (alpha, lab))
     weights = {lab: {f: (wp[j], wn[j]) for f, j in column.items()} for lab, wp, wn in rows}
     return WinnowModel(
         theta=theta, alpha=alpha, beta=beta, weights=weights, features=features

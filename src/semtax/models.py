@@ -5,6 +5,7 @@ turns text into the model's features."""
 from __future__ import annotations
 
 import json
+import math
 import types
 import typing
 from dataclasses import asdict, dataclass, fields, is_dataclass
@@ -92,13 +93,24 @@ def _background_field(stats: BackgroundStats):
 
 
 def check_probabilities(model):
-    """DataError unless the scorer of a bayes or llda model can take the
-    log of every probability it reads: each label's prior, and its
-    P(w|label) for every vocabulary word."""
+    """DataError unless the scorer of a classical model can use every
+    number it reads: a bayes or llda model takes the log of each label's
+    prior and its P(w|label) for every vocabulary word, which must be
+    finite and positive; a winnow model sums theta and its (w+, w-)
+    weights, which must be finite."""
+    if isinstance(model, WinnowModel):
+        if not math.isfinite(model.theta):
+            raise DataError("has field 'theta' = %r, not a finite number" % model.theta)
+        for lab, row in model.weights.items():
+            for f, pair in row.items():
+                if not all(map(math.isfinite, pair)):
+                    raise DataError("has field 'weights.%s.%s' = %r, not finite"
+                                    % (lab, f, list(pair)))
+        return
     if isinstance(model, NBModel):
         labels, rows, name = model.priors, model.likelihoods, "likelihoods"
         for lab, p in model.priors.items():
-            if not p > 0:
+            if not 0 < p < math.inf:
                 raise DataError("has field 'priors.%s' = %r, not a positive probability" % (lab, p))
     elif isinstance(model, LLDAModel):
         labels, rows, name = model.topics, model.phi, "phi"
@@ -108,7 +120,7 @@ def check_probabilities(model):
     for lab in labels:
         row = rows.get(lab, {})
         for w in vocabulary:
-            if not row.get(w, 0.0) > 0:
+            if not 0 < row.get(w, 0.0) < math.inf:
                 raise DataError("has field '%s.%s' without a positive probability for %r"
                                 % (name, lab, w))
 

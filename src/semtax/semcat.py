@@ -7,6 +7,7 @@ total weight of the terms that mapped to some concept.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -52,13 +53,15 @@ class SemCatConfig:
 
 
 def check_config(config: SemCatConfig, where: str = "semcat") -> SemCatConfig:
-    """config, when top_terms, disambig and measure are in range;
-    otherwise a DataError naming the field as where.<field>.  A caller
-    reading an experiment config raises it as a ConfigError."""
+    """config, when top_terms, disambig and measure are in range and
+    max_df_ratio is finite; otherwise a DataError naming the field as
+    where.<field>.  A caller reading an experiment config raises it as a
+    ConfigError."""
     for name, ok, allowed in (
         ("top_terms", config.top_terms >= 1, "at least 1"),
         ("disambig", config.disambig in DISAMBIG_METHODS, "one of " + ", ".join(DISAMBIG_METHODS)),
         ("measure", config.measure in CATEGORY_MEASURES, "one of " + ", ".join(CATEGORY_MEASURES)),
+        ("max_df_ratio", math.isfinite(config.max_df_ratio), "finite"),
     ):
         if not ok:
             raise DataError("has field '%s.%s' = %r, not %s"

@@ -1,3 +1,20 @@
+import sys
+
+assert "scipy" not in sys.modules, (
+    "something loaded scipy before tests/conftest.py; the suite must run without it")
+
+
+class NoScipy:
+    """A meta path finder that fails every scipy import: nothing in semtax
+    needs scipy, and the whole suite runs without it."""
+
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "scipy":
+            raise ModuleNotFoundError("No module named %r" % name, name=name)
+
+
+sys.meta_path.insert(0, NoScipy())
+
 import gc
 import io
 import json

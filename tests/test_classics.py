@@ -151,6 +151,16 @@ class TestWinnow:
         with pytest.raises(ConfigError):
             winnow_train([("a", {"f": 1.0})], beta=1.5)
 
+    def test_weight_past_the_float_range_is_training_error(self):
+        # contradictory bags: label a is promoted by alpha, then demoted by
+        # alpha, so its w- reaches 0.45 * 1e200 ** 2 in the second epoch
+        bags = [("a", {"f": 1.0}), ("b", {"f": 1.0})]
+        assert winnow_train(bags, alpha=1e200, epochs=1).weights["a"]["f"] == (
+            pytest.approx(9e199), pytest.approx(4.5e199))
+        with pytest.raises(TrainingError,
+                           match=r"winnow alpha 1e\+200 drove a weight of label a past"):
+            winnow_train(bags, alpha=1e200, epochs=2)
+
     def test_weights_stay_positive(self):
         rng = random.Random(3)
         docs = [

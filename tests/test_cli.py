@@ -493,6 +493,41 @@ def _semcla_with_background(background) -> str:
         ' "lemmas": {}}}}',
         "has field 'pipeline.semcat.disambig' = 'bogus'", id="pipeline-semcat-disambig-unknown",
     ),
+    pytest.param(
+        '{"type": "semcla", "alpha": 0.33, "classes": {"x": {"A": 1.0}},'
+        ' "pipeline": {"features": "categories", "taxonomy": true, "background": null,'
+        ' "semcat": {"top_terms": 10, "disambig": "nearest", "measure": "lin",'
+        ' "exact_match": true, "min_df": 2, "max_df_ratio": NaN, "stopwords": [],'
+        ' "lemmas": {}}}}',
+        "has field 'pipeline.semcat.max_df_ratio' = nan, not finite",
+        id="pipeline-semcat-max-df-ratio-nan",
+    ),
+    pytest.param(
+        '{"type": "bayes", "priors": {"x": Infinity}, "likelihoods": {"x": {"alpha": 1.0}},'
+        ' "vocabulary": ["alpha"]}',
+        "has field 'priors.x' = inf, not a positive probability", id="bayes-prior-inf",
+    ),
+    pytest.param(
+        '{"type": "bayes", "priors": {"x": 1.0}, "likelihoods": {"x": {"alpha": Infinity}},'
+        ' "vocabulary": ["alpha"]}',
+        "has field 'likelihoods.x' without a positive probability for 'alpha'",
+        id="bayes-likelihood-inf",
+    ),
+    pytest.param(
+        '{"type": "llda", "topics": ["x"], "phi": {"x": {"alpha": Infinity}}, "a_word": 0.01,'
+        ' "vocabulary": ["alpha"]}',
+        "has field 'phi.x' without a positive probability for 'alpha'", id="llda-phi-inf",
+    ),
+    pytest.param(
+        '{"type": "winnow", "theta": NaN, "alpha": 1.1, "beta": 0.9,'
+        ' "weights": {"x": {"alpha": [1.0, 0.5]}}, "features": ["alpha"]}',
+        "has field 'theta' = nan, not a finite number", id="winnow-theta-nan",
+    ),
+    pytest.param(
+        '{"type": "winnow", "theta": 1.0, "alpha": 1.1, "beta": 0.9,'
+        ' "weights": {"x": {"alpha": [Infinity, 0.5]}}, "features": ["alpha"]}',
+        "has field 'weights.x.alpha' = [inf, 0.5], not finite", id="winnow-weight-inf",
+    ),
     *(pytest.param(_semcla_with_background(background), message, id="pipeline-background-" + name)
       for name, background, message in [
           ("doc-count-zero", {"doc_count": 0, "doc_freq": {"alpha": 1}},
@@ -803,6 +838,23 @@ def test_calibrate_alpha_prints_grid_member(workdir, capsys):
     assert float(out.strip().split("=")[1]) in (0.0, 0.1)
 
 
+def test_evaluate_out_prints_the_table_of_the_report(tmp_path, monkeypatch, capsys):
+    """With --out, stdout holds a header line and then one row per method,
+    in config order, whose values are the report's, floats to 3 decimals."""
+    write_command_inputs(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "report.json"
+    assert main(["evaluate", "--config", "exp.json", "--out", str(out)]) == 0
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header.split() == ["method", "precision", "lin_precision", "unclassified"]
+    report = json.loads(out.read_text())
+    methods = json.loads((tmp_path / "exp.json").read_text())["methods"]
+    assert [r["name"] for r in report["results"]] == [m["name"] for m in methods]
+    assert [row.split() for row in rows] == [
+        [r["name"], "%.3f" % r["overall_precision"], "%.3f" % r["overall_lin_precision"],
+         str(r["unclassified"])] for r in report["results"]]
+
+
 def test_evaluate_echoes_config_as_given(workdir, capsys):
     cfg = {
         "taxonomy": str(workdir / "tax.tsv"),
@@ -842,6 +894,20 @@ def test_train_winnow_non_finite_hyperparameter_exits_1(workdir, capsys, hyperpa
     err = capsys.readouterr().err
     assert err.startswith("error: config: winnow needs")
     assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_train_winnow_weight_past_the_float_range_exits_2(tmp_path, capsys):
+    # the bags of two labels share features, so some label is promoted and
+    # demoted by alpha in turn
+    write_command_inputs(tmp_path)
+    out = tmp_path / "winnow.json"
+    rc = main(["train", "--model", "winnow", "--corpus", str(tmp_path / "corpus.jsonl"),
+               "--out", str(out), "--winnow-alpha", "1e308"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "error: data: winnow alpha 1e+308 drove a weight of label " in err
+    assert "past the float range" in err
     assert not out.exists()
 
 
@@ -982,6 +1048,10 @@ def learner(cfg, kind, **params):
     (lambda cfg: dict(cfg, methods=[{"name": "m", "kind": "bayes"},
                                     {"name": "m", "kind": "semcat"}]),
      "method m: two methods have this name"),
+    (lambda cfg: dict(cfg, semcat={"max_df_ratio": math.nan}),
+     "'semcat.max_df_ratio' = nan, not finite"),
+    (lambda cfg: dict(cfg, semcat={"max_df_ratio": math.inf}),
+     "'semcat.max_df_ratio' = inf, not finite"),
 ], ids=["not-json", "not-object", "method-without-kind", "unknown-semcat-key",
         "semcat-value-type",
         "no-label-categories", "empty-label-categories", "label-category-list",
@@ -1000,7 +1070,7 @@ def learner(cfg, kind, **params):
         "llda-param-unknown", "semcat-param-unknown", "semcla-param-unknown",
         "committee-param-unknown", "ensemble-semcat-weights", "semcom-aggregation",
         "method-name-list", "method-name-object", "method-kind-list", "method-kind-object",
-        "method-name-repeated"])
+        "method-name-repeated", "semcat-max-df-ratio-nan", "semcat-max-df-ratio-inf"])
 def test_evaluate_bad_config_exits_1(workdir, capsys, edit, message):
     cfg = {
         "taxonomy": str(workdir / "tax.tsv"),
