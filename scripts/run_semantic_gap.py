@@ -13,6 +13,15 @@ import sys
 from semtax.evaluate import ExperimentConfig, MethodSpec, run_experiment
 from semtax.synth import make_gap_benchmark
 
+GAP_METHODS = (
+    MethodSpec("nb_terms", "bayes", features="terms"),
+    MethodSpec("winnow_terms", "winnow", features="terms"),
+    MethodSpec("nb_categories", "bayes", features="categories"),
+    MethodSpec("winnow_categories", "winnow", features="categories"),
+    MethodSpec("semcat", "semcat"),
+    MethodSpec("semcla", "semcla"),
+)
+
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
@@ -22,20 +31,12 @@ def main(argv=None):
     args = ap.parse_args(argv)
 
     bench = make_gap_benchmark(docs_per_side=args.docs_per_side, seed=args.seed)
-    methods = [
-        MethodSpec("nb_terms", "bayes", features="terms"),
-        MethodSpec("winnow_terms", "winnow", features="terms"),
-        MethodSpec("nb_categories", "bayes", features="categories"),
-        MethodSpec("winnow_categories", "winnow", features="categories"),
-        MethodSpec("semcat", "semcat"),
-        MethodSpec("semcla", "semcla"),
-    ]
     cfg = ExperimentConfig(
         taxonomy=bench.taxonomy,
         background=bench.background,
         train_docs=bench.train_docs,
         test_docs=bench.test_docs,
-        methods=methods,
+        methods=list(GAP_METHODS),
         label_categories=bench.label_categories,
         seed=args.seed,
     )

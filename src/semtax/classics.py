@@ -1,7 +1,8 @@
 """Baseline supervised classifiers: multinomial Naive Bayes, Balanced
-Winnow (one-vs-rest) and Labeled LDA.  Each trained model ranks labels
-through one linear form, score = bias + W·x, so that a committee of them
-scores every member with one matrix product.
+Winnow (one-vs-rest) and Labeled LDA.  Each trained model, and a SemCla
+model too, ranks labels through one linear form, score = bias + W·x (its
+.linear), so that a committee of them scores every member with one
+matrix product.
 
 Training is pure Python.  numpy loads on the first call that computes
 with arrays: rank_order, a model's .linear scorer and the LinearScorer
@@ -326,7 +327,7 @@ def llda_train(
     Naive Bayes' likelihood with a_word for 1, whatever a_doc, iterations
     and seed.  The tokens of multi-label documents take their topics by
     collapsed Gibbs sampling (_gibbs_counts), deterministic for a fixed
-    seed."""
+    seed.  TrainingError when a_word makes a phi zero, which has no log."""
     if not (0 < a_word < math.inf and iterations >= 0):
         raise ConfigError("llda needs a_word > 0, iterations >= 0, a_word finite")
     counts: dict[str, Counter] = defaultdict(Counter)
@@ -349,9 +350,15 @@ def llda_train(
     if multi_label:
         _gibbs_counts(multi_label, counts, 50.0 / len(topics) if a_doc is None else a_doc,
                       a_word, len(vocab), iterations, random.Random(seed))
+    phi = _smoothed(counts, vocab, a_word)
+    for t, row in phi.items():
+        for w, p in row.items():
+            if not 0 < p < math.inf:
+                raise TrainingError("llda a_word %r makes phi(%s|%s) = %r, not a positive "
+                                    "finite number" % (a_word, w, t, p))
     return LLDAModel(
         topics=topics,
-        phi=_smoothed(counts, vocab, a_word),
+        phi=phi,
         a_word=a_word,
         vocabulary=frozenset(vocab),
     )

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import inspect
 import json
 import os
 import sys
@@ -18,7 +19,7 @@ from dataclasses import fields
 from . import evaluate as ev
 from .corpus import load_corpus
 from .errors import ConfigError, DataError
-from .classics import LLDAModel, NBModel, WinnowModel, llda_predict, nb_predict, winnow_predict
+from .classics import winnow_train
 from .models import MODEL_TYPES, Pipeline, load_model, save_model
 from .semcat import DISAMBIG_METHODS, FEATURE_MODES, Analyzer, SemCatConfig, ranked_categories
 from .semcat import categorize  # noqa: F401  bench/tests checks that the tracer rebinds it here
@@ -29,9 +30,7 @@ from .semcla import (
     SemClaConfig,
     SemClaModel,
     calibrate_alpha,
-    extend_vector,
     semcla_fit,
-    semcla_score,
 )
 from .taxonomy import load_taxonomy
 from .textpipe import (
@@ -157,7 +156,8 @@ def cmd_train(args):
 
 def cmd_classify(args):
     """Apply a model with the pipeline it records; --taxonomy must be given
-    exactly when the model was trained with one."""
+    exactly when the model was trained with one.  model.linear ranks each
+    bag, a SemCla bag once model.vector has extended it."""
     model, pipeline = load_model(_require_path(args.model, "model"))
     if pipeline.taxonomy is not None and pipeline.taxonomy != bool(args.taxonomy):
         raise ConfigError("the model was trained %s a taxonomy: %s --taxonomy"
@@ -169,19 +169,17 @@ def cmd_classify(args):
     stats = pipeline.background
     if stats is None:
         stats = _background(docs, pipeline.semcat)
-    predict = {
-        NBModel: nb_predict,
-        WinnowModel: winnow_predict,
-        LLDAModel: llda_predict,
-        SemClaModel: lambda m, bag: semcla_score(extend_vector(bag, tax, m.alpha), m),
-    }[type(model)]
+    linear = model.linear
+    semcla = isinstance(model, SemClaModel)
     analyzer = Analyzer(tax, stats, pipeline.semcat)
     out = _out_stream(args.out)
     _echo_config(args)
     for d in docs:
         bag = analyzer.bag(d.text, pipeline.features)
+        if semcla and bag is not None:
+            bag = model.vector(bag, tax)
         ranked = "unclassified" if bag is None else " ".join(
-            "%s:%.6f" % ls for ls in predict(model, bag))
+            "%s:%.6f" % ls for ls in linear.ranking(bag))
         out.write("%s\t%s\n" % (d.id, ranked))
     if out is not sys.stdout:
         out.close()
@@ -303,10 +301,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--features", default="terms", choices=FEATURE_MODES)
     sp.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
     sp.add_argument("--mode", default=SemClaConfig.mode, choices=SEMCLA_MODES)
-    sp.add_argument("--theta", type=float, default=1.0)
-    sp.add_argument("--winnow-alpha", type=float, default=1.1)
-    sp.add_argument("--winnow-beta", type=float, default=0.9)
-    sp.add_argument("--epochs", type=int, default=50)
+    winnow = inspect.signature(winnow_train).parameters
+    sp.add_argument("--theta", type=float, default=winnow["theta"].default)
+    sp.add_argument("--winnow-alpha", type=float, default=winnow["alpha"].default)
+    sp.add_argument("--winnow-beta", type=float, default=winnow["beta"].default)
+    sp.add_argument("--epochs", type=int, default=winnow["epochs"].default)
     sp.set_defaults(func=cmd_train)
 
     sp = sub.add_parser("classify", help="classify documents with a trained model, "

@@ -37,9 +37,7 @@ from .semcla import (
     SEMCLA_MODES,
     SemClaConfig,
     check_alpha,
-    extend_vector,
     semcla_fit,
-    semcla_score,
 )
 from .taxonomy import Taxonomy, sim_lin
 from .textpipe import BackgroundStats
@@ -275,13 +273,7 @@ class ExperimentReport:
     results: list
 
     def to_json(self) -> str:
-        payload = {
-            "config": self.config,
-            "evaluated_documents": self.evaluated_documents,
-            "excluded_short": self.excluded_short,
-            "results": [asdict(r) for r in self.results],
-        }
-        return json.dumps(payload, sort_keys=True, indent=2)
+        return json.dumps(asdict(self), sort_keys=True, indent=2)
 
     def render_table(self) -> str:
         lines = ["%-28s %10s %14s %12s" % ("method", "precision", "lin_precision", "unclassified")]
@@ -450,7 +442,7 @@ class _Predictor:
         elif kind == "semcla":
             # check_experiment allows no params here but alpha and mode
             sc = SemClaConfig(**{"alpha": cfg.alpha, **self.spec.params}, semcat=cfg.semcat)
-            self._semcla = semcla_fit(
+            self._model = semcla_fit(
                 ((d.label, self.ctx.categorized(d)) for d in cfg.train_docs),
                 cfg.taxonomy,
                 sc,
@@ -478,31 +470,28 @@ class _Predictor:
 
     def predict_all(self, docs) -> list:
         """Each document's label, None when it is unclassified.  Classical
-        learners and committees score all the documents' bags together."""
+        learners, SemCla and committees score all the documents' bags
+        together, a SemCla bag being the model's vector of its categories."""
         kind = self.spec.kind
-        if kind in ("semcat", "semcla"):
-            return [self._predict_semantic(d) for d in docs]
-        bags = [self.ctx.bag(d, self.spec.features) for d in docs]
+        if kind == "semcat":
+            return [None if (cats := self.ctx.categorized(d)) is None
+                    else self.ctx.label_of(ranked_categories(cats)[0][0]) for d in docs]
+        if kind == "semcla":
+            tax = self.ctx.cfg.taxonomy
+            bags = [None if (cats := self.ctx.categorized(d)) is None
+                    else self._model.vector(cats, tax) for d in docs]
+        else:
+            bags = [self.ctx.bag(d, self.spec.features) for d in docs]
         known = [(d, bag) for d, bag in zip(docs, bags) if bag is not None]
         labels = iter(self._predict_bags(known))
         return [None if bag is None else next(labels) for bag in bags]
-
-    def _predict_semantic(self, doc: Document):
-        cfg = self.ctx.cfg
-        cats = self.ctx.categorized(doc)
-        if cats is None:
-            return None
-        if self.spec.kind == "semcat":
-            return self.ctx.label_of(ranked_categories(cats)[0][0])
-        ext = extend_vector(cats, cfg.taxonomy, self._semcla.alpha)
-        return semcla_score(ext, self._semcla)[0][0]
 
     def _predict_bags(self, known: list) -> list:
         """The labels of (document, bag) pairs."""
         kind = self.spec.kind
         cfg = self.ctx.cfg
         bags = [bag for _, bag in known]
-        if kind in CLASSICAL_KINDS:
+        if kind in CLASSICAL_KINDS or kind == "semcla":
             linear = self._model.linear
             return [linear.labels[i] for _, rows in linear.top_rows(bags, 1)
                     for i in rows[:, 0].tolist()]

@@ -2,11 +2,14 @@
 mass, compare by cosine, classify by nearest training group.  Includes the
 grid-search calibration of the extension constant alpha.
 
+A model scores d/|d| . c, linear in the unit extended vector d/|d|, so it
+ranks classes through a classics.LinearScorer as the classical learners do.
+
 Training (semcla_train, semcla_fit) and cosine are pure Python.  numpy
-loads on the first call to semcla_score, rank_separations or what calls
-them (rank_separation, calibrate_alpha); importing this module loads no
-numpy, and neither does the SemCat path (`semtax categorize`,
-semcat.Analyzer, semcat.categorize), which never calls them.
+loads on the first call to a model's .linear, semcla_score,
+rank_separations or what calls them (rank_separation, calibrate_alpha);
+importing this module loads no numpy, and neither does the SemCat path
+(`semtax categorize`, semcat.Analyzer, semcat.categorize).
 """
 
 from __future__ import annotations
@@ -14,8 +17,9 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
-from .classics import rank_order
+from .classics import LinearScorer
 from .errors import CalibrationError, ConfigError, TrainingError
 from .semcat import Analyzer, SemCatConfig
 from .semcat import categorize  # noqa: F401  bench/tests checks that the tracer rebinds it here
@@ -97,6 +101,20 @@ class SemClaModel:
     classes: dict[str, dict[str, float]]  # label -> class vector (class_vector)
     alpha: float
 
+    @cached_property
+    def linear(self) -> LinearScorer:
+        """bias 0, weights the class vectors: scores a vector from
+        .vector by its cosine with each class vector."""
+        labels = sorted(self.classes)
+        features = sorted({k for c in self.classes.values() for k in c})
+        weights = [[self.classes[lab].get(k, 0.0) for k in features] for lab in labels]
+        return LinearScorer(labels, features, [0.0] * len(labels), weights)
+
+    def vector(self, cats: dict[str, float], tax: Taxonomy) -> dict[str, float]:
+        """A document's category vector extended at the model's alpha and
+        scaled to unit length: the bag that .linear scores."""
+        return _unit(extend_vector(cats, tax, self.alpha))
+
 
 def _mean_vector(vectors: list[dict[str, float]]) -> dict[str, float]:
     acc: dict[str, float] = {}
@@ -108,9 +126,9 @@ def _mean_vector(vectors: list[dict[str, float]]) -> dict[str, float]:
 
 
 def class_vector(vectors: list[dict[str, float]], mode: str) -> dict[str, float]:
-    """One class's extended training vectors reduced to the vector that
-    semcla_score uses: the mean of their unit vectors (average: the score
-    is the mean cosine) or their unit mean (centroid)."""
+    """One class's extended training vectors reduced to the weights of its
+    scores: the mean of their unit vectors (average: the score is the
+    mean cosine) or their unit mean (centroid)."""
     if mode == "average":
         return _mean_vector([_unit(v) for v in vectors])
     if mode == "centroid":
@@ -159,16 +177,11 @@ def semcla_fit(
 
 def semcla_score(doc_vector: dict[str, float], model: SemClaModel) -> list[tuple[str, float]]:
     """Score each class d/|d| . c, d the extended document vector and c
-    the class vector, and rank the classes by rank_order: by the score
-    rounded to 9 decimals, ties by label, so that scores equal in exact
-    arithmetic tie."""
-    import numpy as np
-
-    d = _unit(doc_vector)
-    labels = sorted(model.classes)
-    scores = [sum((w * model.classes[label].get(k, 0.0) for k, w in d.items()), 0.0)
-              for label in labels]
-    return [(labels[i], scores[i]) for i in rank_order(np.array(scores)).tolist()]
+    the class vector, and rank the classes by model.linear: by the score
+    rounded to 9 decimals, ties by label.  The scorer ignores weights of
+    d that are not positive, and an extended category vector has none:
+    its weights are positive by construction."""
+    return model.linear.ranking(_unit(doc_vector))
 
 
 def rank_separations(

@@ -6,7 +6,6 @@ L1-normalized so that downstream category weights form a distribution.
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 import re
@@ -42,29 +41,29 @@ class BackgroundStats:
         return self.doc_freq.get(term, 1)
 
 
-def check_background(doc_count, doc_freq, where, header_at=0, complete=True):
-    """DataError for the first bad entry of background statistics, in
-    order: the terms of doc_freq, with the document count after the
-    first header_at of them (doc_count None: not given).  Every count is
-    at least 1, no term is blank, and, when the statistics are complete,
-    the first largest df is no larger than the document count.  The
-    counts are checked in bulk, and the entries are walked only to name
-    a bad one: where(term) gives the place and the shown value of an
-    entry, term None for the document count; a file names its line, a
-    model file its field."""
+def _check_entry(term, n, where):
+    """DataError for a blank term or a count below 1 (term None: the
+    document count); where(term) gives the place and the shown value of
+    the entry."""
+    if term is not None and not term.strip():
+        raise DataError("%s: blank term in %s" % where(term))
+    if n < 1:
+        raise DataError("%s: counts must be at least 1, got %s" % where(term))
+
+
+def check_background(doc_count, doc_freq, where):
+    """DataError for the first bad entry of a model file's background
+    statistics, in order: the document count, then the terms of
+    doc_freq.  Every count is at least 1, no term is blank, and the
+    first largest df is no larger than the document count.  The counts
+    are checked in bulk, and the entries are walked only to name a bad
+    one: where(term) gives the field of an entry and its value, term
+    None for the document count."""
     counts = doc_freq.values()
-    if ((doc_count is not None and doc_count < 1) or min(counts, default=1) < 1
-            or not all(map(str.strip, doc_freq))):
-        entries = list(doc_freq.items())
-        if doc_count is not None:
-            entries.insert(header_at, (None, doc_count))
-        for term, n in entries:
-            if term is not None and not term.strip():
-                raise DataError("%s: blank term in %s" % where(term))
-            if n < 1:
-                raise DataError("%s: counts must be at least 1, got %s" % where(term))
-    if not complete:
-        return
+    if doc_count < 1 or min(counts, default=1) < 1 or not all(map(str.strip, doc_freq)):
+        _check_entry(None, doc_count, where)
+        for term, n in doc_freq.items():
+            _check_entry(term, n, where)
     top_df = max(counts, default=0)
     if top_df > doc_count:
         place, shown = where(next(t for t, n in doc_freq.items() if n == top_df))
@@ -394,79 +393,61 @@ def load_lemmas(path) -> dict[str, str]:
 
 def load_background(path) -> BackgroundStats:
     """Read `term<TAB>df` lines and one `#docs=<n>` header, which may come
-    after them; no term repeats, and the counts pass check_background,
-    which names the line of a bad one.
-
-    The file is streamed, and a line of one tab whose count parses, and
-    that is no header, is stored as it is read.  Its checks wait for
-    check_background over the whole table, or, at a line that fails to
-    load, over the entries before it, so the first error in line order
-    is the one raised."""
-    doc_count = doc_line = header_at = None
+    after them, checking each line as it is read: a clean entry (one tab,
+    no leading '#', a count of at least 1, a term not blank and not seen
+    before) is stored at once, and every other line is checked in full
+    by _check_line.  A df larger than the document count is named at the
+    end, at the first largest df."""
+    doc_count = doc_line = None
     df = {}
-    blanks = []  # the blank lines, which hold no entry
-
-    def where(term):
-        """The line of an entry and its text, read again from a regular
-        file (a pipe cannot be), else as parsed."""
-        if term is None:
-            lineno, key, text = doc_line, "#docs=", "#docs=%d" % doc_count
-        else:
-            i = list(df).index(term)
-            # the entry's place among the non-blank lines, then its line
-            lineno = i + 1 + (header_at is not None and i >= header_at)
-            for b in blanks:
-                if b > lineno:
-                    break
-                lineno += 1
-            key, text = term + "\t", "%s\t%d" % (term, df[term])
-        if os.path.isfile(path):
-            with open(path, encoding="utf-8") as fh:
-                line = next(itertools.islice(fh, lineno - 1, None), "").rstrip("\n")
-            if line.startswith(key):
-                text = line
-        return "%s line %d" % (path, lineno), repr(text)
-
+    top, top_at = 0, None  # the first largest df, and its (line number, line)
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             term, _, count = line.partition("\t")
-            if "\t" not in count and line[0] != "#":
-                try:
-                    n = int(count)  # int() drops the newline
-                except ValueError:
-                    pass
-                else:
-                    if term not in df:
-                        df[term] = n
-                        continue
-            # a blank line, the header, a repeated term or a bad line
-            text = line.rstrip("\n")
-            if not text.strip():
-                blanks.append(lineno)
-                continue
             try:
-                if text.startswith("#docs="):
-                    n = int(text[len("#docs=") :])
-                    if doc_line is None:
-                        doc_count, doc_line, header_at = n, lineno, len(df)
-                        continue
-                    message = "#docs= header repeats line %d" % doc_line
-                else:
-                    term, n = text.split("\t")
-                    n = int(n)
-                    if term not in df:
-                        df[term] = n
-                        continue
-                    message = "term %r repeats %s" % (term, _first_line(path, term))
+                # int() drops the newline
+                n = int(count) if "\t" not in count and line[0] != "#" else 0
             except ValueError:
-                message = "expected #docs=<n> or term<TAB>df, got %r" % text
-            check_background(doc_count, df, where, header_at, complete=False)
-            raise DataError("%s line %d: %s" % (path, lineno, message))
+                n = 0
+            if n < 1 or term in df or not term.strip():
+                # a blank line, the header, an entry with a leading '#' or a bad line
+                text = line.rstrip("\n")
+                if not text.strip():
+                    continue
+                term, n = _check_line(path, lineno, text, df, doc_line)
+                if term is None:
+                    doc_count, doc_line = n, lineno
+                    continue
+            df[term] = n
+            if n > top:
+                top, top_at = n, (lineno, line)
     if doc_count is None:
-        check_background(None, df, where, complete=False)
         raise DataError("background stats file %s is missing the #docs= header" % path)
-    check_background(doc_count, df, where, header_at)
+    if top > doc_count:
+        raise DataError("%s line %d: df is larger than #docs=%d, got %r"
+                        % (path, top_at[0], doc_count, top_at[1].rstrip("\n")))
     return BackgroundStats(doc_count=doc_count, doc_freq=df)
+
+
+def _check_line(path, lineno, text, df, doc_line):
+    """The (term, count) of a non-blank background line, term None for the
+    `#docs=` header, when it parses, repeats neither the header (doc_line)
+    nor a term of df, and passes _check_entry; else DataError naming it."""
+    place = "%s line %d" % (path, lineno)
+    try:
+        if text.startswith("#docs="):
+            term, n = None, int(text[len("#docs="):])
+        else:
+            term, n = text.split("\t")
+            n = int(n)
+    except ValueError:
+        raise DataError("%s: expected #docs=<n> or term<TAB>df, got %r" % (place, text)) from None
+    if term is None and doc_line is not None:
+        raise DataError("%s: #docs= header repeats line %d" % (place, doc_line))
+    if term in df:
+        raise DataError("%s: term %r repeats %s" % (place, term, _first_line(path, term)))
+    _check_entry(term, n, lambda _: (place, repr(text)))
+    return term, n
 
 
 def save_background(stats: BackgroundStats, path):

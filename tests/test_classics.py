@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -249,6 +250,17 @@ class TestLabeledLda:
         docs = [(["x"], ["a", "b"]), (["y"], ["c"])]
         with pytest.raises(ConfigError, match="llda needs a_word > 0, iterations >= 0"):
             llda_train(docs, **params)
+
+    @pytest.mark.parametrize("docs, a_word, zero", [
+        # a_word * V overflows, so every phi is 0
+        ([(["a"], ["x"]), (["b"], ["y"])], 1e308, "phi(x|a) = 0.0"),
+        # a_word over 10 tokens of x underflows
+        ([(["a"], ["x"] * 10), (["b"], ["y"])], 5e-324, "phi(y|a) = 0.0"),
+    ], ids=["overflow", "underflow"])
+    def test_a_word_that_makes_a_phi_zero_is_training_error(self, docs, a_word, zero):
+        with pytest.raises(TrainingError, match=re.escape(
+                "llda a_word %r makes %s, not a positive finite number" % (a_word, zero))):
+            llda_train(docs, a_word=a_word)
 
     def test_predict_prefers_own_vocabulary(self):
         docs = [(["a"], ["x", "x"]), (["b"], ["y", "y"])]

@@ -13,10 +13,12 @@ from hypothesis import given, settings, strategies as st
 import semtax.classics
 import semtax.cli
 import semtax.evaluate
+from semtax.classics import LinearScorer
 from semtax.cli import main
 from semtax.corpus import Document, parse_corpus
 from semtax.errors import ConfigError, DataError
 from semtax.semcat import SemCatConfig
+from semtax.semcla import SemClaModel
 from semtax.textpipe import PhraseIndex
 from conftest import TOY_TAXONOMY, chain_label, chain_taxonomy, write_command_inputs
 from oracles import brute_preprocess, brute_tokenize
@@ -166,18 +168,18 @@ def test_train_and_classify_roundtrip(workdir, capsys):
 def test_classify_scores_the_bags_train_fitted(workdir, monkeypatch, capsys, taxonomy, features):
     flags = ["--taxonomy", str(workdir / "tax.tsv")] if taxonomy else []
     fitted, scored = [], []
-    real_train, real_predict = semtax.evaluate.nb_train, semtax.cli.nb_predict
+    real_train, real_ranking = semtax.evaluate.nb_train, LinearScorer.ranking
 
     def train(bags):
         fitted.extend(bag for _, bag in bags)
         return real_train(bags)
 
-    def predict(model, bag):
+    def ranking(scorer, bag):
         scored.append(bag)
-        return real_predict(model, bag)
+        return real_ranking(scorer, bag)
 
     monkeypatch.setattr(semtax.evaluate, "nb_train", train)
-    monkeypatch.setattr(semtax.cli, "nb_predict", predict)
+    monkeypatch.setattr(LinearScorer, "ranking", ranking)
     model = workdir / "nb.json"
     corpus = ["--corpus", str(workdir / "corpus.jsonl")]
     fit = ["train", "--model", "bayes", "--features", features, "--out", str(model)]
@@ -188,8 +190,9 @@ def test_classify_scores_the_bags_train_fitted(workdir, monkeypatch, capsys, tax
 
 
 def _record(monkeypatch, name, calls, bags, module=semtax.cli):
-    """Wrap module.<name> to log into calls the bags that bags(*args)
-    picks from each call's arguments."""
+    """Wrap module.<name>, a function of a module or of a class, to log
+    into calls the bags that bags(*args) picks from each call's
+    arguments."""
     real = getattr(module, name)
 
     def wrapper(*args):
@@ -211,10 +214,11 @@ def test_classify_applies_the_pipeline_train_recorded(workdir, monkeypatch, caps
     if kind == "bayes":
         _record(monkeypatch, "nb_train", fitted, lambda bags: [b for _, b in bags],
                 semtax.evaluate)
-        _record(monkeypatch, "nb_predict", scored, lambda model, bag: [bag])
+        _record(monkeypatch, "ranking", scored, lambda scorer, bag: [bag], LinearScorer)
     else:
+        # classify scores a SemCla bag as the model's vector of it
         _record(monkeypatch, "semcla_fit", fitted, lambda pairs, tax, config: [b for _, b in pairs])
-        _record(monkeypatch, "extend_vector", scored, lambda bag, tax, alpha: [bag])
+        _record(monkeypatch, "vector", scored, lambda model, bag, tax: [bag], SemClaModel)
     model = workdir / "model.json"
     data = ["--corpus", str(workdir / "corpus.jsonl"), "--taxonomy", str(workdir / "tax.tsv")]
     assert main([
@@ -244,7 +248,7 @@ def test_classify_uses_the_training_background(workdir, monkeypatch, capsys):
                  "--corpus", str(workdir / "corpus.jsonl")]) == 0
     capsys.readouterr()
     scored = []
-    _record(monkeypatch, "nb_predict", scored, lambda model, bag: [bag])
+    _record(monkeypatch, "ranking", scored, lambda scorer, bag: [bag], LinearScorer)
     assert main(["classify", "--model", str(model),
                  "--corpus", str(workdir / "other.jsonl")]) == 0
     assert "unclassified" not in capsys.readouterr().out
@@ -853,6 +857,19 @@ def test_evaluate_out_prints_the_table_of_the_report(tmp_path, monkeypatch, caps
     assert [row.split() for row in rows] == [
         [r["name"], "%.3f" % r["overall_precision"], "%.3f" % r["overall_lin_precision"],
          str(r["unclassified"])] for r in report["results"]]
+
+
+def test_evaluate_llda_a_word_that_makes_a_phi_zero_exits_2(tmp_path, monkeypatch, capsys):
+    write_command_inputs(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    config = json.loads((tmp_path / "exp.json").read_text())
+    config["methods"] = [{"name": "llda", "kind": "llda", "params": {"a_word": 1e308}}]
+    (tmp_path / "exp.json").write_text(json.dumps(config))
+    assert main(["evaluate", "--config", "exp.json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: data: llda a_word 1e+308 makes phi(")
+    assert captured.err.endswith(") = 0.0, not a positive finite number\n")
 
 
 def test_evaluate_echoes_config_as_given(workdir, capsys):

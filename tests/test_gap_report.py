@@ -7,6 +7,7 @@ the six methods of ``scripts/run_semantic_gap.py`` and for the
 bagging/SemCom/LLDA committee methods.
 """
 
+import importlib.util
 import os
 import sys
 from collections import Counter
@@ -18,16 +19,19 @@ from semtax.evaluate import ExperimentConfig, MethodSpec, run_experiment
 from semtax.synth import make_gap_benchmark
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
+SCRIPT = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "run_semantic_gap.py")
+
+
+def _gap_methods():
+    """GAP_METHODS of scripts/run_semantic_gap.py, loaded from the file."""
+    spec = importlib.util.spec_from_file_location("run_semantic_gap", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return list(module.GAP_METHODS)
+
 
 METHODS = {
-    "six": [
-        MethodSpec("nb_terms", "bayes", features="terms"),
-        MethodSpec("winnow_terms", "winnow", features="terms"),
-        MethodSpec("nb_categories", "bayes", features="categories"),
-        MethodSpec("winnow_categories", "winnow", features="categories"),
-        MethodSpec("semcat", "semcat"),
-        MethodSpec("semcla", "semcla"),
-    ],
+    "six": _gap_methods(),
     "committee": [
         MethodSpec("ensemble", "ensemble", features="categories",
                    params={"aggregation": "weighted"}),
